@@ -1,5 +1,5 @@
-(* Allocation smoke gate: proves the engine's steady-state rounds
-   allocate zero minor-heap words.
+(* Allocation smoke gate: proves the engine's steady-state rounds and
+   the simulator's event loop allocate zero minor-heap words.
 
    Method: run the same fixture twice with identical per-run setup —
    same n, same [max_rounds] (so the history arena is sized identically
@@ -45,22 +45,22 @@ let minor_delta f =
   f ();
   Gc.minor_words () -. w0
 
-(* [per_round ~run] is the exact number of minor words one extra
-   steady-state round costs, measured as the delta between a 2-round and
-   a 4-round execution of the same fixture. *)
-let per_round ~run =
-  ignore (run ~rounds:2);
+(* [per_unit ~run ~short ~long] is the exact number of minor words one
+   extra unit of steady-state work costs, measured as the delta between a
+   [short]-unit and a [long]-unit execution of the same fixture. *)
+let per_unit ~run ~short ~long =
+  ignore (run short);
   (* warm up: first call may trigger lazy initialisation *)
-  let short = minor_delta (fun () -> run ~rounds:2) in
-  let long = minor_delta (fun () -> run ~rounds:4) in
-  (long -. short) /. 2.0
+  let s = minor_delta (fun () -> run short) in
+  let l = minor_delta (fun () -> run long) in
+  (l -. s) /. float_of_int (long - short)
 
-let check ~label ~run =
-  let words = per_round ~run in
-  if words = 0.0 then Printf.printf "  %-28s 0 words/round  OK\n" label
+let check ?(unit = "round") ?(short = 2) ?(long = 4) ~label run =
+  let words = per_unit ~run ~short ~long in
+  if words = 0.0 then Printf.printf "  %-28s 0 words/%s  OK\n" label unit
   else begin
     incr failures;
-    Printf.printf "  %-28s %+.1f words/round  FAIL\n" label words
+    Printf.printf "  %-28s %+.1f words/%s  FAIL\n" label words unit
   end
 
 (* One fixed fault set per process, constant across rounds: p0 misses
@@ -73,13 +73,13 @@ let fixture n =
   let algorithm = Rrfd.Kset.one_round ~inputs:(Tasks.Inputs.distinct n) in
   (detector, algorithm)
 
-let engine_kernel n ~rounds =
+let engine_kernel n rounds =
   let detector, algorithm = fixture n in
   ignore
     (Rrfd.Engine.run ~n ~max_rounds:4 ~check:(stop_after rounds)
        ~stop_when_decided:false ~algorithm ~detector ())
 
-let substrate_dispatch n ~rounds =
+let substrate_dispatch n rounds =
   let detector, algorithm = fixture n in
   let config =
     {
@@ -90,20 +90,39 @@ let substrate_dispatch n ~rounds =
   in
   ignore (Rrfd.Engine.As_substrate.execute config ~n ~rounds:4 ~algorithm)
 
+(* The simulator's event loop at the queue depth of a Chandra-Toueg
+   instance at n = 64 (n(n-1) = 4032 pending events).  Every event
+   reschedules the one preallocated thunk, so the depth holds and each
+   extra event is one pop, one dispatch and one push. *)
+let depth = 4032
+
+let period = float_of_int depth
+
+let rec reschedule sim = Dsim.Sim.schedule sim ~delay:period reschedule
+
+let dsim_event_loop events =
+  let sim = Dsim.Sim.create () in
+  for i = 0 to depth - 1 do
+    Dsim.Sim.schedule_at sim ~time:(float_of_int i) reschedule
+  done;
+  Dsim.Sim.run ~max_events:events sim
+
 let () =
   Printf.printf "=== alloc smoke: minor words per steady-state round ===\n";
   List.iter
     (fun n ->
-      check
-        ~label:(Printf.sprintf "kset-one-round n=%d" n)
-        ~run:(engine_kernel n);
+      check ~label:(Printf.sprintf "kset-one-round n=%d" n) (engine_kernel n);
       check
         ~label:(Printf.sprintf "substrate-dispatch n=%d" n)
-        ~run:(substrate_dispatch n))
+        (substrate_dispatch n))
     [ 4; 16; 48 ];
+  check ~unit:"event" ~short:depth ~long:(4 * depth)
+    ~label:(Printf.sprintf "dsim-event-loop depth=%d" depth)
+    dsim_event_loop;
   if !failures > 0 then begin
     Printf.printf "alloc smoke: %d kernel(s) allocate in steady state\n"
       !failures;
     exit 1
   end;
-  Printf.printf "alloc smoke: steady-state rounds are allocation-free\n"
+  Printf.printf
+    "alloc smoke: steady-state rounds and simulator events are allocation-free\n"

@@ -3,8 +3,11 @@
     A simulator owns a virtual clock and an event queue.  Events are thunks
     scheduled at virtual times; running the simulator pops events in time
     order (insertion order within a time instant) and executes them, which may
-    schedule further events.  The substrate libraries ([msgnet], [semisync])
-    build their network and timing models on top of this loop. *)
+    schedule further events.  Scheduling and executing an event allocate
+    nothing beyond the queue's occasional capacity doubling, and the queue
+    drops each event's closure once it has run.  The substrate libraries
+    ([msgnet], [semisync]) build their network and timing models on top of
+    this loop. *)
 
 type t
 (** A simulator instance. *)
@@ -22,7 +25,8 @@ val rng : t -> Rng.t
 val schedule : t -> delay:float -> (t -> unit) -> unit
 (** [schedule sim ~delay f] arranges for [f sim] to run at time
     [now sim +. delay].
-    @raise Invalid_argument if [delay] is negative or not finite. *)
+    @raise Invalid_argument if [delay] is negative or NaN, or if
+    [now sim +. delay] is not finite. *)
 
 val schedule_at : t -> time:float -> (t -> unit) -> unit
 (** [schedule_at sim ~time f] arranges for [f sim] to run at absolute virtual

@@ -1,7 +1,6 @@
-(* Tests for the discrete-event substrate: Rng, Heap, Sim. *)
+(* Tests for the discrete-event substrate: Rng and Sim with its event queue. *)
 
 module Rng = Dsim.Rng
-module Heap = Dsim.Heap
 module Sim = Dsim.Sim
 
 let rng_deterministic () =
@@ -96,26 +95,55 @@ let rng_sample_invariants =
       && List.for_all (fun v -> v >= 0 && v < n) sample)
 
 let heap_orders () =
-  let h = Heap.create () in
+  let sim = Sim.create () in
   let rng = Rng.create 5 in
+  let last = ref neg_infinity in
   for _ = 1 to 200 do
-    Heap.push h (Rng.float rng 100.0) ()
+    Sim.schedule_at sim ~time:(Rng.float rng 100.0) (fun s ->
+        Alcotest.(check bool) "non-decreasing" true (Sim.now s >= !last);
+        last := Sim.now s)
   done;
-  let rec drain last =
-    match Heap.pop h with
-    | None -> ()
-    | Some (p, ()) ->
-      Alcotest.(check bool) "non-decreasing" true (p >= last);
-      drain p
-  in
-  drain neg_infinity;
-  Alcotest.(check bool) "drained" true (Heap.is_empty h)
+  Sim.run sim;
+  Alcotest.(check int) "all ran" 200 (Sim.executed sim);
+  Alcotest.(check int) "drained" 0 (Sim.pending sim)
 
 let heap_stable_ties () =
-  let h = Heap.create () in
-  List.iter (fun i -> Heap.push h 1.0 i) [ 1; 2; 3; 4 ];
-  let order = List.filter_map (fun _ -> Option.map snd (Heap.pop h)) [ (); (); (); () ] in
-  Alcotest.(check (list int)) "insertion order on ties" [ 1; 2; 3; 4 ] order
+  let sim = Sim.create () in
+  let order = ref [] in
+  List.iter (fun i -> Sim.schedule_at sim ~time:1.0 (fun _ -> order := i :: !order)) [ 1; 2; 3; 4 ];
+  Sim.run sim;
+  Alcotest.(check (list int)) "insertion order on ties" [ 1; 2; 3; 4 ] (List.rev !order)
+
+(* Model check of the event queue: interleave [schedule_at] (times drawn
+   from a few values, so ties are common; enough pushes to cross several
+   capacity doublings) with [step], and compare against a list kept
+   sorted on (time, insertion index).  Each step must run the model's
+   minimum and set the clock to its time.  Scheduled times never precede
+   the clock: each is the current time plus a non-negative offset. *)
+let sim_matches_sorted_model =
+  let op = QCheck.(option (int_range 0 3)) in
+  QCheck.Test.make ~name:"sim event order matches sorted model" ~count:200
+    QCheck.(list_of_size Gen.(int_range 0 300) op)
+    (fun ops ->
+      let sim = Sim.create () in
+      let ran = ref (-1) in
+      let model = ref [] and next = ref 0 in
+      let schedule offset =
+        let time = Sim.now sim +. float_of_int offset in
+        let id = !next in
+        incr next;
+        Sim.schedule_at sim ~time (fun _ -> ran := id);
+        model := List.merge compare !model [ (time, id) ]
+      in
+      let step () =
+        match !model with
+        | [] -> not (Sim.step sim)
+        | (time, id) :: rest ->
+          model := rest;
+          Sim.step sim && !ran = id && Sim.now sim = time
+      in
+      List.for_all (function Some offset -> schedule offset; true | None -> step ()) ops
+      && List.for_all (fun _ -> step ()) (List.init (List.length !model + 1) Fun.id))
 
 let sim_runs_in_time_order () =
   let sim = Sim.create () in
@@ -148,6 +176,41 @@ let sim_rejects_past () =
         (fun () -> Sim.schedule_at s ~time:1.0 (fun _ -> ())));
   Sim.run sim
 
+let sim_rejects_bad_times () =
+  let sim = Sim.create () in
+  let nop _ = () in
+  let delay_error = Invalid_argument "Sim.schedule: delay must be finite and non-negative" in
+  List.iter
+    (fun (name, delay) ->
+      Alcotest.check_raises name delay_error (fun () -> Sim.schedule sim ~delay nop))
+    [ ("nan delay", Float.nan); ("infinite delay", infinity); ("negative delay", -1.0) ];
+  List.iter
+    (fun (name, time) ->
+      Alcotest.check_raises name (Invalid_argument "Sim.schedule_at: time must be finite")
+        (fun () -> Sim.schedule_at sim ~time nop))
+    [ ("nan time", Float.nan); ("infinite time", infinity); ("-infinite time", neg_infinity) ];
+  Alcotest.(check int) "nothing queued" 0 (Sim.pending sim)
+
+(* Allocated out of line so no stack slot of the caller keeps the payload
+   alive: after the event runs, only the queue could still reach it.  It
+   runs last, so its closure passes through the vacated slots the queue
+   must clear. *)
+let[@inline never] schedule_with_payload sim weak =
+  let payload = Bytes.make 64 'x' in
+  Weak.set weak 0 (Some payload);
+  Sim.schedule sim ~delay:2.0 (fun _ -> ignore (Sys.opaque_identity (Bytes.length payload)))
+
+let sim_releases_popped_events () =
+  let sim = Sim.create () in
+  let weak = Weak.create 1 in
+  schedule_with_payload sim weak;
+  Sim.schedule sim ~delay:1.0 (fun _ -> ());
+  Sim.run sim;
+  Gc.full_major ();
+  Alcotest.(check bool) "payload collected" false (Weak.check weak 0);
+  (* The simulator itself must still be live at the collection. *)
+  Alcotest.(check int) "drained" 0 (Sim.pending sim)
+
 let tests =
   [
     Alcotest.test_case "rng determinism" `Quick rng_deterministic;
@@ -160,10 +223,13 @@ let tests =
     Alcotest.test_case "sim time order" `Quick sim_runs_in_time_order;
     Alcotest.test_case "sim until/budget" `Quick sim_until_and_budget;
     Alcotest.test_case "sim rejects past" `Quick sim_rejects_past;
+    Alcotest.test_case "sim rejects bad times" `Quick sim_rejects_bad_times;
+    Alcotest.test_case "sim releases popped events" `Quick sim_releases_popped_events;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
         rng_split_streams_independent;
         rng_derived_streams_independent;
         rng_sample_invariants;
+        sim_matches_sorted_model;
       ]
