@@ -350,11 +350,11 @@ let run_timing () =
       let nanos = estimate times name in
       let words = estimate allocs name in
       let alloc = if Float.is_nan words then None else Some words in
-      rows := (name, nanos, alloc) :: !rows)
+      rows := { Report.name; ns_per_run = nanos; alloc_per_run = alloc } :: !rows)
     times;
   let rows = List.sort compare !rows in
   List.iter
-    (fun (name, nanos, alloc) ->
+    (fun { Report.name; ns_per_run = nanos; alloc_per_run = alloc } ->
       let alloc_str =
         match alloc with
         | None -> ""
@@ -387,9 +387,7 @@ let run_scale () =
         ~ns:[ 100 ] ~repeats:!scale_repeats ()
     in
     Experiments.E25_scale.print_measurements ms;
-    List.map
-      (fun s -> (s.Report.name, s.Report.ns_per_run, s.Report.alloc_per_run))
-      (Experiments.E25_scale.subjects_of ms)
+    Experiments.E25_scale.subjects_of ms
   end
 
 let run_tables () =
@@ -446,38 +444,34 @@ let run_speedup () =
 (* Telemetry ---------------------------------------------------------- *)
 
 let build_report ~subjects ~tables ~speedup =
-  {
-    Report.version = Report.version;
-    meta =
-      {
-        Report.seed;
-        jobs = Runtime.Pool.recommended_jobs ();
-        recommended_jobs = Domain.recommended_domain_count ();
-        git_sha = Report.git_short_sha ();
-        hostname = (try Unix.gethostname () with _ -> "unknown");
-      };
-    subjects =
-      List.map
-        (fun (name, nanos, alloc) ->
-          { Report.name; ns_per_run = nanos; alloc_per_run = alloc })
-        subjects;
-    tables =
-      List.map
-        (fun t ->
-          {
-            Report.id = t.Experiments.Table.id;
-            title = t.Experiments.Table.title;
-            ok = Experiments.Table.ok t;
-            counters =
-              List.map
-                (fun (label, s) -> (label, Report.stat_of_stats s))
-                t.Experiments.Table.counters;
-          })
-        tables;
-    speedup = Some speedup;
-  }
+  Report.make ~seed ~speedup
+    ~tables:
+      (List.map
+         (fun t ->
+           {
+             Report.id = t.Experiments.Table.id;
+             title = t.Experiments.Table.title;
+             ok = Experiments.Table.ok t;
+             counters =
+               List.map
+                 (fun (label, s) -> (label, Report.stat_of_stats s))
+                 t.Experiments.Table.counters;
+           })
+         tables)
+    subjects
 
 let () =
+  (* A bad baseline fails before the minutes of measurement, not after. *)
+  let baseline =
+    Option.map
+      (fun path ->
+        match Report.load path with
+        | Ok r -> r
+        | Error e ->
+          prerr_endline e;
+          exit 2)
+      !check_path
+  in
   let tables = run_tables () in
   let failed = List.filter (fun t -> not (Experiments.Table.ok t)) tables in
   let subjects = run_timing () @ run_scale () in
@@ -490,10 +484,9 @@ let () =
       Printf.printf "\nbench: wrote %s\n" path)
     !json_path;
   let check_passed =
-    match !check_path with
+    match baseline with
     | None -> true
-    | Some path ->
-      let baseline = Report.load path in
+    | Some baseline ->
       let result =
         Report.check ~tolerance_pct:!tolerance ~baseline ~current:report
       in

@@ -36,6 +36,87 @@ let jobs_arg =
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~doc)
 
+(* {1 Shared subcommand pieces}
+
+   One definition per option several subcommands take; they differ only
+   in default and doc. *)
+
+(* A bad spec or artifact is a usage error: say why, exit 2. *)
+let or_die = function
+  | Ok v -> v
+  | Error msg ->
+    prerr_endline msg;
+    exit 2
+
+let exit_code ok = if ok then 0 else 1
+
+let opt_arg name ?docv ~doc typ default =
+  Arg.(value & opt typ default & info [ name ] ?docv ~doc)
+
+let n_arg ?(doc = "System size.") typ n = opt_arg "n" ~doc typ n
+
+let f_arg ~doc typ f = opt_arg "f" ~doc typ f
+
+let rounds_arg ~doc typ rounds = opt_arg "rounds" ~doc typ rounds
+
+(* [(n, f)], with [f] defaulting to a minority of [n]. *)
+let n_minority_f_arg n =
+  let f = f_arg ~doc:"Resilience (default: a minority, (n-1)/2)." Arg.(some int) None in
+  Term.(
+    const (fun n f -> (n, Option.value f ~default:((n - 1) / 2)))
+    $ n_arg Arg.int n $ f)
+
+let grid_arg doc = Arg.(value & flag & info [ "grid" ] ~doc)
+
+let file_arg ?(docv = "FILE") name doc =
+  opt_arg name ~docv ~doc Arg.(some string) None
+
+(* An artifact-writing option: the one place the [auto] naming rule
+   applies, so the path a run receives is already resolved. *)
+let out_arg ~prefix name doc =
+  let doc =
+    Printf.sprintf "%s  $(b,auto) names the file %s_<git-sha>.json." doc prefix
+  in
+  let path = file_arg name doc in
+  Term.(const (Option.map (Report.artifact_path ~prefix)) $ path)
+
+let json_arg ~prefix doc = out_arg ~prefix "json" doc
+
+let save_arg ~prefix doc = out_arg ~prefix "save" doc
+
+let replay_arg doc = file_arg "replay" doc
+
+(* Write an artifact through [save] and say where. *)
+let save_to ?(indent = "") save path x =
+  save path x;
+  Printf.printf "%sartifact written to %s\n" indent path
+
+(* The tail of every grid run: print the table, write the artifact if
+   --json asked for one, exit 0 iff every row is ok. *)
+let finish_grid ~json table artifact =
+  Experiments.Table.print table;
+  Option.iter (fun path -> save_to Report.write path (artifact ())) json;
+  exit_code (Experiments.Table.ok table)
+
+(* The induced history of a network or live run, with its P1-P5
+   classification at [f]; returns the classification. *)
+let print_induced ~f induced =
+  Format.printf "  induced history:@;<1 4>@[<v>%a@]@." Rrfd.Fault_history.pp
+    induced;
+  Printf.printf "  compact: %s\n" (Rrfd.Fault_history.to_string_compact induced);
+  let held = Msgnet.Heard_of.classify ~f induced in
+  Printf.printf "  predicates (f=%d): %s\n" f
+    (String.concat "  "
+       (List.map
+          (fun (p, b) -> Printf.sprintf "%s=%s" p (if b then "yes" else "no"))
+          held));
+  held
+
+(* A grid whose artifact is the shared envelope plus one extra field. *)
+let finish_envelope ~seed ~json (table, details) field =
+  finish_grid ~json table (fun () ->
+      Experiments.Table.to_json ~seed ~extra:(field details) table)
+
 let list_cmd =
   let run () =
     setup_logs ();
@@ -123,11 +204,6 @@ let lattice_cmd =
   let b_arg =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"RIGHT" ~doc:names)
   in
-  let n_arg = Arg.(value & opt int 3 & info [ "n" ] ~doc:"System size (keep ≤ 4).") in
-  let f_arg = Arg.(value & opt int 1 & info [ "f" ] ~doc:"Resilience parameter.") in
-  let rounds_arg =
-    Arg.(value & opt int 2 & info [ "rounds" ] ~doc:"History length (keep ≤ 2).")
-  in
   let run a b n f rounds =
     setup_logs ();
     match (predicate_of_name ~f a, predicate_of_name ~f b) with
@@ -149,7 +225,11 @@ let lattice_cmd =
   Cmd.v
     (Cmd.info "lattice"
        ~doc:"Check a submodel relation (Sec. 2) exhaustively at a small size.")
-    Term.(const run $ a_arg $ b_arg $ n_arg $ f_arg $ rounds_arg)
+    Term.(
+      const run $ a_arg $ b_arg
+      $ n_arg ~doc:"System size (keep ≤ 4)." Arg.int 3
+      $ f_arg ~doc:"Resilience parameter." Arg.int 1
+      $ rounds_arg ~doc:"History length (keep ≤ 2)." Arg.int 2)
 
 (* `trace` — run any catalog protocol under a chosen model and print the
    full transcript.  Protocol names, printers and horizons all come from
@@ -167,11 +247,10 @@ let trace_cmd =
       & info [ "protocol" ] ~docv:"NAME" ~doc)
   in
   let n_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "n" ] ~doc:"System size (default: 6 for k-set protocols, the \
-                           catalog default otherwise).")
+    n_arg Arg.(some int) None
+      ~doc:
+        "System size (default: 6 for k-set protocols, the catalog default \
+         otherwise)."
   in
   let k_arg =
     Arg.(
@@ -278,10 +357,9 @@ let check_cmd =
     in
     Arg.(value & opt_all string [] & info [ "property" ] ~docv:"PROP" ~doc)
   in
-  let n_arg = Arg.(value & opt int 4 & info [ "n" ] ~doc:"System size.") in
   let rounds_arg =
-    let doc = "History length to explore (default: what the SUT needs)." in
-    Arg.(value & opt (some int) None & info [ "rounds" ] ~doc)
+    rounds_arg Arg.(some int) None
+      ~doc:"History length to explore (default: what the SUT needs)."
   in
   let trials_arg =
     Arg.(value & opt int 1000 & info [ "trials" ] ~doc:"Fuzzing trials.")
@@ -298,8 +376,7 @@ let check_cmd =
     Arg.(value & flag & info [ "exhaustive" ] ~doc)
   in
   let save_arg =
-    let doc = "Write the counterexample artifact (JSON) to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "save" ] ~docv:"FILE" ~doc)
+    save_arg ~prefix:"CHECK" "Write the counterexample artifact (JSON) to $(docv)."
   in
   let expect_arg =
     let doc =
@@ -309,20 +386,12 @@ let check_cmd =
     Arg.(value & flag & info [ "expect-violation" ] ~doc)
   in
   let replay_arg =
-    let doc =
+    replay_arg
       "Replay the counterexample artifact at $(docv): re-execute its \
        history and verify the recorded decision vector bit-for-bit."
-    in
-    Arg.(value & opt (some string) None & info [ "replay" ] ~docv:"FILE" ~doc)
   in
   let trace_flag =
     Arg.(value & flag & info [ "trace" ] ~doc:"Print the full transcript.")
-  in
-  let or_die = function
-    | Ok v -> v
-    | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
   in
   let pp_decisions pp_out ppf decisions =
     Array.iteri
@@ -349,7 +418,7 @@ let check_cmd =
     Printf.printf "  failure: %s\n" ce.failure
   in
   let do_replay path with_trace =
-    let artifact = Check.Artifact.load path in
+    let artifact = or_die (Check.Artifact.load path) in
     let ce = artifact.Check.Artifact.counterexample in
     Printf.printf
       "replaying %s: sut %s, predicate %s, property %s (seed %d, trial %d)\n"
@@ -445,13 +514,12 @@ let check_cmd =
                ce.Check.Checker.history);
         Option.iter
           (fun path ->
-            Check.Artifact.save path
-              (Check.Artifact.make ~sut_spec ~predicate_spec
-                 ~property_specs ~seed ce);
-            Printf.printf "artifact saved to %s\n" path)
+            save_to Check.Artifact.save path
+              (Check.Artifact.make ~sut_spec ~predicate_spec ~property_specs
+                 ~seed ce))
           save);
       let violated = found <> None in
-      if violated = expect then 0 else 1
+      exit_code (violated = expect)
   in
   Cmd.v
     (Cmd.info "check"
@@ -462,7 +530,7 @@ let check_cmd =
           as a JSON artifact.")
     Term.(
       const run $ seed_arg $ trials_arg $ jobs_arg $ sut_arg $ predicate_arg
-      $ generator_arg $ property_arg $ n_arg $ rounds_arg $ attempts_arg
+      $ generator_arg $ property_arg $ n_arg Arg.int 4 $ rounds_arg $ attempts_arg
       $ exhaustive_arg $ save_arg $ expect_arg $ replay_arg $ trace_flag)
 
 (* `faultnet` — drive the fault-injection network layer: run one adversary
@@ -479,38 +547,17 @@ let faultnet_cmd =
     Arg.(
       value & opt string "drop:p=20" & info [ "adversary" ] ~docv:"SPEC" ~doc)
   in
-  let n_arg = Arg.(value & opt int 5 & info [ "n" ] ~doc:"System size.") in
-  let f_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "f" ] ~doc:"Resilience (default: a minority, (n-1)/2).")
-  in
-  let rounds_arg =
-    Arg.(value & opt int 4 & info [ "rounds" ] ~doc:"Simulated rounds.")
-  in
   let grid_arg =
-    let doc =
+    grid_arg
       "Run the full E21 adversary grid instead of a single spec \
        (--adversary/-n/--f/--rounds are ignored)."
-    in
-    Arg.(value & flag & info [ "grid" ] ~doc)
   in
   let json_arg =
-    let doc =
+    json_arg ~prefix:"FAULTNET"
       "With $(b,--grid): also write the table and every trial's extracted \
-       history to $(docv) as compact JSON ($(b,auto) names the file \
-       FAULTNET_<git-sha>.json).  The output depends only on --seed and \
-       --trials — never on -j — which is what the faultnet smoke gate \
-       compares."
-    in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let or_die = function
-    | Ok v -> v
-    | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
+       history to $(docv) as compact JSON.  The output depends only on \
+       --seed and --trials — never on -j — which is what the faultnet smoke \
+       gate compares."
   in
   let run_single ~seed ~spec ~n ~f ~rounds =
     let adversary = or_die (Check.Spec.adversary spec) in
@@ -532,18 +579,7 @@ let faultnet_cmd =
          (Array.to_list
             (Array.map string_of_int o.Msgnet.Round_layer.completed)))
       o.Msgnet.Round_layer.virtual_time;
-    let induced = o.Msgnet.Round_layer.induced in
-    Format.printf "  induced history:@;<1 4>@[<v>%a@]@." Rrfd.Fault_history.pp
-      induced;
-    Printf.printf "  compact: %s\n"
-      (Rrfd.Fault_history.to_string_compact induced);
-    let held = Msgnet.Heard_of.classify ~f induced in
-    Printf.printf "  predicates (f=%d): %s\n" f
-      (String.concat "  "
-         (List.map
-            (fun (p, b) -> Printf.sprintf "%s=%s" p (if b then "yes" else "no"))
-            held));
-    let p3 = List.assoc "P3" held in
+    let p3 = List.assoc "P3" (print_induced ~f o.Msgnet.Round_layer.induced) in
     if d.Msgnet.Round_layer.matched then
       Printf.printf "  replay: engine decisions match the network's%s.\n"
         (if d.Msgnet.Round_layer.all_completed then ""
@@ -553,48 +589,15 @@ let faultnet_cmd =
       Printf.printf
         "  P3 VIOLATED: some D(i,r) exceeds f — the round layer's guarantee \
          broke.\n";
-    if d.Msgnet.Round_layer.matched && p3 then 0 else 1
+    exit_code (d.Msgnet.Round_layer.matched && p3)
   in
-  let run_grid ~seed ~trials ~jobs ~json =
-    let table, histories =
-      Experiments.E21_faultnet.run_detailed ~seed ?trials ?jobs ()
-    in
-    Experiments.Table.print table;
-    Option.iter
-      (fun path ->
-        let str s = Report.Json.String s in
-        let j =
-          Report.Json.Obj
-            [
-              ("id", str table.Experiments.Table.id);
-              ("seed", Report.Json.Number (float_of_int seed));
-              ("header", Report.Json.List (List.map str table.Experiments.Table.header));
-              ( "rows",
-                Report.Json.List
-                  (List.map
-                     (fun row -> Report.Json.List (List.map str row))
-                     table.Experiments.Table.rows) );
-              ("ok", Report.Json.Bool (Experiments.Table.ok table));
-              ( "histories",
-                Report.Json.Obj
-                  (List.map
-                     (fun (spec, hs) ->
-                       (spec, Report.Json.List (List.map str hs)))
-                     histories) );
-            ]
-        in
-        let path = Report.artifact_path ~prefix:"FAULTNET" path in
-        Report.save_json path j;
-        Printf.printf "grid artifact written to %s\n" path)
-      json;
-    if Experiments.Table.ok table then 0 else 1
-  in
-  let run seed trials jobs spec n f rounds grid json =
+  let run seed trials jobs spec (n, f) rounds grid json =
     setup_logs ();
-    if grid then run_grid ~seed ~trials ~jobs ~json
-    else
-      let f = match f with Some f -> f | None -> (n - 1) / 2 in
-      run_single ~seed ~spec ~n ~f ~rounds
+    if grid then
+      finish_envelope ~seed ~json
+        (Experiments.E21_faultnet.run_detailed ~seed ?trials ?jobs ())
+        Experiments.E21_faultnet.artifact_field
+    else run_single ~seed ~spec ~n ~f ~rounds
   in
   Cmd.v
     (Cmd.info "faultnet"
@@ -604,8 +607,10 @@ let faultnet_cmd =
           the paper's predicate ladder and differentially replay it on the \
           abstract engine — for one spec, or the whole E21 grid.")
     Term.(
-      const run $ seed_arg $ trials_arg $ jobs_arg $ adversary_arg $ n_arg
-      $ f_arg $ rounds_arg $ grid_arg $ json_arg)
+      const run $ seed_arg $ trials_arg $ jobs_arg $ adversary_arg
+      $ n_minority_f_arg 5
+      $ rounds_arg ~doc:"Simulated rounds." Arg.int 4
+      $ grid_arg $ json_arg)
 
 (* `xsub` — the E22 cross-substrate differential matrix: every catalog
    protocol over every execution substrate under equivalent fault
@@ -615,72 +620,16 @@ let faultnet_cmd =
    is what the xsub smoke gate compares byte-for-byte. *)
 let xsub_cmd =
   let json_arg =
-    let doc =
+    json_arg ~prefix:"XSUB"
       "Also write the table and every trial's per-substrate induced and \
-       replayed histories to $(docv) as compact JSON ($(b,auto) names the \
-       file XSUB_<git-sha>.json).  The output depends only on --seed and \
-       --trials — never on -j."
-    in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
+       replayed histories to $(docv) as compact JSON.  The output depends \
+       only on --seed and --trials — never on -j."
   in
   let run seed trials jobs json =
     setup_logs ();
-    let table, details =
-      Experiments.E22_xsub.run_detailed ~seed ?trials ?jobs ()
-    in
-    Experiments.Table.print table;
-    Option.iter
-      (fun path ->
-        let str s = Report.Json.String s in
-        let trial_json (o : Experiments.E22_xsub.trial_obs) =
-          Report.Json.List
-            (List.map
-               (fun (s : Experiments.E22_xsub.sub_obs) ->
-                 Report.Json.Obj
-                   [
-                     ("sub", str s.Experiments.E22_xsub.sub);
-                     ("induced", str s.Experiments.E22_xsub.compact);
-                     ("replayed", str s.Experiments.E22_xsub.replay_compact);
-                     ( "decisions_ok",
-                       Report.Json.Bool s.Experiments.E22_xsub.decisions_ok );
-                     ( "classes_ok",
-                       Report.Json.Bool s.Experiments.E22_xsub.classes_ok );
-                   ])
-               o.Experiments.E22_xsub.subs)
-        in
-        let j =
-          Report.Json.Obj
-            [
-              ("id", str table.Experiments.Table.id);
-              ("seed", Report.Json.Number (float_of_int seed));
-              ( "header",
-                Report.Json.List
-                  (List.map str table.Experiments.Table.header) );
-              ( "rows",
-                Report.Json.List
-                  (List.map
-                     (fun row -> Report.Json.List (List.map str row))
-                     table.Experiments.Table.rows) );
-              ("ok", Report.Json.Bool (Experiments.Table.ok table));
-              ( "cells",
-                Report.Json.List
-                  (List.map
-                     (fun (protocol, policy, obs) ->
-                       Report.Json.Obj
-                         [
-                           ("protocol", str protocol);
-                           ("policy", str policy);
-                           ( "trials",
-                             Report.Json.List (List.map trial_json obs) );
-                         ])
-                     details) );
-            ]
-        in
-        let path = Report.artifact_path ~prefix:"XSUB" path in
-        Report.save_json path j;
-        Printf.printf "matrix artifact written to %s\n" path)
-      json;
-    if Experiments.Table.ok table then 0 else 1
+    finish_envelope ~seed ~json
+      (Experiments.E22_xsub.run_detailed ~seed ?trials ?jobs ())
+      Experiments.E22_xsub.artifact_field
   in
   Cmd.v
     (Cmd.info "xsub"
@@ -710,19 +659,9 @@ let live_cmd =
       & opt string "flood-consensus"
       & info [ "protocol" ] ~docv:"NAME" ~doc)
   in
-  let n_arg = Arg.(value & opt int 5 & info [ "n" ] ~doc:"System size.") in
-  let f_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "f" ] ~doc:"Resilience (default: a minority, (n-1)/2).")
-  in
   let rounds_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "rounds" ]
-          ~doc:"Round horizon (default: the protocol's at n, f).")
+    rounds_arg Arg.(some int) None
+      ~doc:"Round horizon (default: the protocol's at n, f)."
   in
   let patience_arg =
     let doc =
@@ -740,42 +679,27 @@ let live_cmd =
     Arg.(value & opt (some int) None & info [ "stress" ] ~docv:"N" ~doc)
   in
   let record_arg =
-    let doc =
+    out_arg ~prefix:"LIVE" "record"
       "Write the run's extracted history as a check-replayable artifact \
-       to $(docv) ($(b,auto) names the file LIVE_<git-sha>.json); verify \
-       it later with `rrfd-experiments check --replay PATH`."
-    in
-    Arg.(value & opt (some string) None & info [ "record" ] ~docv:"FILE" ~doc)
+       to $(docv); verify it later with `rrfd-experiments check --replay \
+       PATH`."
   in
   let grid_arg =
-    let doc =
+    grid_arg
       "Run the E23 n × patience grid instead of a single configuration \
        (--protocol/-n/--f/--rounds/--patience are ignored)."
-    in
-    Arg.(value & flag & info [ "grid" ] ~doc)
   in
   let json_arg =
-    let doc =
+    json_arg ~prefix:"LIVE"
       "With $(b,--grid): write every run's record (history, inputs, \
-       decisions, wall time) to $(docv) as JSON ($(b,auto) names the \
-       file LIVE_<git-sha>.json).  Collection is nondeterministic — the \
-       scheduler decides — but regeneration from a recorded artifact \
-       ($(b,--from)) is byte-identical at any -j."
-    in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
+       decisions, wall time) to $(docv) as JSON.  Collection is \
+       nondeterministic — the scheduler decides — but regeneration from a \
+       recorded artifact ($(b,--from)) is byte-identical at any -j."
   in
   let from_arg =
-    let doc =
+    file_arg "from"
       "With $(b,--grid): skip the live phase and rebuild the table (and \
        --json artifact) deterministically from the records in $(docv)."
-    in
-    Arg.(value & opt (some string) None & info [ "from" ] ~docv:"FILE" ~doc)
-  in
-  let or_die = function
-    | Ok v -> v
-    | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
   in
   let find_protocol name =
     match Protocols.Catalog.find name with
@@ -804,26 +728,17 @@ let live_cmd =
     | Some ns -> Printf.printf "  wall clock: %.3f ms\n" (Int64.to_float ns /. 1e6)
     | None -> ());
     let induced = ex.Rrfd.Substrate.induced in
-    Format.printf "  induced history:@;<1 4>@[<v>%a@]@." Rrfd.Fault_history.pp
-      induced;
-    Printf.printf "  compact: %s\n"
-      (Rrfd.Fault_history.to_string_compact induced);
-    Printf.printf "  predicates (f=%d): %s\n" f
-      (String.concat "  "
-         (List.map
-            (fun (p, b) -> Printf.sprintf "%s=%s" p (if b then "yes" else "no"))
-            (Msgnet.Heard_of.classify ~f induced)));
+    ignore (print_induced ~f induced : (string * bool) list);
     if matched then
       Printf.printf "  replay: engine decisions match the live run's.\n"
     else Printf.printf "  replay: DIVERGED from the abstract engine.\n";
     let recorded_ok =
       match record with
       | None -> true
-      | Some path ->
-        let path = Report.artifact_path ~prefix:"LIVE" path in
-        (match
-           Check.Artifact.record ~sut_spec:proto_name ~n ~history:induced ()
-         with
+      | Some path -> (
+        match
+          Check.Artifact.record ~sut_spec:proto_name ~n ~history:induced ()
+        with
         | Ok artifact ->
           Check.Artifact.save path artifact;
           Printf.printf
@@ -834,7 +749,7 @@ let live_cmd =
           Printf.printf "  record FAILED: %s\n" msg;
           false)
     in
-    if matched && recorded_ok then 0 else 1
+    exit_code (matched && recorded_ok)
   in
   let run_stress ~seed ~proto_name ~patience ~n ~f ~rounds count =
     let proto = find_protocol proto_name in
@@ -852,37 +767,27 @@ let live_cmd =
       proto_name n f rounds
       (Live.Patience.to_string patience)
       (count - !mismatches) count;
-    if !mismatches = 0 then 0 else 1
+    exit_code (!mismatches = 0)
   in
   let run_grid ~seed ~trials ~jobs ~json ~from =
     let records =
       match from with
-      | Some path ->
-        Experiments.E23_live.of_json (Report.Json.of_string (In_channel.with_open_bin path In_channel.input_all))
+      | Some path -> or_die (Experiments.E23_live.load path)
       | None -> Experiments.E23_live.collect ~seed ?trials ?jobs ()
     in
-    let table = Experiments.E23_live.table_of records in
-    Experiments.Table.print table;
-    Option.iter
-      (fun path ->
-        let path = Report.artifact_path ~prefix:"LIVE" path in
-        Report.save_json path (Experiments.E23_live.to_json records);
-        Printf.printf "live-grid artifact written to %s\n" path)
-      json;
-    if Experiments.Table.ok table then 0 else 1
+    finish_grid ~json (Experiments.E23_live.table_of records) (fun () ->
+        Experiments.E23_live.to_json records)
   in
-  let run seed trials jobs proto_name n f rounds patience stress record grid
-      json from =
+  let run seed trials jobs proto_name (n, f) rounds patience stress record
+      grid json from =
     setup_logs ();
     if grid then run_grid ~seed ~trials ~jobs ~json ~from
     else
       let patience = or_die (Live.Patience.of_spec patience) in
-      let f = match f with Some f -> f | None -> (n - 1) / 2 in
       let rounds =
         match rounds with
         | Some r -> r
-        | None ->
-          Protocols.Catalog.horizon (find_protocol proto_name) ~n ~f
+        | None -> Protocols.Catalog.horizon (find_protocol proto_name) ~n ~f
       in
       match stress with
       | Some count -> run_stress ~seed ~proto_name ~patience ~n ~f ~rounds count
@@ -898,9 +803,9 @@ let live_cmd =
           abstract engine.  One run, a --stress campaign, a --record \
           artifact for check --replay, or the E23 --grid.")
     Term.(
-      const run $ seed_arg $ trials_arg $ jobs_arg $ protocol_arg $ n_arg
-      $ f_arg $ rounds_arg $ patience_arg $ stress_arg $ record_arg $ grid_arg
-      $ json_arg $ from_arg)
+      const run $ seed_arg $ trials_arg $ jobs_arg $ protocol_arg
+      $ n_minority_f_arg 5 $ rounds_arg $ patience_arg $ stress_arg
+      $ record_arg $ grid_arg $ json_arg $ from_arg)
 
 (* `scale` — the E25 large-n grid on the wide Pset.  Default mode runs
    the correctness campaign (kset / heartbeat / ct at every --ns size)
@@ -921,13 +826,11 @@ let scale_cmd =
     Arg.(value & opt (list int) [ 100; 1000 ] & info [ "ns" ] ~docv:"N,N,..." ~doc)
   in
   let json_arg =
-    let doc =
+    json_arg ~prefix:"SCALE"
       "Write the grid's per-trial digests (ok flags, work counters, \
-       decision checksums) to $(docv) as JSON ($(b,auto) names the file \
-       SCALE_<git-sha>.json).  With $(b,--bench): write the throughput \
-       subjects as a BENCH report instead (the shape --check consumes)."
-    in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
+       decision checksums) to $(docv) as JSON.  With $(b,--bench): write \
+       the throughput subjects as a BENCH report instead (the shape --check \
+       consumes)."
   in
   let bench_arg =
     let doc =
@@ -942,12 +845,10 @@ let scale_cmd =
     Arg.(value & opt int 2 & info [ "repeats" ] ~doc)
   in
   let check_arg =
-    let doc =
+    file_arg "check" ~docv:"BASELINE"
       "With $(b,--bench): compare the fresh throughput subjects against \
        the BENCH report at $(docv); exit non-zero on a regression beyond \
        --tolerance."
-    in
-    Arg.(value & opt (some string) None & info [ "check" ] ~docv:"BASELINE" ~doc)
   in
   let tolerance_arg =
     let doc =
@@ -958,61 +859,34 @@ let scale_cmd =
     in
     Arg.(value & opt float 400.0 & info [ "tolerance" ] ~doc)
   in
-  let build_report subjects =
-    {
-      Report.version = Report.version;
-      meta =
-        {
-          Report.seed = 0;
-          jobs = Runtime.Pool.recommended_jobs ();
-          recommended_jobs = Domain.recommended_domain_count ();
-          git_sha = Report.git_short_sha ();
-          hostname = (try Unix.gethostname () with _ -> "unknown");
-        };
-      subjects;
-      tables = [];
-      speedup = None;
-    }
-  in
   let run_bench ~seed ~ns ~repeats ~json ~check ~tolerance =
+    (* A bad baseline fails before the minutes of timing, not after. *)
+    let baseline = Option.map (fun path -> or_die (Report.load path)) check in
     let now_ns () = Mclock.now () in
     let ms = Experiments.E25_scale.measure ~now_ns ~seed ~ns ~repeats () in
     Experiments.E25_scale.print_measurements ms;
-    let report = build_report (Experiments.E25_scale.subjects_of ms) in
-    Option.iter
-      (fun path ->
-        let path = Report.artifact_path ~prefix:"SCALE" path in
-        Report.save path report;
-        Printf.printf "scale bench report written to %s\n" path)
-      json;
+    let report = Report.make ~seed:0 (Experiments.E25_scale.subjects_of ms) in
+    Option.iter (fun path -> save_to Report.save path report) json;
     let all_ok = List.for_all (fun m -> m.Experiments.E25_scale.m_ok) ms in
     if not all_ok then
       Printf.printf "scale: a probe FAILED its correctness gate while timed\n";
     let check_passed =
-      match check with
+      match baseline with
       | None -> true
-      | Some path ->
-        let baseline = Report.load path in
+      | Some baseline ->
         let result =
           Report.check ~tolerance_pct:tolerance ~baseline ~current:report
         in
         Report.print_check result;
         Report.check_ok result
     in
-    if all_ok && check_passed then 0 else 1
+    exit_code (all_ok && check_passed)
   in
   let run_grid ~seed ~trials ~jobs ~ns ~json =
     let table, cells =
       Experiments.E25_scale.run_detailed ~seed ?trials ?jobs ~ns ()
     in
-    Experiments.Table.print table;
-    Option.iter
-      (fun path ->
-        let path = Report.artifact_path ~prefix:"SCALE" path in
-        Report.save_json path (Experiments.E25_scale.to_json cells);
-        Printf.printf "scale grid artifact written to %s\n" path)
-      json;
-    if Experiments.Table.ok table then 0 else 1
+    finish_grid ~json table (fun () -> Experiments.E25_scale.to_json cells)
   in
   let run seed trials jobs ns json bench repeats check tolerance =
     setup_logs ();
@@ -1045,10 +919,6 @@ let scale_cmd =
 let byz_cmd =
   let module Acc = Msgnet.Accountability in
   let module Byz = Check.Byz_check in
-  let n_arg = Arg.(value & opt int 4 & info [ "n" ] ~doc:"System size.") in
-  let f_arg =
-    Arg.(value & opt int 1 & info [ "f" ] ~doc:"Audit resilience bound.")
-  in
   let byz_arg =
     Arg.(
       value & opt int 2
@@ -1060,19 +930,12 @@ let byz_cmd =
       & info [ "forge" ]
           ~doc:"Let fuzzed members fabricate phantom-quorum certificates.")
   in
-  let grid_arg =
-    let doc = "Run the full E24 grid instead of the single-fork demo." in
-    Arg.(value & flag & info [ "grid" ] ~doc)
-  in
+  let grid_arg = grid_arg "Run the full E24 grid instead of the single-fork demo." in
   let json_arg =
-    let doc =
+    json_arg ~prefix:"BYZ"
       "With $(b,--grid): also write the table and per-row digests to \
-       $(docv) as compact JSON ($(b,auto) names the file \
-       BYZ_<git-sha>.json).  The output depends only on --seed and \
-       --trials — never on -j — which is what the byz smoke gate \
-       compares."
-    in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
+       $(docv) as compact JSON.  The output depends only on --seed and \
+       --trials — never on -j — which is what the byz smoke gate compares."
   in
   let fuzz_arg =
     let doc =
@@ -1097,18 +960,14 @@ let byz_cmd =
           ~doc:"Delay schedules per enumerated strategy combination.")
   in
   let save_arg =
-    let doc =
+    save_arg ~prefix:"BYZ"
       "With the single-fork demo: save the witness and its expected \
        outcome as a replayable e24-byz JSON artifact at $(docv)."
-    in
-    Arg.(value & opt (some string) None & info [ "save" ] ~docv:"FILE" ~doc)
   in
   let replay_arg =
-    let doc =
+    replay_arg
       "Replay an e24-byz artifact and verify the pinned fork flag and \
        accused set reproduce (exit 0 iff they do)."
-    in
-    Arg.(value & opt (some string) None & info [ "replay" ] ~docv:"FILE" ~doc)
   in
   let pp_verdict ppf = function
     | Acc.Accountable -> Format.fprintf ppf "accountable"
@@ -1179,63 +1038,9 @@ let byz_cmd =
       Printf.printf "  fork found at schedule %d (seed %d):\n" k w.Byz.seed;
       print_outcome ~f outcome;
       Option.iter
-        (fun path ->
-          Byz.save path (Byz.of_outcome w outcome);
-          Printf.printf "  artifact written to %s\n" path)
+        (fun path -> save_to ~indent:"  " Byz.save path (Byz.of_outcome w outcome))
         save;
-      if Acc.check ~f outcome = Acc.Accountable then 0 else 1
-  in
-  let run_grid ~seed ~trials ~jobs ~json =
-    let table, digests =
-      Experiments.E24_byzantine.run_detailed ~seed ?trials ?jobs ()
-    in
-    Experiments.Table.print table;
-    Option.iter
-      (fun path ->
-        let str s = Report.Json.String s in
-        let num i = Report.Json.Number (float_of_int i) in
-        let digest_json (d : Experiments.E24_byzantine.row_digest) =
-          Report.Json.Obj
-            [
-              ("spec", str d.spec);
-              ("trials", num d.trials);
-              ("vote_forks", num d.vote_forks);
-              ( "min_accused_on_fork",
-                match d.min_accused_on_fork with
-                | None -> Report.Json.Null
-                | Some m -> num m );
-              ("vote_sound_all", Report.Json.Bool d.vote_sound_all);
-              ("vote_complete_all", Report.Json.Bool d.vote_complete_all);
-              ("lied_sound_all", Report.Json.Bool d.lied_sound_all);
-              ("kernel_all", Report.Json.Bool d.kernel_all);
-              ("tampered_total", num d.tampered_total);
-              ("ct_violations", num d.ct_violations);
-              ("ct_sound_all", Report.Json.Bool d.ct_sound_all);
-              ("ct_undecided_total", num d.ct_undecided_total);
-            ]
-        in
-        let j =
-          Report.Json.Obj
-            [
-              ("id", str table.Experiments.Table.id);
-              ("seed", num seed);
-              ( "header",
-                Report.Json.List
-                  (List.map str table.Experiments.Table.header) );
-              ( "rows",
-                Report.Json.List
-                  (List.map
-                     (fun row -> Report.Json.List (List.map str row))
-                     table.Experiments.Table.rows) );
-              ("ok", Report.Json.Bool (Experiments.Table.ok table));
-              ("digests", Report.Json.List (List.map digest_json digests));
-            ]
-        in
-        let path = Report.artifact_path ~prefix:"BYZ" path in
-        Report.save_json path j;
-        Printf.printf "grid artifact written to %s\n" path)
-      json;
-    if Experiments.Table.ok table then 0 else 1
+      exit_code (Acc.check ~f outcome = Acc.Accountable)
   in
   let run_fuzz ~seed ~jobs ~n ~f ~byz ~forge ~trials =
     let r = Byz.fuzz ?jobs ~n ~f ~byz ~forge ~seed ~trials () in
@@ -1252,7 +1057,7 @@ let byz_cmd =
       let path = Printf.sprintf "BYZ_violation_%d.json" idx in
       Byz.save path (Byz.of_outcome w (Byz.run_witness w));
       Printf.printf "  witness saved to %s\n" path);
-    if r.Byz.violations = 0 then 0 else 1
+    exit_code (r.Byz.violations = 0)
   in
   let run_exhaustive ~seed ~jobs ~seeds ~n ~f ~byz =
     let r = Byz.exhaustive ?jobs ~seeds ~n ~f ~byz ~seed () in
@@ -1278,17 +1083,17 @@ let byz_cmd =
           %d, soundly\n"
        else "  completeness NOT established (f+1 = %d)\n")
       (f + 1);
-    if complete then 0 else 1
+    exit_code complete
   in
   let run_replay path =
-    let artifact = Byz.load path in
+    let artifact = or_die (Byz.load path) in
     let r = Byz.replay artifact in
     Printf.printf "byz replay: %s\n" path;
     print_outcome ~f:artifact.Byz.witness.Byz.f r.Byz.outcome;
     Printf.printf "  fork %s, accused set %s\n"
       (if r.Byz.fork_match then "reproduced" else "DIVERGED")
       (if r.Byz.accused_match then "reproduced" else "DIVERGED");
-    if Byz.reproduced r then 0 else 1
+    exit_code (Byz.reproduced r)
   in
   let run seed trials jobs n f byz forge grid json fuzz exhaustive seeds save
       replay =
@@ -1296,7 +1101,10 @@ let byz_cmd =
     match replay with
     | Some path -> run_replay path
     | None ->
-      if grid then run_grid ~seed ~trials ~jobs ~json
+      if grid then
+        finish_envelope ~seed ~json
+          (Experiments.E24_byzantine.run_detailed ~seed ?trials ?jobs ())
+          Experiments.E24_byzantine.artifact_field
       else if exhaustive then run_exhaustive ~seed ~jobs ~seeds ~n ~f ~byz
       else
         match fuzz with
@@ -1312,7 +1120,9 @@ let byz_cmd =
           soundness, prove its completeness exhaustively, and save or \
           replay e24-byz witnesses.")
     Term.(
-      const run $ seed_arg $ trials_arg $ jobs_arg $ n_arg $ f_arg $ byz_arg
+      const run $ seed_arg $ trials_arg $ jobs_arg $ n_arg Arg.int 4
+      $ f_arg ~doc:"Audit resilience bound." Arg.int 1
+      $ byz_arg
       $ forge_arg $ grid_arg $ json_arg $ fuzz_arg $ exhaustive_arg
       $ seeds_arg $ save_arg $ replay_arg)
 
@@ -1325,16 +1135,6 @@ let derive_cmd =
     in
     Arg.(
       value & opt string "drop:p=20" & info [ "policy" ] ~docv:"SPEC" ~doc)
-  in
-  let n_arg = Arg.(value & opt int 5 & info [ "n" ] ~doc:"System size.") in
-  let f_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "f" ] ~doc:"Resilience (default: a minority, (n-1)/2).")
-  in
-  let rounds_arg =
-    Arg.(value & opt int 4 & info [ "rounds" ] ~doc:"Simulated rounds.")
   in
   let fuzz_arg =
     let doc =
@@ -1353,46 +1153,30 @@ let derive_cmd =
     Arg.(value & flag & info [ "exhaustive" ] ~doc)
   in
   let grid_arg =
-    let doc =
+    grid_arg
       "Run the full E26 grid — every E21 policy plus a Byzantine row at \
        n=5 f=2, and two exhaustively-proven rows at n=3 — instead of a \
        single policy (--policy/-n/-f/--rounds/--exhaustive ignored; \
-       --trials sets the observation count per row, with certification \
-       at twice that)."
-    in
-    Arg.(value & flag & info [ "grid" ] ~doc)
+       --trials sets the observation count per row, with certification at \
+       twice that)."
   in
   let json_arg =
-    let doc =
+    json_arg ~prefix:"DERIVE"
       "With $(b,--grid): also write the table and every row's full \
-       e26-derive artifact (witnesses and separations included) to \
-       $(docv) as compact JSON ($(b,auto) names the file \
-       DERIVE_<git-sha>.json).  The output depends only on --seed and \
-       --trials — never on -j — which is what the derive smoke gate \
-       compares."
-    in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
+       e26-derive artifact (witnesses and separations included) to $(docv) \
+       as compact JSON.  The output depends only on --seed and --trials — \
+       never on -j — which is what the derive smoke gate compares."
   in
   let save_arg =
-    let doc =
-      "Save the derivation — policy, derived predicate, every witness \
-       and separation — as a replayable e26-derive artifact."
-    in
-    Arg.(value & opt (some string) None & info [ "save" ] ~docv:"FILE" ~doc)
+    save_arg ~prefix:"DERIVE"
+      "Save the derivation — policy, derived predicate, every witness and \
+       separation — as a replayable e26-derive artifact."
   in
   let replay_arg =
-    let doc =
+    replay_arg
       "Replay a saved e26-derive artifact: re-check every witness pair, \
        re-run each fuzz witness's (seed, trial) execution and each \
        separation's enumeration, and demand bit-identical histories."
-    in
-    Arg.(value & opt (some string) None & info [ "replay" ] ~docv:"FILE" ~doc)
-  in
-  let or_die = function
-    | Ok v -> v
-    | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
   in
   let run_replay path =
     let outcome = or_die (Derive.load path) in
@@ -1409,50 +1193,7 @@ let derive_cmd =
     Printf.printf "  separations: %s\n"
       (if r.Derive.separations_valid then "re-proved by enumeration"
        else "DIVERGED");
-    if Derive.reproduced r then 0 else 1
-  in
-  let run_grid ~seed ~trials ~jobs ~json =
-    let table, rows =
-      Experiments.E26_derive.run_detailed ~seed ?trials ?jobs ()
-    in
-    Experiments.Table.print table;
-    Option.iter
-      (fun path ->
-        let str s = Report.Json.String s in
-        let j =
-          Report.Json.Obj
-            [
-              ("id", str table.Experiments.Table.id);
-              ("seed", Report.Json.Number (float_of_int seed));
-              ( "header",
-                Report.Json.List
-                  (List.map str table.Experiments.Table.header) );
-              ( "rows",
-                Report.Json.List
-                  (List.map
-                     (fun row -> Report.Json.List (List.map str row))
-                     table.Experiments.Table.rows) );
-              ("ok", Report.Json.Bool (Experiments.Table.ok table));
-              ( "derivations",
-                Report.Json.List
-                  (List.map
-                     (fun (r : Experiments.E26_derive.row) ->
-                       Report.Json.Obj
-                         [
-                           ("policy", str r.Experiments.E26_derive.policy);
-                           ("mode", str r.Experiments.E26_derive.mode);
-                           ( "artifact",
-                             Derive.to_json r.Experiments.E26_derive.outcome
-                           );
-                         ])
-                     rows) );
-            ]
-        in
-        let path = Report.artifact_path ~prefix:"DERIVE" path in
-        Report.save_json path j;
-        Printf.printf "grid artifact written to %s\n" path)
-      json;
-    if Experiments.Table.ok table then 0 else 1
+    exit_code (Derive.reproduced r)
   in
   let run_single ~seed ~trials ~jobs ~policy ~n ~f ~rounds ~fuzz ~exhaustive
       ~save =
@@ -1470,22 +1211,20 @@ let derive_cmd =
     in
     let outcome = or_die (Derive.derive ~cfg ~policy ()) in
     Format.printf "%a@." Derive.pp outcome;
-    Option.iter
-      (fun path ->
-        Derive.save path outcome;
-        Printf.printf "artifact written to %s\n" path)
-      save;
-    if Derive.ok outcome then 0 else 1
+    Option.iter (fun path -> save_to Derive.save path outcome) save;
+    exit_code (Derive.ok outcome)
   in
-  let run seed trials jobs policy n f rounds fuzz exhaustive grid json save
-      replay =
+  let run seed trials jobs policy (n, f) rounds fuzz exhaustive grid json
+      save replay =
     setup_logs ();
     match replay with
     | Some path -> run_replay path
     | None ->
-      if grid then run_grid ~seed ~trials ~jobs ~json
+      if grid then
+        finish_envelope ~seed ~json
+          (Experiments.E26_derive.run_detailed ~seed ?trials ?jobs ())
+          Experiments.E26_derive.artifact_field
       else
-        let f = match f with Some f -> f | None -> (n - 1) / 2 in
         run_single ~seed ~trials ~jobs ~policy ~n ~f ~rounds ~fuzz
           ~exhaustive ~save
   in
@@ -1498,8 +1237,10 @@ let derive_cmd =
           candidate proves it tight (at small n by exhaustive \
           enumeration), with replayable e26-derive artifacts.")
     Term.(
-      const run $ seed_arg $ trials_arg $ jobs_arg $ policy_arg $ n_arg
-      $ f_arg $ rounds_arg $ fuzz_arg $ exhaustive_arg $ grid_arg $ json_arg
+      const run $ seed_arg $ trials_arg $ jobs_arg $ policy_arg
+      $ n_minority_f_arg 5
+      $ rounds_arg ~doc:"Simulated rounds." Arg.int 4
+      $ fuzz_arg $ exhaustive_arg $ grid_arg $ json_arg
       $ save_arg $ replay_arg)
 
 let main =

@@ -11,6 +11,8 @@ type t = {
 
 let version = 1
 
+let kind = "rrfd-counterexample"
+
 let make ~sut_spec ~predicate_spec ~property_specs ~seed counterexample =
   {
     version;
@@ -38,7 +40,7 @@ let to_json t =
   Json.Obj
     [
       ("version", Json.Number (float_of_int t.version));
-      ("kind", Json.String "rrfd-counterexample");
+      ("kind", Json.String kind);
       ("sut", Json.String t.sut);
       ("predicate", Json.String t.predicate);
       ("properties", Json.List (List.map (fun p -> Json.String p) t.properties));
@@ -57,17 +59,13 @@ let to_json t =
       ("decisions", decisions_to_json ce.Checker.decisions);
     ]
 
-let of_json json =
-  let v = Json.int (Json.member "version" json) in
-  if v <> version then
-    raise (Json.Error (Printf.sprintf "unsupported artifact version %d" v));
-  let history_text = Json.str (Json.member "history" json) in
+let decode json =
+  Report.require_header ~kind ~version json;
   let history =
-    try Rrfd.Fault_history.of_string_compact history_text
-    with Invalid_argument msg -> raise (Json.Error msg)
+    Rrfd.Fault_history.of_string_compact (Json.str (Json.member "history" json))
   in
   {
-    version = v;
+    version;
     sut = Json.str (Json.member "sut" json);
     predicate = Json.str (Json.member "predicate" json);
     properties = List.map Json.str (Json.list (Json.member "properties" json));
@@ -88,19 +86,11 @@ let of_json json =
       };
   }
 
-let save path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string_pretty (to_json t));
-      output_char oc '\n')
+let of_json = Report.decoding decode
 
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_json (Json.of_string (In_channel.input_all ic)))
+let save path t = Report.write ~pretty:true path (to_json t)
+
+let load = Report.read of_json
 
 (* Recordings: the same artifact format, written by an observation run
    (live --record) rather than a property refutation.  The decision

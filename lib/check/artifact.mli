@@ -2,9 +2,10 @@
 
     A counterexample is only worth anything if it survives the process that
     found it, so the checker persists each one as a small JSON document
-    (schema {!version}): the spec strings that configured the run, the
-    minimal history in {!Rrfd.Fault_history.to_string_compact} form, and
-    the decision vector observed on it.  {!replay} reconstructs everything
+    (kind [rrfd-counterexample], version 1): the spec strings that
+    configured the run, the minimal history in
+    {!Rrfd.Fault_history.to_string_compact} form, and the decision vector
+    observed on it.  {!replay} reconstructs everything
     from the specs and re-executes the history deterministically — the
     replayed decision vector must match the recorded one bit for bit, at
     any [-j], or the artifact (or the code under test) has drifted. *)
@@ -17,9 +18,6 @@ type t = {
   seed : int;  (** Seed of the finding run ([0] for exhaustive). *)
   counterexample : Checker.counterexample;
 }
-
-val version : int
-(** Current schema version (1). *)
 
 val make :
   sut_spec:string ->
@@ -48,15 +46,14 @@ val record :
 
 val to_json : t -> Report.Json.t
 
-val of_json : Report.Json.t -> t
-(** @raise Report.Json.Error on shape or version mismatch. *)
+val of_json : Report.Json.t -> (t, string) result
+(** [Error] on shape, kind or version mismatch. *)
 
 val save : string -> t -> unit
 (** Pretty-printed, trailing newline — artifacts are meant to be read. *)
 
-val load : string -> t
-(** @raise Report.Json.Error on malformed content; [Sys_error] on I/O
-    failure. *)
+val load : string -> (t, string) result
+(** {!Report.read} with {!of_json}: never raises. *)
 
 type replay = {
   obs : Property.obs;  (** The re-execution. *)

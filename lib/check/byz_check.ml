@@ -269,13 +269,8 @@ let to_json t =
       ("expected_accused", pset_to_json t.expected_accused);
     ]
 
-let of_json json =
-  let v = Json.int (Json.member "version" json) in
-  if v <> version then
-    raise (Json.Error (Printf.sprintf "unsupported %s version %d" kind v));
-  let k = Json.str (Json.member "kind" json) in
-  if k <> kind then
-    raise (Json.Error (Printf.sprintf "expected kind %S, got %S" kind k));
+let decode json =
+  Report.require_header ~kind ~version json;
   {
     witness =
       {
@@ -294,19 +289,11 @@ let of_json json =
     expected_accused = pset_of_json (Json.member "expected_accused" json);
   }
 
-let save path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string_pretty (to_json t));
-      output_char oc '\n')
+let of_json = Report.decoding decode
 
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_json (Json.of_string (In_channel.input_all ic)))
+let save path t = Report.write ~pretty:true path (to_json t)
+
+let load = Report.read of_json
 
 type replay = {
   outcome : Acc.outcome;

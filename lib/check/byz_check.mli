@@ -119,13 +119,14 @@ val of_outcome : witness -> Msgnet.Accountability.outcome -> artifact
 
 val to_json : artifact -> Report.Json.t
 
-val of_json : Report.Json.t -> artifact
-(** @raise Report.Json.Error on malformed input, wrong [kind] or
-    unsupported [version]. *)
+val of_json : Report.Json.t -> (artifact, string) result
+(** [Error] on malformed input, wrong [kind] or unsupported [version]. *)
 
 val save : string -> artifact -> unit
+(** Pretty-printed, trailing newline. *)
 
-val load : string -> artifact
+val load : string -> (artifact, string) result
+(** {!Report.read} with {!of_json}: never raises. *)
 
 type replay = {
   outcome : Msgnet.Accountability.outcome;

@@ -409,66 +409,52 @@ let to_json o =
             ] );
     ]
 
-let of_json json =
-  try
-    let v = Json.int (Json.member "version" json) in
-    let k = Json.str (Json.member "kind" json) in
-    if k <> kind then Error (Printf.sprintf "expected kind %s, got %s" kind k)
-    else if v <> version then
-      Error (Printf.sprintf "unsupported %s version %d" kind v)
-    else
-      let seed =
-        match int_of_string_opt (Json.str (Json.member "seed" json)) with
-        | Some s -> s
-        | None -> raise (Json.Error "seed is not a decimal integer")
-      in
-      let cfg =
-        {
-          n = Json.int (Json.member "n" json);
-          f = Json.int (Json.member "f" json);
-          rounds = Json.int (Json.member "rounds" json);
-          observe_trials = Json.int (Json.member "observe_trials" json);
-          certify_trials = Json.int (Json.member "certify_trials" json);
-          exhaustive = Json.bool (Json.member "exhaustive" json);
-          seed;
-          jobs = None;
-        }
-      in
-      Ok
-        {
-          policy = Json.str (Json.member "policy" json);
-          cfg;
-          cands = string_list (Json.member "candidates" json);
-          sound = string_list (Json.member "sound" json);
-          conjuncts = string_list (Json.member "conjuncts" json);
-          frontier = string_list (Json.member "frontier" json);
-          witnesses =
-            List.map witness_of_json (Json.list (Json.member "witnesses" json));
-          separations =
-            List.map witness_of_json
-              (Json.list (Json.member "separations" json));
-          certified = Json.bool (Json.member "certified" json);
-          certify_violation =
-            (match Json.member "certify_violation" json with
-            | Json.Null -> None
-            | cv ->
-              Some
-                ( Json.int (Json.member "trial" cv),
-                  Rrfd.Fault_history.of_string_compact
-                    (Json.str (Json.member "history" cv)) ));
-          counters = [||];
-        }
-  with
-  | Json.Error e -> Error ("malformed e26-derive artifact: " ^ e)
-  | Invalid_argument e -> Error ("malformed e26-derive artifact: " ^ e)
+let decode json =
+  Report.require_header ~kind ~version json;
+  let seed =
+    match int_of_string_opt (Json.str (Json.member "seed" json)) with
+    | Some s -> s
+    | None -> raise (Json.Error "seed is not a decimal integer")
+  in
+  let cfg =
+    {
+      n = Json.int (Json.member "n" json);
+      f = Json.int (Json.member "f" json);
+      rounds = Json.int (Json.member "rounds" json);
+      observe_trials = Json.int (Json.member "observe_trials" json);
+      certify_trials = Json.int (Json.member "certify_trials" json);
+      exhaustive = Json.bool (Json.member "exhaustive" json);
+      seed;
+      jobs = None;
+    }
+  in
+  {
+    policy = Json.str (Json.member "policy" json);
+    cfg;
+    cands = string_list (Json.member "candidates" json);
+    sound = string_list (Json.member "sound" json);
+    conjuncts = string_list (Json.member "conjuncts" json);
+    frontier = string_list (Json.member "frontier" json);
+    witnesses = List.map witness_of_json (Json.list (Json.member "witnesses" json));
+    separations =
+      List.map witness_of_json (Json.list (Json.member "separations" json));
+    certified = Json.bool (Json.member "certified" json);
+    certify_violation =
+      (match Json.member "certify_violation" json with
+      | Json.Null -> None
+      | cv ->
+        Some
+          ( Json.int (Json.member "trial" cv),
+            Rrfd.Fault_history.of_string_compact
+              (Json.str (Json.member "history" cv)) ));
+    counters = [||];
+  }
 
-let save path o = Report.save_json path (to_json o)
+let of_json = Report.decoding decode
 
-let load path =
-  match Json.of_string (In_channel.with_open_text path In_channel.input_all) with
-  | json -> of_json json
-  | exception Json.Error e -> Error ("malformed JSON in " ^ path ^ ": " ^ e)
-  | exception Sys_error e -> Error e
+let save path o = Report.write path (to_json o)
+
+let load = Report.read of_json
 
 type replay = {
   loaded : outcome;

@@ -144,10 +144,6 @@ val pp : Format.formatter -> outcome -> unit
     JSON carries everything needed to re-check the claim from scratch.
     Schema [e26-derive] version 1. *)
 
-val kind : string
-
-val version : int
-
 val to_json : outcome -> Report.Json.t
 
 val of_json : Report.Json.t -> (outcome, string) result
@@ -155,9 +151,10 @@ val of_json : Report.Json.t -> (outcome, string) result
     empty, [jobs] as [None]). *)
 
 val save : string -> outcome -> unit
+(** Compact, trailing newline. *)
 
 val load : string -> (outcome, string) result
-(** [Error] also on an unreadable path. *)
+(** {!Report.read} with {!of_json}: never raises. *)
 
 type replay = {
   loaded : outcome;

@@ -205,3 +205,32 @@ let run_detailed ?(seed = 22) ?(trials = 30) ?jobs () =
   (table, List.rev !details)
 
 let run ?seed ?trials ?jobs () = fst (run_detailed ?seed ?trials ?jobs ())
+
+(* The matrix artifact's extra field: every trial's per-substrate induced
+   and replayed histories, by (protocol, policy) cell. *)
+let artifact_field details =
+  let module Json = Report.Json in
+  let sub_json s =
+    Json.Obj
+      [
+        ("sub", Json.String s.sub);
+        ("induced", Json.String s.compact);
+        ("replayed", Json.String s.replay_compact);
+        ("decisions_ok", Json.Bool s.decisions_ok);
+        ("classes_ok", Json.Bool s.classes_ok);
+      ]
+  in
+  ( "cells",
+    Json.List
+      (List.map
+         (fun (protocol, policy, obs) ->
+           Json.Obj
+             [
+               ("protocol", Json.String protocol);
+               ("policy", Json.String policy);
+               ( "trials",
+                 Json.List
+                   (List.map (fun o -> Json.List (List.map sub_json o.subs)) obs)
+               );
+             ])
+         details) )

@@ -201,11 +201,13 @@ let run ?seed ?trials ?jobs () = table_of (collect ?seed ?trials ?jobs ())
 
 let version = 1
 
+let kind = "rrfd-live-grid"
+
 let to_json records =
   Json.Obj
     [
       ("version", Json.Number (float_of_int version));
-      ("kind", Json.String "rrfd-live-grid");
+      ("kind", Json.String kind);
       ("protocol", Json.String protocol);
       ( "records",
         Json.List
@@ -234,16 +236,8 @@ let to_json records =
              records) );
     ]
 
-let of_json json =
-  let v = Json.int (Json.member "version" json) in
-  if v <> version then
-    raise
-      (Json.Error
-         (Printf.sprintf "live-grid artifact version %d, expected %d" v
-            version));
-  (match Json.str (Json.member "kind" json) with
-  | "rrfd-live-grid" -> ()
-  | k -> raise (Json.Error (Printf.sprintf "unexpected artifact kind %S" k)));
+let decode json =
+  Report.require_header ~kind ~version json;
   List.map
     (fun r ->
       {
@@ -252,7 +246,11 @@ let of_json json =
         patience = Json.str (Json.member "patience" r);
         inputs =
           Array.of_list (List.map Json.int (Json.list (Json.member "inputs" r)));
-        history = Json.str (Json.member "history" r);
+        history =
+          (* parsed here too, so a bad history is refused at load time *)
+          (let h = Json.str (Json.member "history" r) in
+           ignore (Rrfd.Fault_history.of_string_compact h : Rrfd.Fault_history.t);
+           h);
         decisions =
           Array.of_list
             (List.map
@@ -265,3 +263,7 @@ let of_json json =
            | None -> raise (Json.Error ("bad wall_ns " ^ s)));
       })
     (Json.list (Json.member "records" json))
+
+let of_json = Report.decoding decode
+
+let load = Report.read of_json

@@ -234,8 +234,8 @@ let run ?seed ?trials ?jobs () = fst (run_detailed ?seed ?trials ?jobs ())
 
    Per-trial digests only — ok flags, exact work counters and a decision
    checksum — never full histories or decision vectors: a single
-   n = 1000 trial's history would dwarf the artifact.  Version-tagged so
-   [scale --check-artifact]-style consumers can refuse foreign files. *)
+   n = 1000 trial's history would dwarf the artifact.  Version-tagged like
+   every artifact; only written, never read back. *)
 
 let version = 1
 
@@ -286,42 +286,6 @@ let to_json cells =
                  ])
              cells) );
     ]
-
-let of_json json =
-  let v = Json.int (Json.member "version" json) in
-  if v <> version then
-    raise
-      (Json.Error
-         (Printf.sprintf "scale-grid artifact version %d, expected %d" v version));
-  (match Json.str (Json.member "kind" json) with
-  | "rrfd-scale-grid" -> ()
-  | k -> raise (Json.Error (Printf.sprintf "unexpected artifact kind %S" k)));
-  List.map
-    (fun c ->
-      {
-        probe = Json.str (Json.member "probe" c);
-        cell_n = Json.int (Json.member "n" c);
-        cell_trials = Json.int (Json.member "trials" c);
-        digests =
-          Array.of_list
-            (List.map
-               (fun d ->
-                 {
-                   ok = Json.bool (Json.member "ok" d);
-                   counters =
-                     {
-                       Rrfd.Counters.rounds = Json.int (Json.member "rounds" d);
-                       messages = Json.int (Json.member "messages" d);
-                       detector_queries =
-                         Json.int (Json.member "detector_queries" d);
-                       predicate_checks =
-                         Json.int (Json.member "predicate_checks" d);
-                     };
-                   checksum = Json.int (Json.member "checksum" d);
-                 })
-               (Json.list (Json.member "digests" c)));
-      })
-    (Json.list (Json.member "cells" json))
 
 (* {2 Throughput measurement}
 

@@ -172,3 +172,18 @@ let run_detailed ?(seed = 26) ?(trials = 250) ?jobs () =
   (table, rows)
 
 let run ?seed ?trials ?jobs () = fst (run_detailed ?seed ?trials ?jobs ())
+
+(* The grid artifact's extra field: every row's full e26-derive artifact. *)
+let artifact_field rows =
+  let module Json = Report.Json in
+  ( "derivations",
+    Json.List
+      (List.map
+         (fun r ->
+           Json.Obj
+             [
+               ("policy", Json.String r.policy);
+               ("mode", Json.String r.mode);
+               ("artifact", Check.Derive.to_json r.outcome);
+             ])
+         rows) )

@@ -70,3 +70,16 @@ let print t =
   else Printf.printf "  [%s FAILED]\n" t.id
 
 let ok t = not (List.exists (List.exists (String.equal "NO")) t.rows)
+
+let to_json ~seed ~extra t =
+  let module Json = Report.Json in
+  let strings l = Json.List (List.map (fun s -> Json.String s) l) in
+  Json.Obj
+    [
+      ("id", Json.String t.id);
+      ("seed", Json.Number (float_of_int seed));
+      ("header", strings t.header);
+      ("rows", Json.List (List.map strings t.rows));
+      ("ok", Json.Bool (ok t));
+      extra;
+    ]

@@ -38,3 +38,8 @@ val print : t -> unit
 val ok : t -> bool
 (** True iff no row cell equals ["NO"] — the quick health signal used by
     the harness exit code. *)
+
+val to_json : seed:int -> extra:string * Report.Json.t -> t -> Report.Json.t
+(** The grid-artifact envelope every [--grid --json] writer shares:
+    [{id, seed, header, rows, ok}] followed by the experiment's own
+    [extra] field (its per-trial or per-row detail). *)

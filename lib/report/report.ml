@@ -162,7 +162,7 @@ let speedup_of_json j =
     identical = Json.bool (Json.member "identical" j);
   }
 
-let of_json j =
+let decode_report j =
   let v = Json.int (Json.member "version" j) in
   (* v1 decodes tolerantly: it is v2 minus the per-subject allocation
      field, so old baselines stay comparable across the schema bump. *)
@@ -194,26 +194,8 @@ let of_json j =
       | s -> Some (speedup_of_json s));
   }
 
-let to_string r = Json.to_string (to_json r)
-
-let of_string s = of_json (Json.of_string s)
-
-let save path r =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_string r);
-      output_char oc '\n')
-
-let load path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_string (really_input_string ic (in_channel_length ic)))
-
 (* ------------------------------------------------------------------ *)
-(* Artifact plumbing shared by every subcommand that writes one.       *)
+(* The one artifact path: naming, writer, loader.                      *)
 
 let git_short_sha () =
   try
@@ -228,13 +210,64 @@ let artifact_path ~prefix path =
   if path = "auto" then Printf.sprintf "%s_%s.json" prefix (git_short_sha ())
   else path
 
-let save_json path json =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string json);
+let write ?(pretty = false) path json =
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc
+        (if pretty then Json.to_string_pretty json else Json.to_string json);
       output_char oc '\n')
+
+(* Every way a decoder can reject hostile input: the accessors' shape
+   errors, and the integer/history parsers some codecs call. *)
+let decoding decode json =
+  match decode json with
+  | v -> Ok v
+  | exception (Json.Error e | Failure e | Invalid_argument e) -> Error e
+
+let require_header ~kind ~version json =
+  let fail fmt = Printf.ksprintf (fun e -> raise (Json.Error e)) fmt in
+  let k = Json.str (Json.member "kind" json) in
+  if k <> kind then fail "expected kind %S, got %S" kind k;
+  let v = Json.int (Json.member "version" json) in
+  if v <> version then fail "unsupported %s version %d" kind v
+
+let parse decode text =
+  match Json.of_string text with
+  | json -> decode json
+  | exception Json.Error e -> Error e
+
+let read decode path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error e -> Error e
+  | text -> (
+    match parse decode text with
+    | Ok _ as ok -> ok
+    | Error e -> Error (Printf.sprintf "%s: %s" path e))
+
+let of_json = decoding decode_report
+
+let to_string r = Json.to_string (to_json r)
+
+let of_string = parse of_json
+
+let save path r = write path (to_json r)
+
+let load = read of_json
+
+let make ~seed ?(tables = []) ?speedup subjects =
+  {
+    version;
+    meta =
+      {
+        seed;
+        jobs = Runtime.Pool.recommended_jobs ();
+        recommended_jobs = Domain.recommended_domain_count ();
+        git_sha = git_short_sha ();
+        hostname = (try Unix.gethostname () with Unix.Unix_error _ -> "unknown");
+      };
+    subjects;
+    tables;
+    speedup;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Regression check.                                                   *)

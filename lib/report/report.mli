@@ -89,36 +89,54 @@ val stat_of_stats : Runtime.Stats.t -> stat
 
 val to_json : t -> Json.t
 
-val of_json : Json.t -> t
-(** @raise Json.Error on shape or version mismatch. *)
+val of_json : Json.t -> (t, string) result
+(** [Error] on shape or version mismatch. *)
 
 val to_string : t -> string
 
-val of_string : string -> t
-(** @raise Json.Error on malformed input. *)
+val of_string : string -> (t, string) result
 
 val save : string -> t -> unit
-(** Write to a file (trailing newline included). *)
+(** {!write}, compact. *)
 
-val load : string -> t
-(** @raise Json.Error on malformed content; [Sys_error] on I/O failure. *)
+val load : string -> (t, string) result
+(** {!read} with {!of_json}. *)
 
-(** {1 Artifact plumbing}
+val make : seed:int -> ?tables:table list -> ?speedup:speedup -> subject list -> t
+(** A current-version report whose {!meta} describes this run: [seed],
+    the pool's job count, the machine's recommended domain count, the
+    git sha and the hostname.  The one place that metadata is built. *)
 
-    Every subcommand that writes a JSON artifact ([bench --json],
-    [faultnet --json], [xsub --json], [live --record]) resolves its
-    output path and serialises through these, so the ["auto"] naming
-    convention is defined exactly once. *)
+(** {1 The artifact path}
 
-val git_short_sha : unit -> string
-(** [git rev-parse --short HEAD], or ["unknown"] outside a work tree. *)
+    Every file this repository writes or reads back — BENCH reports,
+    check counterexamples, [e24-byz] and [e26-derive] artifacts, live
+    recordings and the grid artifacts of [faultnet], [xsub], [live],
+    [scale], [byz] and [derive] — goes through {!artifact_path} (for
+    [auto] naming), {!write} and {!read}.  No other module opens an
+    artifact file itself. *)
 
 val artifact_path : prefix:string -> string -> string
 (** [artifact_path ~prefix path] is [path] verbatim, except the literal
-    ["auto"] becomes [<prefix>_<git_short_sha>.json]. *)
+    ["auto"] becomes [<prefix>_<sha>.json], [<sha>] being
+    [git rev-parse --short HEAD] (["unknown"] outside a work tree). *)
 
-val save_json : string -> Json.t -> unit
-(** Write compact JSON with a trailing newline. *)
+val write : ?pretty:bool -> string -> Json.t -> unit
+(** Write JSON (compact unless [pretty]) with a trailing newline. *)
+
+val decoding : (Json.t -> 'a) -> Json.t -> ('a, string) result
+(** [decoding decode] runs a decoder written with the raising {!Json}
+    accessors and turns every rejection ({!Json.Error}, [Failure],
+    [Invalid_argument]) into [Error]: the total form of a decoder. *)
+
+val require_header : kind:string -> version:int -> Json.t -> unit
+(** The versioned-artifact preamble: @raise Json.Error unless the
+    document's ["kind"] and ["version"] fields are exactly these. *)
+
+val read : (Json.t -> ('a, string) result) -> string -> ('a, string) result
+(** [read decode path] loads, parses and decodes the file at [path].  A
+    missing, unreadable, empty, truncated or foreign file is [Error] with
+    the path in the message; this never raises. *)
 
 (** {1 Regression check} *)
 

@@ -5,6 +5,8 @@ let pset = Pset.of_list
 
 let rng_of seed = Dsim.Rng.create seed
 
+let ok_exn = function Ok v -> v | Error e -> Alcotest.fail e
+
 let pset_t = Alcotest.testable Pset.pp Pset.equal
 
 let history_t = Alcotest.testable H.pp H.equal

@@ -14,6 +14,10 @@ val pset : Rrfd.Proc.t list -> Rrfd.Pset.t
 val rng_of : int -> Dsim.Rng.t
 (** [Dsim.Rng.create] — one deterministic stream per sampled seed. *)
 
+val ok_exn : ('a, string) result -> 'a
+(** The [Ok] value; fails the current Alcotest case with the [Error]
+    message otherwise. *)
+
 (** {1 Alcotest testables} *)
 
 val pset_t : Rrfd.Pset.t Alcotest.testable

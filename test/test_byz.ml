@@ -275,7 +275,7 @@ let artifact_roundtrip () =
   let artifact = Byz.of_outcome w (Byz.run_witness w) in
   Alcotest.(check bool) "expectation pins a fork" true artifact.Byz.expected_fork;
   let json = Byz.to_json artifact in
-  let back = Byz.of_json json in
+  let back = Test_support.ok_exn (Byz.of_json json) in
   Alcotest.(check int) "seed survives verbatim" w.Byz.seed
     back.Byz.witness.Byz.seed;
   let path = Filename.temp_file "e24_byz" ".json" in
@@ -283,15 +283,15 @@ let artifact_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Byz.save path artifact;
-      let r = Byz.replay (Byz.load path) in
+      let r = Byz.replay (Test_support.ok_exn (Byz.load path)) in
       Alcotest.(check bool) "replay reproduces" true (Byz.reproduced r);
       Alcotest.(check bool) "replayed verdict accountable" true
         (r.Byz.verdict = Acc.Accountable));
   (* Malformed inputs are rejected, not misread. *)
   let reject name j =
     match Byz.of_json j with
-    | exception Report.Json.Error _ -> ()
-    | _ -> Alcotest.failf "%s should not parse" name
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s should not parse" name
   in
   (match json with
   | Report.Json.Obj fields ->

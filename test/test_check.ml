@@ -210,9 +210,10 @@ let artifact_roundtrip_and_replay () =
       ce
   in
   let reread =
-    Check.Artifact.of_json
-      (Report.Json.of_string
-         (Report.Json.to_string_pretty (Check.Artifact.to_json artifact)))
+    Test_support.ok_exn
+      (Check.Artifact.of_json
+         (Report.Json.of_string
+            (Report.Json.to_string_pretty (Check.Artifact.to_json artifact))))
   in
   Alcotest.(check Test_support.history_t)
     "history survives the JSON round-trip"

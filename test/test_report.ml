@@ -58,12 +58,12 @@ let json_roundtrip () =
         }
       ()
   in
-  let r' = R.of_string (R.to_string r) in
+  let r' = Test_support.ok_exn (R.of_string (R.to_string r)) in
   Alcotest.(check bool) "encode/decode round-trip" true (r = r');
   (* no speedup section encodes as null and survives too *)
   let r2 = mk_report () in
   Alcotest.(check bool) "empty report round-trip" true
-    (r2 = R.of_string (R.to_string r2));
+    (Ok r2 = R.of_string (R.to_string r2));
   (* reports written before the oversubscription guard lack
      recommended_jobs; they decode with the 0 = unrecorded sentinel.
      v1 baselines also predate alloc_per_run: subjects decode with None
@@ -74,7 +74,7 @@ let json_roundtrip () =
        "subjects": [{"name": "s", "ns_per_run": 7.0}],
        "tables": [], "speedup": null}|}
   in
-  let decoded = R.of_string old in
+  let decoded = Test_support.ok_exn (R.of_string old) in
   Alcotest.(check int) "tolerant recommended_jobs decode" 0
     decoded.R.meta.R.recommended_jobs;
   (match decoded.R.subjects with
@@ -84,8 +84,8 @@ let json_roundtrip () =
   | _ -> Alcotest.fail "v1 subject list decoded wrong");
   (* a wrong version is refused *)
   match R.of_string {|{"version": 99, "meta": {}}|} with
-  | exception J.Error _ -> ()
-  | _ -> Alcotest.fail "accepted schema version 99"
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "accepted schema version 99"
 
 let json_parser () =
   let j =
@@ -163,7 +163,52 @@ let save_load_file () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       R.save path r;
-      Alcotest.(check bool) "save/load round-trip" true (R.load path = r))
+      Alcotest.(check bool) "save/load round-trip" true (R.load path = Ok r))
+
+(* Every artifact loader, fed hostile files: each must come back [Error],
+   never raise.  One row per loader: its name, the loader, and the kind
+   tag a well-formed document of its own would carry. *)
+let hostile_loader_input () =
+  let loader load path = Result.map ignore (load path) in
+  let loaders =
+    [
+      ("bench report", loader R.load, "rrfd-bench");
+      ("check artifact", loader Check.Artifact.load, "rrfd-counterexample");
+      ("e24-byz", loader Check.Byz_check.load, "e24-byz");
+      ("e26-derive", loader Check.Derive.load, "e26-derive");
+      ("live grid", loader Experiments.E23_live.load, "rrfd-live-grid");
+    ]
+  in
+  let inputs kind =
+    [
+      ("missing file", None);
+      ("empty file", Some "");
+      ( "truncated document",
+        Some (Printf.sprintf {|{"version": 1, "kind": "%s", "n": 4, "hist|} kind) );
+      ( "wrong version",
+        Some (Printf.sprintf {|{"version": 99, "kind": "%s", "meta": {}}|} kind) );
+      ("foreign kind", Some {|{"version": 1, "kind": "rrfd-foreign"}|});
+    ]
+  in
+  List.iter
+    (fun (name, load, kind) ->
+      List.iter
+        (fun (case, contents) ->
+          let path = Filename.temp_file "rrfd_hostile" ".json" in
+          (match contents with
+          | None -> Sys.remove path
+          | Some text ->
+            Out_channel.with_open_bin path (fun oc -> output_string oc text));
+          let outcome =
+            match load path with
+            | Error _ -> None
+            | Ok () -> Some "accepted it"
+            | exception e -> Some ("raised " ^ Printexc.to_string e)
+          in
+          if Sys.file_exists path then Sys.remove path;
+          Option.iter (Alcotest.failf "%s loader, %s: %s" name case) outcome)
+        (inputs kind))
+    loaders
 
 (* Engine counters against a run small enough to count by hand: n = 4, a
    fixed detector with D(0,r)=D(1,r)=D(2,r)={p3}, D(3,r)=∅ (satisfies the
@@ -241,6 +286,8 @@ let tests =
     Alcotest.test_case "check: subject verdicts" `Quick subject_verdicts;
     Alcotest.test_case "check: table status" `Quick table_verdicts;
     Alcotest.test_case "save/load" `Quick save_load_file;
+    Alcotest.test_case "loaders refuse hostile files" `Quick
+      hostile_loader_input;
     Alcotest.test_case "engine counters (hand-computed)" `Quick
       engine_counters_hand_computed;
     Alcotest.test_case "counters aggregation" `Quick counters_aggregation;

@@ -94,10 +94,19 @@ let immediate_snapshot_properties =
     ~count:500
     QCheck.(pair (int_range 1 10) (int_bound 100000))
     (fun (n, seed) ->
-      let rng = Dsim.Rng.create seed in
-      let r =
-        Shm.Immediate_snapshot.run_once ~n ~schedule:(Shm.Exec.Random rng)
-      in
+      let run impl = impl ~n ~schedule:(Shm.Exec.Random (Dsim.Rng.create seed)) in
+      let r = run Shm.Immediate_snapshot.run_once in
+      (* Differential: the fiber-executor oracle under an identically
+         seeded schedule must produce the same views and step count. *)
+      (if n <= 8 then
+         let o = run Shm.Immediate_snapshot.run_once_reference in
+         if o.Shm.Immediate_snapshot.steps <> r.Shm.Immediate_snapshot.steps
+            || not
+                 (Array.for_all2 Pset.equal o.Shm.Immediate_snapshot.views
+                    r.Shm.Immediate_snapshot.views)
+         then
+           QCheck.Test.fail_reportf
+             "n=%d seed=%d: run_once diverges from run_once_reference" n seed);
       match Shm.Immediate_snapshot.check_views r.Shm.Immediate_snapshot.views with
       | None -> true
       | Some reason -> QCheck.Test.fail_reportf "n=%d: %s" n reason)
