@@ -1,5 +1,6 @@
 (* Allocation smoke gate: proves the engine's steady-state rounds and
-   the simulator's event loop allocate zero minor-heap words.
+   the simulator's event loop allocate zero minor-heap words, and that a
+   fresh simulator reuses the queue storage of the last drained one.
 
    Method: run the same fixture twice with identical per-run setup —
    same n, same [max_rounds] (so the history arena is sized identically
@@ -107,6 +108,48 @@ let dsim_event_loop events =
   done;
   Dsim.Sim.run ~max_events:events sim
 
+(* A whole simulator drained by [run]: [depth] events of one static
+   thunk.  A drained queue parks its arrays with the domain and the next
+   simulator adopts them, so once warm a simulator costs the same words
+   at any depth up to the parked capacity: its record, clock and random
+   stream, and no queue storage.  Counted as minor plus directly
+   allocated major words, since arrays past the minor-heap size limit go
+   straight to the major heap. *)
+let static (_ : Dsim.Sim.t) = ()
+
+(* The event times, boxed once: a float taken from a list is passed to
+   [schedule_at] as it is, where one computed in the loop would be boxed
+   at every call.  Descending times make every push sift to the root. *)
+let stamps depth = List.init depth (fun i -> float_of_int (depth - i))
+
+let fresh_sim stamps () =
+  let sim = Dsim.Sim.create () in
+  List.iter (fun time -> Dsim.Sim.schedule_at sim ~time static) stamps;
+  Dsim.Sim.run sim
+
+(* The minor part comes from [Gc.minor_words]: the minor count of
+   [Gc.counters] misreads the words allocated since the last minor
+   collection on OCaml 5.1. *)
+let words_delta f =
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  f ();
+  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. promoted1 -. (major0 -. promoted0))
+
+let check_fresh_sim () =
+  let deep = fresh_sim (stamps depth) and shallow = fresh_sim (stamps 64) in
+  deep ();
+  deep ();
+  let deep_words = words_delta deep in
+  (* After [deep], as the shallow run drops the arrays it adopts. *)
+  let extra = deep_words -. words_delta shallow in
+  let label = Printf.sprintf "dsim-fresh-sim depth=%d" depth in
+  if extra = 0.0 then Printf.printf "  %-28s +0 words/sim vs depth 64  OK\n" label
+  else begin
+    incr failures;
+    Printf.printf "  %-28s %+.0f words/sim vs depth 64  FAIL\n" label extra
+  end
+
 let () =
   Printf.printf "=== alloc smoke: minor words per steady-state round ===\n";
   List.iter
@@ -119,10 +162,12 @@ let () =
   check ~unit:"event" ~short:depth ~long:(4 * depth)
     ~label:(Printf.sprintf "dsim-event-loop depth=%d" depth)
     dsim_event_loop;
+  check_fresh_sim ();
   if !failures > 0 then begin
     Printf.printf "alloc smoke: %d kernel(s) allocate in steady state\n"
       !failures;
     exit 1
   end;
   Printf.printf
-    "alloc smoke: steady-state rounds and simulator events are allocation-free\n"
+    "alloc smoke: steady-state rounds, simulator events and queue storage \
+     are allocation-free\n"

@@ -269,24 +269,49 @@ let to_json t =
       ("expected_accused", pset_to_json t.expected_accused);
     ]
 
+(* A witness must be one [Acc.run] accepts: [0 <= f < n], one input and
+   one strategy per process, a vote for every receiver, and process sets
+   within [0, n).  Anything else is refused here, at load, rather than
+   raising halfway through a replay. *)
 let decode json =
   Report.require_header ~kind ~version json;
+  let fail fmt = Printf.ksprintf (fun e -> raise (Json.Error e)) fmt in
+  let n = Json.int (Json.member "n" json) and f = Json.int (Json.member "f" json) in
+  if f < 0 || f >= n then fail "f = %d is outside [0, n) for n = %d" f n;
+  let sized field a =
+    if Array.length a <> n then
+      fail "%s has %d entries, expected n = %d" field (Array.length a) n;
+    a
+  in
+  let within field s =
+    if not (Rrfd.Pset.subset s (Rrfd.Pset.full n)) then
+      fail "%s names a process outside 0..%d" field (n - 1);
+    s
+  in
+  let strategies =
+    Json.list (Json.member "strategies" json)
+    |> List.map strategy_of_json |> Array.of_list |> sized "strategies"
+  in
+  Array.iter
+    (Option.iter (fun { Acc.votes; cert } ->
+         ignore (sized "votes" votes);
+         Option.iter (fun (_, quorum) -> ignore (within "cert_quorum" quorum)) cert))
+    strategies;
   {
     witness =
       {
-        n = Json.int (Json.member "n" json);
-        f = Json.int (Json.member "f" json);
+        n;
+        f;
         seed =
           (match Json.member "seed" json with
           | Json.String s -> int_of_string s
           | j -> Json.int j);
-        inputs = int_array_of_json (Json.member "inputs" json);
-        strategies =
-          Json.list (Json.member "strategies" json)
-          |> List.map strategy_of_json |> Array.of_list;
+        inputs = sized "inputs" (int_array_of_json (Json.member "inputs" json));
+        strategies;
       };
     expected_fork = Json.bool (Json.member "expected_fork" json);
-    expected_accused = pset_of_json (Json.member "expected_accused" json);
+    expected_accused =
+      within "expected_accused" (pset_of_json (Json.member "expected_accused" json));
   }
 
 let of_json = Report.decoding decode

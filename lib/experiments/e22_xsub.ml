@@ -29,11 +29,13 @@ type sub_obs = {
 
 type trial_obs = { subs : sub_obs list; counters : Rrfd.Counters.t }
 
+(* Built when the module loads: campaign trials on several domains read
+   it at once, and concurrent forcing of a shared [lazy] raises
+   [CamlinternalLazy.Undefined] on OCaml 5. *)
 let lossy_adversary =
-  lazy
-    (match Msgnet.Adversary.of_spec "drop:p=20" with
-    | Ok a -> a
-    | Error e -> invalid_arg ("E22: " ^ e))
+  match Msgnet.Adversary.of_spec "drop:p=20" with
+  | Ok a -> a
+  | Error e -> invalid_arg ("E22: " ^ e)
 
 (* The comparable set: processes whose substrate execution the pinned
    replay is expected to reproduce.  The engine reproduces everybody; the
@@ -102,7 +104,7 @@ let run_trial proto ~policy ~rng =
     | _ -> []
   in
   let adversary =
-    match policy with "lossy" -> Some (Lazy.force lossy_adversary) | _ -> None
+    match policy with "lossy" -> Some lossy_adversary | _ -> None
   in
   let engine_ex =
     Protocols.Catalog.run_engine proto ~inputs ~max_rounds:rounds ~n ~f

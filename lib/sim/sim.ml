@@ -1,11 +1,20 @@
 (* The event queue is a binary min-heap ordered by (time, seq), where
    [seq] is the insertion index, so events at equal times run in
-   insertion order.  It is stored as three parallel arrays — an unboxed
-   [Float.Array.t] of times, an [int array] of sequence numbers and an
-   array of thunks — so comparisons read flat memory and neither
-   scheduling nor executing an event allocates.  The clock is a
-   one-cell [Float.Array.t] for the same reason: a mutable float field
-   of a mixed record would box on every write.
+   insertion order.  A heap entry is an unboxed triple spread over three
+   parallel arrays — a [Float.Array.t] of times, an [int array] of
+   sequence numbers and an [int array] of slots — so comparisons read
+   flat memory and sifting moves no pointer.  Each event's thunk is
+   written once into [thunks] at its slot and stays there until the
+   event runs.  [slots] is always a permutation of [0, capacity): the
+   entries past [size] are the free slots, taken from position [size] by
+   a push and returned there by a pop.  The clock is a one-cell
+   [Float.Array.t] for the same reason: a mutable float field of a mixed
+   record would box on every write.
+
+   When [run] drains the queue it may park the arrays with its domain
+   (see [park]); the next simulator to push onto an empty queue adopts
+   them whole, so a campaign of simulators does not regrow its queue
+   from nothing for every execution.
 
    The queue lives in this module rather than its own: a float argument
    passed across a module boundary is boxed whenever the callee cannot
@@ -15,26 +24,38 @@
 
 type t = {
   clock : Float.Array.t;
-  mutable times : Float.Array.t;
-  mutable seqs : int array;
-  mutable thunks : (t -> unit) array;
+  mutable queue : queue;
   mutable size : int;
+  mutable high : int;  (* most events queued at once in [queue] *)
   mutable next_seq : int;
   random : Rng.t;
   mutable executed : int;
 }
 
-(* Fills every slot at or past [size], so the queue never keeps a popped
+and queue = {
+  times : Float.Array.t;
+  seqs : int array;
+  slots : int array;
+  thunks : (t -> unit) array;
+}
+
+(* Fills every free slot of [thunks], so the queue never keeps a popped
    event's closure, or what it captured, alive. *)
 let nop (_ : t) = ()
+
+let empty = { times = Float.Array.create 0; seqs = [||]; slots = [||]; thunks = [||] }
+
+(* The queue storage parked on this domain, or [empty].  Only domains run
+   simulators here (no systhreads are linked), so no two threads ever
+   touch one cell at once. *)
+let parked = Domain.DLS.new_key (fun () -> ref empty)
 
 let create ?(seed = 0) () =
   {
     clock = Float.Array.make 1 0.0;
-    times = Float.Array.create 0;
-    seqs = [||];
-    thunks = [||];
+    queue = empty;
     size = 0;
+    high = 0;
     next_seq = 0;
     random = Rng.create seed;
     executed = 0;
@@ -48,83 +69,117 @@ let pending sim = sim.size
 
 let executed sim = sim.executed
 
-let grow sim =
-  let capacity = max 8 (2 * sim.size) in
-  let times = Float.Array.create capacity in
-  Float.Array.blit sim.times 0 times 0 sim.size;
-  let seqs = Array.make capacity 0 in
-  Array.blit sim.seqs 0 seqs 0 sim.size;
-  let thunks = Array.make capacity nop in
-  Array.blit sim.thunks 0 thunks 0 sim.size;
-  sim.times <- times;
-  sim.seqs <- seqs;
-  sim.thunks <- thunks
+(* Hands a drained simulator's storage to its domain, where the next
+   simulator to schedule onto an empty queue adopts it.  Every thunk slot
+   is [nop] once the queue is empty, so parked storage keeps no event
+   alive.  Only storage that was at least a quarter full at its peak is
+   parked, so one outsized run does not pin its arrays on the domain once
+   smaller runs follow. *)
+let park sim =
+  let capacity = Array.length sim.queue.slots in
+  if capacity > 0 && 4 * sim.high >= capacity then begin
+    Domain.DLS.get parked := sim.queue;
+    sim.queue <- empty;
+    sim.high <- 0
+  end
 
-(* Index arithmetic below stays within [0, size) and [size] is below the
+(* Called on a full queue: an empty one adopts the domain's parked
+   storage if there is any; otherwise the capacity doubles and the new
+   slots join the free tail of [slots]. *)
+let grow sim =
+  let q = sim.queue and spare = Domain.DLS.get parked in
+  let old = Array.length q.slots in
+  if old = 0 && !spare != empty then begin
+    sim.queue <- !spare;
+    spare := empty
+  end
+  else begin
+    let capacity = max 8 (2 * old) in
+    let times = Float.Array.create capacity in
+    Float.Array.blit q.times 0 times 0 old;
+    let seqs = Array.make capacity 0 in
+    Array.blit q.seqs 0 seqs 0 old;
+    let slots = Array.init capacity Fun.id in
+    Array.blit q.slots 0 slots 0 old;
+    let thunks = Array.make capacity nop in
+    Array.blit q.thunks 0 thunks 0 old;
+    sim.queue <- { times; seqs; slots; thunks }
+  end
+
+(* Index arithmetic below stays within [0, size] and [size] is below the
    capacity, so the unchecked accesses are in bounds. *)
 
-(* Moves a hole up from slot [size] past every parent that orders after
-   the new event, then writes the event into it.  The new event's [seq]
-   exceeds every queued one, so on equal times the parent already comes
-   first and only a strictly earlier time moves the hole. *)
+let[@inline] move times (seqs : int array) (slots : int array) ~from ~to_ =
+  Float.Array.unsafe_set times to_ (Float.Array.unsafe_get times from);
+  Array.unsafe_set seqs to_ (Array.unsafe_get seqs from);
+  Array.unsafe_set slots to_ (Array.unsafe_get slots from)
+
+(* Stores the thunk in the free slot at position [size], then moves a
+   hole up from there past every parent that orders after the new event
+   and writes the entry into it.  The new event's [seq] exceeds every
+   queued one, so on equal times the parent already comes first and only
+   a strictly earlier time moves the hole. *)
 let[@inline] push sim time f =
-  if sim.size = Array.length sim.seqs then grow sim;
-  let times = sim.times and seqs = sim.seqs and thunks = sim.thunks in
-  let i = ref sim.size in
-  while !i > 0 && time < Float.Array.unsafe_get times ((!i - 1) / 2) do
-    let parent = (!i - 1) / 2 in
-    Float.Array.unsafe_set times !i (Float.Array.unsafe_get times parent);
-    Array.unsafe_set seqs !i (Array.unsafe_get seqs parent);
-    Array.unsafe_set thunks !i (Array.unsafe_get thunks parent);
+  let size = sim.size in
+  if size = Array.length sim.queue.slots then grow sim;
+  let { times; seqs; slots; thunks } = sim.queue in
+  let slot = Array.unsafe_get slots size in
+  Array.unsafe_set thunks slot f;
+  let i = ref size in
+  while !i > 0 && time < Float.Array.unsafe_get times ((!i - 1) lsr 1) do
+    let parent = (!i - 1) lsr 1 in
+    move times seqs slots ~from:parent ~to_:!i;
     i := parent
   done;
   Float.Array.unsafe_set times !i time;
   Array.unsafe_set seqs !i sim.next_seq;
-  Array.unsafe_set thunks !i f;
+  Array.unsafe_set slots !i slot;
   sim.next_seq <- sim.next_seq + 1;
-  sim.size <- sim.size + 1
+  sim.size <- size + 1;
+  if size >= sim.high then sim.high <- size + 1
 
-let[@inline] before times seqs time seq j =
-  let tj = Float.Array.unsafe_get times j in
-  time < tj || (time = tj && seq < Array.unsafe_get seqs j)
+(* 1 if the entry at [a] orders before the entry at [b], else 0, with no
+   branch. *)
+let[@inline] earlier times (seqs : int array) a b =
+  let ta = Float.Array.unsafe_get times a and tb = Float.Array.unsafe_get times b in
+  Bool.to_int (ta < tb)
+  lor (Bool.to_int (ta = tb)
+      land Bool.to_int (Array.unsafe_get seqs a < Array.unsafe_get seqs b))
 
 (* Pops the top event, advances the clock to its time and runs it.  The
-   last event is re-inserted by moving a hole down from the root, and its
-   old slot is reset to [nop].  Requires [size > 0]. *)
+   pop is Floyd's bottom-up one: the hole left at the root descends along
+   the earlier child all the way to a leaf, then the last entry rises
+   from there to its place, which is usually near the bottom.  The popped
+   event's slot is reset to [nop] and returned to the free tail.
+   Requires [size > 0]. *)
 let fire sim =
-  let times = sim.times and seqs = sim.seqs and thunks = sim.thunks in
-  let f = Array.unsafe_get thunks 0 in
+  let { times; seqs; slots; thunks } = sim.queue in
+  let top = Array.unsafe_get slots 0 in
+  let f = Array.unsafe_get thunks top in
+  Array.unsafe_set thunks top nop;
   Float.Array.unsafe_set sim.clock 0 (Float.Array.unsafe_get times 0);
-  let size = sim.size - 1 in
-  sim.size <- size;
-  let time = Float.Array.unsafe_get times size and seq = Array.unsafe_get seqs size in
-  let g = Array.unsafe_get thunks size in
-  Array.unsafe_set thunks size nop;
-  if size > 0 then begin
-    let i = ref 0 and sifting = ref true in
-    while !sifting do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      if l >= size then sifting := false
-      else begin
-        let c =
-          if r < size
-             && before times seqs (Float.Array.unsafe_get times r) (Array.unsafe_get seqs r) l
-          then r
-          else l
-        in
-        if before times seqs time seq c then sifting := false
-        else begin
-          Float.Array.unsafe_set times !i (Float.Array.unsafe_get times c);
-          Array.unsafe_set seqs !i (Array.unsafe_get seqs c);
-          Array.unsafe_set thunks !i (Array.unsafe_get thunks c);
-          i := c
-        end
-      end
-    done;
-    Float.Array.unsafe_set times !i time;
-    Array.unsafe_set seqs !i seq;
-    Array.unsafe_set thunks !i g
+  let last = sim.size - 1 in
+  sim.size <- last;
+  let i = ref 0 and r = ref 2 in
+  while !r < last do
+    let c = !r - 1 + earlier times seqs !r (!r - 1) in
+    move times seqs slots ~from:c ~to_:!i;
+    i := c;
+    r := (2 * c) + 2
+  done;
+  if !r = last then begin
+    (* A lone left child. *)
+    move times seqs slots ~from:(last - 1) ~to_:!i;
+    i := last - 1
   end;
+  (* The last entry is still at [last]: the descent stops above it. *)
+  while !i > 0 && earlier times seqs last ((!i - 1) lsr 1) = 1 do
+    let parent = (!i - 1) lsr 1 in
+    move times seqs slots ~from:parent ~to_:!i;
+    i := parent
+  done;
+  move times seqs slots ~from:last ~to_:!i;
+  Array.unsafe_set slots last top;
   sim.executed <- sim.executed + 1;
   f sim
 
@@ -153,7 +208,8 @@ let run ?until ?max_events sim =
   while
     sim.executed - start < budget
     && sim.size > 0
-    && Float.Array.unsafe_get sim.times 0 <= horizon
+    && Float.Array.unsafe_get sim.queue.times 0 <= horizon
   do
     fire sim
-  done
+  done;
+  if sim.size = 0 then park sim

@@ -3,11 +3,20 @@
     A simulator owns a virtual clock and an event queue.  Events are thunks
     scheduled at virtual times; running the simulator pops events in time
     order (insertion order within a time instant) and executes them, which may
-    schedule further events.  Scheduling and executing an event allocate
-    nothing beyond the queue's occasional capacity doubling, and the queue
-    drops each event's closure once it has run.  The substrate libraries
-    ([msgnet], [semisync]) build their network and timing models on top of
-    this loop. *)
+    schedule further events.  The substrate libraries ([msgnet],
+    [semisync]) build their network and timing models on top of this loop.
+
+    The queue is a binary heap of unboxed (time, insertion index, slot)
+    entries.  Each event's thunk is written once into a slot table and
+    stays put until it runs; a pop is Floyd's bottom-up one.  Scheduling
+    and executing an event allocate nothing beyond the queue's occasional
+    capacity doubling, and the queue drops each event's closure once it
+    has run.  When {!run} drains the queue, the simulator hands its queue
+    storage to its domain, and the next simulator on that domain to
+    schedule onto an empty queue takes it over instead of allocating.
+    Storage is handed over only if it was at least a quarter full at its
+    peak, so an outsized run does not stay pinned on the domain.  None of
+    this changes the order in which events run. *)
 
 type t
 (** A simulator instance. *)

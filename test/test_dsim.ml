@@ -116,34 +116,79 @@ let heap_stable_ties () =
 
 (* Model check of the event queue: interleave [schedule_at] (times drawn
    from a few values, so ties are common; enough pushes to cross several
-   capacity doublings) with [step], and compare against a list kept
-   sorted on (time, insertion index).  Each step must run the model's
-   minimum and set the clock to its time.  Scheduled times never precede
-   the clock: each is the current time plus a non-negative offset. *)
+   capacity doublings) with [step], and optionally [run ~until], and
+   compare against a list kept sorted on (time, insertion index).  Each
+   step must run the model's minimum and set the clock to its time; each
+   [run ~until] must run exactly the model's events up to its horizon, in
+   order.  Scheduled times never precede the clock: each is the current
+   time plus a non-negative offset. *)
+type op = Schedule of int | Step | Run_until of int
+
+let ops ~until =
+  let op =
+    QCheck.Gen.(
+      frequency
+        ([ (6, map (fun o -> Schedule o) (int_range 0 3)); (1, return Step) ]
+        @ if until then [ (1, map (fun s -> Run_until s) (int_range 0 3)) ] else []))
+  in
+  let print = function
+    | Schedule o -> Printf.sprintf "schedule +%d" o
+    | Step -> "step"
+    | Run_until s -> Printf.sprintf "run ~until:+%d" s
+  in
+  QCheck.make ~print:(QCheck.Print.list print) QCheck.Gen.(list_size (int_range 0 300) op)
+
+let matches_sorted_model sim ops =
+  let ran = ref [] in
+  let model = ref [] and next = ref 0 in
+  let apply = function
+    | Schedule offset ->
+      let time = Sim.now sim +. float_of_int offset in
+      let id = !next in
+      incr next;
+      Sim.schedule_at sim ~time (fun s -> ran := (Sim.now s, id) :: !ran);
+      model := List.merge compare !model [ (time, id) ];
+      true
+    | Step -> (
+      ran := [];
+      match !model with
+      | [] -> not (Sim.step sim)
+      | first :: rest ->
+        model := rest;
+        Sim.step sim && !ran = [ first ])
+    | Run_until span ->
+      let horizon = Sim.now sim +. float_of_int span in
+      let due, rest = List.partition (fun (time, _) -> time <= horizon) !model in
+      model := rest;
+      ran := [];
+      Sim.run ~until:horizon sim;
+      List.rev !ran = due
+      && (due = [] || Sim.now sim = fst (List.nth due (List.length due - 1)))
+  in
+  List.for_all apply ops
+  && List.for_all (fun _ -> apply Step) (List.init (List.length !model + 1) Fun.id)
+
 let sim_matches_sorted_model =
-  let op = QCheck.(option (int_range 0 3)) in
   QCheck.Test.make ~name:"sim event order matches sorted model" ~count:200
-    QCheck.(list_of_size Gen.(int_range 0 300) op)
-    (fun ops ->
-      let sim = Sim.create () in
-      let ran = ref (-1) in
-      let model = ref [] and next = ref 0 in
-      let schedule offset =
-        let time = Sim.now sim +. float_of_int offset in
-        let id = !next in
-        incr next;
-        Sim.schedule_at sim ~time (fun _ -> ran := id);
-        model := List.merge compare !model [ (time, id) ]
-      in
-      let step () =
-        match !model with
-        | [] -> not (Sim.step sim)
-        | (time, id) :: rest ->
-          model := rest;
-          Sim.step sim && !ran = id && Sim.now sim = time
-      in
-      List.for_all (function Some offset -> schedule offset; true | None -> step ()) ops
-      && List.for_all (fun _ -> step ()) (List.init (List.length !model + 1) Fun.id))
+    (ops ~until:false) (fun ops -> matches_sorted_model (Sim.create ()) ops)
+
+(* Drains a simulator of [events] events through [run], so that it parks
+   its queue storage on this domain for the next fresh simulator. *)
+let drain_and_park events =
+  let sim = Sim.create () in
+  for i = 1 to events do
+    Sim.schedule_at sim ~time:(float_of_int (i mod 97)) ignore
+  done;
+  Sim.run sim
+
+(* The same model on a simulator that adopts the storage a 4096-event
+   simulator parked, its slot table left in whatever order that run put
+   it, with [run ~until] mixed into the ops. *)
+let sim_adopted_matches_sorted_model =
+  QCheck.Test.make ~name:"adopted storage matches sorted model" ~count:100
+    (ops ~until:true) (fun ops ->
+      drain_and_park 4096;
+      matches_sorted_model (Sim.create ()) ops)
 
 let sim_runs_in_time_order () =
   let sim = Sim.create () in
@@ -211,6 +256,77 @@ let sim_releases_popped_events () =
   (* The simulator itself must still be live at the collection. *)
   Alcotest.(check int) "drained" 0 (Sim.pending sim)
 
+(* Like the test above, but through storage that a drained simulator
+   parks: the payload's slot is cleared before the arrays are handed on,
+   and the simulator that adopts them next runs as usual. *)
+let parked_storage_keeps_nothing_alive () =
+  let sim = Sim.create () in
+  let weak = Weak.create 1 in
+  schedule_with_payload sim weak;
+  for _ = 1 to 99 do
+    Sim.schedule sim ~delay:1.0 ignore
+  done;
+  Sim.run sim;
+  Gc.full_major ();
+  Alcotest.(check bool) "payload collected" false (Weak.check weak 0);
+  let next = Sim.create () in
+  let log = ref [] in
+  List.iter (fun i -> Sim.schedule next ~delay:(float_of_int (3 - i)) (fun _ -> log := i :: !log)) [ 1; 2; 3 ];
+  Sim.run next;
+  Alcotest.(check (list int)) "adopter runs in time order" [ 3; 2; 1 ] (List.rev !log);
+  Alcotest.(check int) "first simulator drained" 0 (Sim.pending sim)
+
+(* A simulator paired with every event it was given, each run logging
+   its clock and id.  Drained, the log must be the events sorted on
+   (time, id). *)
+type tracked = { sim : Sim.t; mutable given : (float * int) list; mutable ran : (float * int) list }
+
+let track () = { sim = Sim.create (); given = []; ran = [] }
+
+let add ?(action = ignore) t time =
+  let id = List.length t.given in
+  t.given <- (time, id) :: t.given;
+  Sim.schedule_at t.sim ~time (fun s ->
+      t.ran <- (Sim.now s, id) :: t.ran;
+      action ())
+
+let in_model_order name t =
+  Alcotest.(check int) (name ^ " drained") 0 (Sim.pending t.sim);
+  Alcotest.(check (list (pair (float 0.0) int)))
+    (name ^ " ran in (time, seq) order") (List.sort compare t.given) (List.rev t.ran)
+
+(* Simulators interleaved on one domain.  Mid-run, an event of [b] drains
+   [a], which parks its arrays; a fresh [c] adopts them; then [a]
+   schedules again onto fresh storage, while [b] still runs on its own.
+   Every simulator keeps the model order. *)
+let interleaved_simulators () =
+  let rng = Rng.create 9 in
+  let a = track () and b = track () and c = track () in
+  let draw () = float_of_int (Rng.int rng 50) in
+  for _ = 1 to 200 do
+    add a (draw ())
+  done;
+  let mid () =
+    Sim.run a.sim;
+    Alcotest.(check int) "a drained mid-run of b" 0 (Sim.pending a.sim);
+    for _ = 1 to 150 do
+      add c (draw ())
+    done;
+    for _ = 1 to 100 do
+      add a (Sim.now a.sim +. draw ())
+    done
+  in
+  for i = 1 to 200 do
+    add b (draw ()) ~action:(if i = 100 then mid else ignore)
+  done;
+  Sim.run b.sim;
+  Alcotest.(check int) "b's mid-run event filled c" 150 (Sim.pending c.sim);
+  Sim.run c.sim;
+  Sim.run a.sim;
+  in_model_order "a" a;
+  in_model_order "b" b;
+  in_model_order "c" c
+
 let tests =
   [
     Alcotest.test_case "rng determinism" `Quick rng_deterministic;
@@ -225,6 +341,10 @@ let tests =
     Alcotest.test_case "sim rejects past" `Quick sim_rejects_past;
     Alcotest.test_case "sim rejects bad times" `Quick sim_rejects_bad_times;
     Alcotest.test_case "sim releases popped events" `Quick sim_releases_popped_events;
+    Alcotest.test_case "parked storage keeps nothing alive" `Quick
+      parked_storage_keeps_nothing_alive;
+    Alcotest.test_case "interleaved simulators keep model order" `Quick
+      interleaved_simulators;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
@@ -232,4 +352,5 @@ let tests =
         rng_derived_streams_independent;
         rng_sample_invariants;
         sim_matches_sorted_model;
+        sim_adopted_matches_sorted_model;
       ]

@@ -70,8 +70,26 @@ let every_experiment_runs_tiny () =
           t.Experiments.Table.counters))
     Experiments.Registry.all
 
+(* E22's lossy cells on four domains: their trials read one shared
+   network adversary from several domains at once, so it must be built
+   before they start (a shared [lazy] forced concurrently raises
+   [CamlinternalLazy.Undefined]).  Listed before any other E22 run so
+   that these trials are the first to read it, and checked against the
+   serial run cell by cell. *)
+let e22_lossy_cells_on_four_domains () =
+  let lossy jobs =
+    snd (Experiments.E22_xsub.run_detailed ~seed:3 ~trials:16 ~jobs ())
+    |> List.filter (fun (_, policy, _) -> policy = "lossy")
+  in
+  let parallel = lossy 4 in
+  Alcotest.(check int) "one lossy cell per protocol"
+    (List.length Protocols.Catalog.all) (List.length parallel);
+  Alcotest.(check bool) "same trials as the serial run" true (parallel = lossy 1)
+
 let tests =
   [
+    Alcotest.test_case "E22 lossy cells on 4 domains" `Quick
+      e22_lossy_cells_on_four_domains;
     Alcotest.test_case "ids unique and ordered" `Quick ids_unique_and_ordered;
     Alcotest.test_case "find case-insensitive" `Quick find_is_case_insensitive;
     Alcotest.test_case "table ok detection" `Quick table_ok_detects_failures;

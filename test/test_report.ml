@@ -190,25 +190,57 @@ let hostile_loader_input () =
       ("foreign kind", Some {|{"version": 1, "kind": "rrfd-foreign"}|});
     ]
   in
+  let refuses name load (case, contents) =
+    let path = Filename.temp_file "rrfd_hostile" ".json" in
+    (match contents with
+    | None -> Sys.remove path
+    | Some text ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text));
+    let outcome =
+      match load path with
+      | Error _ -> None
+      | Ok () -> Some "accepted it"
+      | exception e -> Some ("raised " ^ Printexc.to_string e)
+    in
+    if Sys.file_exists path then Sys.remove path;
+    Option.iter (Alcotest.failf "%s loader, %s: %s" name case) outcome
+  in
   List.iter
-    (fun (name, load, kind) ->
-      List.iter
-        (fun (case, contents) ->
-          let path = Filename.temp_file "rrfd_hostile" ".json" in
-          (match contents with
-          | None -> Sys.remove path
-          | Some text ->
-            Out_channel.with_open_bin path (fun oc -> output_string oc text));
-          let outcome =
-            match load path with
-            | Error _ -> None
-            | Ok () -> Some "accepted it"
-            | exception e -> Some ("raised " ^ Printexc.to_string e)
-          in
-          if Sys.file_exists path then Sys.remove path;
-          Option.iter (Alcotest.failf "%s loader, %s: %s" name case) outcome)
-        (inputs kind))
-    loaders
+    (fun (name, load, kind) -> List.iter (refuses name load) (inputs kind))
+    loaders;
+  (* Well-formed e24-byz witnesses that [Accountability.run] would reject:
+     each must fail at load, not halfway through a replay. *)
+  let witness ?(f = "1") ?(inputs = "[0, 1, 0, 1]")
+      ?(strategies = "[null, null, null, null]") ?(accused = "[]") () =
+    Some
+      (Printf.sprintf
+         {|{"version": 1, "kind": "e24-byz", "n": 4, "f": %s, "seed": "0",
+            "inputs": %s, "strategies": %s, "expected_fork": false,
+            "expected_accused": %s}|}
+         f inputs strategies accused)
+  in
+  let byz_load = loader Check.Byz_check.load in
+  let path = Filename.temp_file "rrfd_witness" ".json" in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Option.get (witness ())));
+  let consistent = byz_load path in
+  Sys.remove path;
+  Alcotest.(check (result unit string)) "consistent witness loads" (Ok ()) consistent;
+  List.iter (refuses "e24-byz" byz_load)
+    [
+      ("inputs shorter than n", witness ~inputs:"[0, 1, 0]" ());
+      ("strategies longer than n", witness ~strategies:"[null, null, null, null, null]" ());
+      ("f = n", witness ~f:"4" ());
+      ("negative f", witness ~f:"-1" ());
+      ("accused outside 0..n-1", witness ~accused:"[4]" ());
+      ( "votes shorter than n",
+        witness ~strategies:{|[{"votes": [0, 1]}, null, null, null]|} () );
+      ( "cert quorum outside 0..n-1",
+        witness
+          ~strategies:
+            {|[{"votes": [0, 1, 0, 1], "cert_value": 0, "cert_quorum": [0, 7]}, null, null, null]|}
+          () );
+    ]
 
 (* Engine counters against a run small enough to count by hand: n = 4, a
    fixed detector with D(0,r)=D(1,r)=D(2,r)={p3}, D(3,r)=∅ (satisfies the
