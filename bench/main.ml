@@ -465,7 +465,7 @@ let () =
   let baseline =
     Option.map
       (fun path ->
-        match Report.load path with
+        match Report.read Report.codec path with
         | Ok r -> r
         | Error e ->
           prerr_endline e;
@@ -480,7 +480,7 @@ let () =
   Option.iter
     (fun path ->
       let path = Report.artifact_path ~prefix:"BENCH" path in
-      Report.save path report;
+      Report.write Report.codec path report;
       Printf.printf "\nbench: wrote %s\n" path)
     !json_path;
   let check_passed =

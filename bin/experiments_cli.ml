@@ -16,10 +16,6 @@ module Mclock = Monotonic_clock
 
 open Cmdliner
 
-let setup_logs () =
-  Fmt_tty.setup_std_outputs ();
-  Logs.set_reporter (Logs_fmt.reporter ())
-
 let seed_arg =
   let doc = "Random seed; every experiment is reproducible from it." in
   Arg.(value & opt int Experiments.Registry.default_seed & info [ "seed" ] ~doc)
@@ -86,16 +82,16 @@ let save_arg ~prefix doc = out_arg ~prefix "save" doc
 
 let replay_arg doc = file_arg "replay" doc
 
-(* Write an artifact through [save] and say where. *)
-let save_to ?(indent = "") save path x =
-  save path x;
+(* Write an artifact through its codec and say where. *)
+let save_to ?(indent = "") ?pretty codec path x =
+  Report.write ?pretty codec path x;
   Printf.printf "%sartifact written to %s\n" indent path
 
 (* The tail of every grid run: print the table, write the artifact if
    --json asked for one, exit 0 iff every row is ok. *)
 let finish_grid ~json table artifact =
   Experiments.Table.print table;
-  Option.iter (fun path -> save_to Report.write path (artifact ())) json;
+  Option.iter (fun path -> save_to Report.Codec.json path (artifact ())) json;
   exit_code (Experiments.Table.ok table)
 
 (* The induced history of a network or live run, with its P1-P5
@@ -119,7 +115,6 @@ let finish_envelope ~seed ~json (table, details) field =
 
 let list_cmd =
   let run () =
-    setup_logs ();
     List.iter
       (fun e ->
         Printf.printf "%-4s %s\n" e.Experiments.Registry.id
@@ -152,7 +147,6 @@ let run_cmd =
     Arg.(non_empty & pos_all string [] & info [] ~docv:"ID" ~doc)
   in
   let run seed trials jobs ids =
-    setup_logs ();
     let entries =
       List.map
         (fun id ->
@@ -173,7 +167,6 @@ let run_cmd =
 
 let all_cmd =
   let run seed trials jobs =
-    setup_logs ();
     run_tables
       (List.map
          (fun e -> e.Experiments.Registry.run ~seed ~trials ~jobs)
@@ -205,7 +198,6 @@ let lattice_cmd =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"RIGHT" ~doc:names)
   in
   let run a b n f rounds =
-    setup_logs ();
     match (predicate_of_name ~f a, predicate_of_name ~f b) with
     | Some pa, Some pb -> (
       match Rrfd.Submodel.check_exhaustive ~n ~rounds pa pb with
@@ -258,7 +250,6 @@ let trace_cmd =
       & info [ "k" ] ~doc:"Agreement bound (k-set protocols only).")
   in
   let run seed protocol n k =
-    setup_logs ();
     match Protocols.Catalog.find protocol with
     | None ->
       Printf.eprintf "unknown protocol %s, expected one of: %s\n" protocol
@@ -418,7 +409,7 @@ let check_cmd =
     Printf.printf "  failure: %s\n" ce.failure
   in
   let do_replay path with_trace =
-    let artifact = or_die (Check.Artifact.load path) in
+    let artifact = or_die (Report.read Check.Artifact.codec path) in
     let ce = artifact.Check.Artifact.counterexample in
     Printf.printf
       "replaying %s: sut %s, predicate %s, property %s (seed %d, trial %d)\n"
@@ -456,7 +447,6 @@ let check_cmd =
   let run seed trials jobs sut_spec predicate_spec generator_spec
       property_specs n rounds attempts exhaustive save expect replay
       with_trace =
-    setup_logs ();
     match replay with
     | Some path -> do_replay path with_trace
     | None ->
@@ -514,7 +504,7 @@ let check_cmd =
                ce.Check.Checker.history);
         Option.iter
           (fun path ->
-            save_to Check.Artifact.save path
+            save_to ~pretty:true Check.Artifact.codec path
               (Check.Artifact.make ~sut_spec ~predicate_spec ~property_specs
                  ~seed ce))
           save);
@@ -592,7 +582,6 @@ let faultnet_cmd =
     exit_code (d.Msgnet.Round_layer.matched && p3)
   in
   let run seed trials jobs spec (n, f) rounds grid json =
-    setup_logs ();
     if grid then
       finish_envelope ~seed ~json
         (Experiments.E21_faultnet.run_detailed ~seed ?trials ?jobs ())
@@ -626,7 +615,6 @@ let xsub_cmd =
        only on --seed and --trials — never on -j."
   in
   let run seed trials jobs json =
-    setup_logs ();
     finish_envelope ~seed ~json
       (Experiments.E22_xsub.run_detailed ~seed ?trials ?jobs ())
       Experiments.E22_xsub.artifact_field
@@ -740,7 +728,7 @@ let live_cmd =
           Check.Artifact.record ~sut_spec:proto_name ~n ~history:induced ()
         with
         | Ok artifact ->
-          Check.Artifact.save path artifact;
+          Report.write ~pretty:true Check.Artifact.codec path artifact;
           Printf.printf
             "  recorded %s (verify: rrfd-experiments check --replay %s)\n"
             path path;
@@ -772,15 +760,14 @@ let live_cmd =
   let run_grid ~seed ~trials ~jobs ~json ~from =
     let records =
       match from with
-      | Some path -> or_die (Experiments.E23_live.load path)
+      | Some path -> or_die (Report.read Experiments.E23_live.codec path)
       | None -> Experiments.E23_live.collect ~seed ?trials ?jobs ()
     in
     finish_grid ~json (Experiments.E23_live.table_of records) (fun () ->
-        Experiments.E23_live.to_json records)
+        Experiments.E23_live.codec.enc records)
   in
   let run seed trials jobs proto_name (n, f) rounds patience stress record
       grid json from =
-    setup_logs ();
     if grid then run_grid ~seed ~trials ~jobs ~json ~from
     else
       let patience = or_die (Live.Patience.of_spec patience) in
@@ -861,12 +848,14 @@ let scale_cmd =
   in
   let run_bench ~seed ~ns ~repeats ~json ~check ~tolerance =
     (* A bad baseline fails before the minutes of timing, not after. *)
-    let baseline = Option.map (fun path -> or_die (Report.load path)) check in
+    let baseline =
+      Option.map (fun path -> or_die (Report.read Report.codec path)) check
+    in
     let now_ns () = Mclock.now () in
     let ms = Experiments.E25_scale.measure ~now_ns ~seed ~ns ~repeats () in
     Experiments.E25_scale.print_measurements ms;
     let report = Report.make ~seed:0 (Experiments.E25_scale.subjects_of ms) in
-    Option.iter (fun path -> save_to Report.save path report) json;
+    Option.iter (fun path -> save_to Report.codec path report) json;
     let all_ok = List.for_all (fun m -> m.Experiments.E25_scale.m_ok) ms in
     if not all_ok then
       Printf.printf "scale: a probe FAILED its correctness gate while timed\n";
@@ -889,7 +878,6 @@ let scale_cmd =
     finish_grid ~json table (fun () -> Experiments.E25_scale.to_json cells)
   in
   let run seed trials jobs ns json bench repeats check tolerance =
-    setup_logs ();
     if ns = [] || List.exists (fun n -> n < 1) ns then begin
       Printf.eprintf "--ns needs at least one positive size\n";
       2
@@ -1038,7 +1026,9 @@ let byz_cmd =
       Printf.printf "  fork found at schedule %d (seed %d):\n" k w.Byz.seed;
       print_outcome ~f outcome;
       Option.iter
-        (fun path -> save_to ~indent:"  " Byz.save path (Byz.of_outcome w outcome))
+        (fun path ->
+          save_to ~indent:"  " ~pretty:true Byz.codec path
+            (Byz.of_outcome w outcome))
         save;
       exit_code (Acc.check ~f outcome = Acc.Accountable)
   in
@@ -1055,7 +1045,8 @@ let byz_cmd =
     | Some (idx, w, v) ->
       Format.printf "  first violation at trial %d: %a@." idx pp_verdict v;
       let path = Printf.sprintf "BYZ_violation_%d.json" idx in
-      Byz.save path (Byz.of_outcome w (Byz.run_witness w));
+      Report.write ~pretty:true Byz.codec path
+        (Byz.of_outcome w (Byz.run_witness w));
       Printf.printf "  witness saved to %s\n" path);
     exit_code (r.Byz.violations = 0)
   in
@@ -1086,7 +1077,7 @@ let byz_cmd =
     exit_code complete
   in
   let run_replay path =
-    let artifact = or_die (Byz.load path) in
+    let artifact = or_die (Report.read Byz.codec path) in
     let r = Byz.replay artifact in
     Printf.printf "byz replay: %s\n" path;
     print_outcome ~f:artifact.Byz.witness.Byz.f r.Byz.outcome;
@@ -1097,7 +1088,6 @@ let byz_cmd =
   in
   let run seed trials jobs n f byz forge grid json fuzz exhaustive seeds save
       replay =
-    setup_logs ();
     match replay with
     | Some path -> run_replay path
     | None ->
@@ -1179,7 +1169,7 @@ let derive_cmd =
        separation's enumeration, and demand bit-identical histories."
   in
   let run_replay path =
-    let outcome = or_die (Derive.load path) in
+    let outcome = or_die (Report.read Derive.codec path) in
     let r = or_die (Derive.replay outcome) in
     Printf.printf "derive replay: %s (policy %s)\n" path
       outcome.Derive.policy;
@@ -1211,12 +1201,11 @@ let derive_cmd =
     in
     let outcome = or_die (Derive.derive ~cfg ~policy ()) in
     Format.printf "%a@." Derive.pp outcome;
-    Option.iter (fun path -> save_to Derive.save path outcome) save;
+    Option.iter (fun path -> save_to Derive.codec path outcome) save;
     exit_code (Derive.ok outcome)
   in
   let run seed trials jobs policy (n, f) rounds fuzz exhaustive grid json
       save replay =
-    setup_logs ();
     match replay with
     | Some path -> run_replay path
     | None ->

@@ -1,4 +1,4 @@
-module Json = Report.Json
+module Codec = Report.Codec
 
 type t = {
   version : int;
@@ -23,74 +23,44 @@ let make ~sut_spec ~predicate_spec ~property_specs ~seed counterexample =
     counterexample;
   }
 
-let decisions_to_json decisions =
-  Json.List
-    (Array.to_list decisions
-    |> List.map (function
-         | None -> Json.Null
-         | Some v -> Json.Number (float_of_int v)))
+(* The counterexample's own fields, flat in the artifact object; its
+   [sut] is the artifact's spec string, read back by [codec]. *)
+let counterexample =
+  Codec.(
+    record (fun trial shrink_steps n inputs history property failure decisions ->
+        {
+          Checker.sut = "";
+          n;
+          inputs;
+          history;
+          property;
+          failure;
+          decisions;
+          trial;
+          shrink_steps;
+        })
+    |> field "trial" int (fun ce -> ce.Checker.trial)
+    |> field "shrink_steps" int (fun ce -> ce.Checker.shrink_steps)
+    |> field "n" int (fun (ce : Checker.counterexample) -> ce.n)
+    |> field "inputs" (array int) (fun ce -> ce.Checker.inputs)
+    |> field "history" history (fun ce -> ce.Checker.history)
+    |> field "property" string (fun ce -> ce.Checker.property)
+    |> field "failure" string (fun ce -> ce.Checker.failure)
+    |> field "decisions" decisions (fun ce -> ce.Checker.decisions)
+    |> obj)
 
-let decisions_of_json json =
-  Json.list json
-  |> List.map (function Json.Null -> None | j -> Some (Json.int j))
-  |> Array.of_list
-
-let to_json t =
-  let ce = t.counterexample in
-  Json.Obj
-    [
-      ("version", Json.Number (float_of_int t.version));
-      ("kind", Json.String kind);
-      ("sut", Json.String t.sut);
-      ("predicate", Json.String t.predicate);
-      ("properties", Json.List (List.map (fun p -> Json.String p) t.properties));
-      ("seed", Json.Number (float_of_int t.seed));
-      ("trial", Json.Number (float_of_int ce.Checker.trial));
-      ("shrink_steps", Json.Number (float_of_int ce.Checker.shrink_steps));
-      ("n", Json.Number (float_of_int ce.Checker.n));
-      ( "inputs",
-        Json.List
-          (Array.to_list ce.Checker.inputs
-          |> List.map (fun v -> Json.Number (float_of_int v))) );
-      ( "history",
-        Json.String (Rrfd.Fault_history.to_string_compact ce.Checker.history) );
-      ("property", Json.String ce.Checker.property);
-      ("failure", Json.String ce.Checker.failure);
-      ("decisions", decisions_to_json ce.Checker.decisions);
-    ]
-
-let decode json =
-  Report.require_header ~kind ~version json;
-  let history =
-    Rrfd.Fault_history.of_string_compact (Json.str (Json.member "history" json))
-  in
-  {
-    version;
-    sut = Json.str (Json.member "sut" json);
-    predicate = Json.str (Json.member "predicate" json);
-    properties = List.map Json.str (Json.list (Json.member "properties" json));
-    seed = Json.int (Json.member "seed" json);
-    counterexample =
-      {
-        Checker.sut = Json.str (Json.member "sut" json);
-        n = Json.int (Json.member "n" json);
-        inputs =
-          Json.list (Json.member "inputs" json)
-          |> List.map Json.int |> Array.of_list;
-        history;
-        property = Json.str (Json.member "property" json);
-        failure = Json.str (Json.member "failure" json);
-        decisions = decisions_of_json (Json.member "decisions" json);
-        trial = Json.int (Json.member "trial" json);
-        shrink_steps = Json.int (Json.member "shrink_steps" json);
-      };
-  }
-
-let of_json = Report.decoding decode
-
-let save path t = Report.write ~pretty:true path (to_json t)
-
-let load = Report.read of_json
+let codec =
+  Codec.(
+    record (fun sut predicate properties seed ce ->
+        let counterexample = { ce with Checker.sut } in
+        { version; sut; predicate; properties; seed; counterexample })
+    |> header ~kind ~version
+    |> field "sut" string (fun t -> t.sut)
+    |> field "predicate" string (fun t -> t.predicate)
+    |> field "properties" (list string) (fun t -> t.properties)
+    |> field "seed" int (fun t -> t.seed)
+    |> inline counterexample (fun t -> t.counterexample)
+    |> obj)
 
 (* Recordings: the same artifact format, written by an observation run
    (live --record) rather than a property refutation.  The decision

@@ -44,16 +44,10 @@ val record :
     [predicate_spec] defaults to ["true"]; [Error] if the spec strings do
     not parse or the history violates the predicate on replay. *)
 
-val to_json : t -> Report.Json.t
-
-val of_json : Report.Json.t -> (t, string) result
-(** [Error] on shape, kind or version mismatch. *)
-
-val save : string -> t -> unit
-(** Pretty-printed, trailing newline — artifacts are meant to be read. *)
-
-val load : string -> (t, string) result
-(** {!Report.read} with {!of_json}: never raises. *)
+val codec : t Report.Codec.t
+(** Schema [rrfd-counterexample] version 1; [Error] on shape, kind or
+    version mismatch.  Written pretty-printed: artifacts are meant to be
+    read. *)
 
 type replay = {
   obs : Property.obs;  (** The re-execution. *)

@@ -1,5 +1,5 @@
 module Acc = Msgnet.Accountability
-module Json = Report.Json
+module Codec = Report.Codec
 
 type witness = {
   n : int;
@@ -211,114 +211,80 @@ let of_outcome w (outcome : Acc.outcome) =
     expected_accused = outcome.Acc.accused;
   }
 
-let pset_to_json s =
-  Json.List
-    (List.map (fun p -> Json.Number (float_of_int p)) (Rrfd.Pset.to_list s))
+let pset = Codec.(map (list int) ~enc:Rrfd.Pset.to_list ~dec:Rrfd.Pset.of_list)
 
-let pset_of_json json = Rrfd.Pset.of_list (List.map Json.int (Json.list json))
+(* A fabricated certificate: both members present, or neither. *)
+let cert =
+  Codec.(
+    record (fun value quorum ->
+        match (value, quorum) with
+        | None, _ -> None
+        | Some v, Some q -> Some (v, q)
+        | Some _, None -> fail "cert_value without cert_quorum")
+    |> opt "cert_value" int (Option.map fst)
+    |> opt "cert_quorum" pset (Option.map snd)
+    |> obj)
 
-let int_array_to_json a =
-  Json.List
-    (Array.to_list a |> List.map (fun v -> Json.Number (float_of_int v)))
+let strategy =
+  Codec.(
+    record (fun votes cert -> { Acc.votes; cert })
+    |> field "votes" (array int) (fun s -> s.Acc.votes)
+    |> inline cert (fun s -> s.Acc.cert)
+    |> obj)
 
-let int_array_of_json json =
-  Json.list json |> List.map Json.int |> Array.of_list
+(* A decimal string; hand-written witnesses may carry a plain number. *)
+let lenient_decimal =
+  {
+    Codec.decimal with
+    dec =
+      (function
+      | Report.Json.Number _ as j -> Codec.int.dec j | j -> Codec.decimal.dec j);
+  }
 
-let strategy_to_json = function
-  | None -> Json.Null
-  | Some { Acc.votes; cert } ->
-      Json.Obj
-        (("votes", int_array_to_json votes)
-        ::
-        (match cert with
-        | None -> []
-        | Some (v, quorum) ->
-            [
-              ("cert_value", Json.Number (float_of_int v));
-              ("cert_quorum", pset_to_json quorum);
-            ]))
-
-let strategy_of_json = function
-  | Json.Null -> None
-  | json ->
-      let votes = int_array_of_json (Json.member "votes" json) in
-      let cert =
-        if Json.mem "cert_value" json then
-          Some
-            ( Json.int (Json.member "cert_value" json),
-              pset_of_json (Json.member "cert_quorum" json) )
-        else None
-      in
-      Some { Acc.votes; cert }
-
-let to_json t =
-  let w = t.witness in
-  Json.Obj
-    [
-      ("version", Json.Number (float_of_int version));
-      ("kind", Json.String kind);
-      ("n", Json.Number (float_of_int w.n));
-      ("f", Json.Number (float_of_int w.f));
-      (* As a decimal string: seeds from [Dsim.Rng.derive_seed] use the
-         full 63-bit range, which a JSON double cannot represent. *)
-      ("seed", Json.String (string_of_int w.seed));
-      ("inputs", int_array_to_json w.inputs);
-      ( "strategies",
-        Json.List (Array.to_list (Array.map strategy_to_json w.strategies)) );
-      ("expected_fork", Json.Bool t.expected_fork);
-      ("expected_accused", pset_to_json t.expected_accused);
-    ]
+let witness =
+  Codec.(
+    record (fun n f seed inputs strategies -> { n; f; seed; inputs; strategies })
+    |> field "n" int (fun w -> w.n)
+    |> field "f" int (fun w -> w.f)
+    |> field "seed" lenient_decimal (fun w -> w.seed)
+    |> field "inputs" (array int) (fun w -> w.inputs)
+    |> field "strategies" (array (nullable strategy)) (fun w -> w.strategies)
+    |> obj)
 
 (* A witness must be one [Acc.run] accepts: [0 <= f < n], one input and
    one strategy per process, a vote for every receiver, and process sets
    within [0, n).  Anything else is refused here, at load, rather than
    raising halfway through a replay. *)
-let decode json =
-  Report.require_header ~kind ~version json;
-  let fail fmt = Printf.ksprintf (fun e -> raise (Json.Error e)) fmt in
-  let n = Json.int (Json.member "n" json) and f = Json.int (Json.member "f" json) in
-  if f < 0 || f >= n then fail "f = %d is outside [0, n) for n = %d" f n;
-  let sized field a =
-    if Array.length a <> n then
-      fail "%s has %d entries, expected n = %d" field (Array.length a) n;
-    a
+let consistent t =
+  let { n; f; inputs; strategies; _ } = t.witness in
+  if f < 0 || f >= n then Codec.fail "f = %d is outside [0, n) for n = %d" f n;
+  let sized field len =
+    if len <> n then Codec.fail "%s has %d entries, expected n = %d" field len n
   in
   let within field s =
     if not (Rrfd.Pset.subset s (Rrfd.Pset.full n)) then
-      fail "%s names a process outside 0..%d" field (n - 1);
-    s
+      Codec.fail "%s names a process outside 0..%d" field (n - 1)
   in
-  let strategies =
-    Json.list (Json.member "strategies" json)
-    |> List.map strategy_of_json |> Array.of_list |> sized "strategies"
-  in
+  sized "inputs" (Array.length inputs);
+  sized "strategies" (Array.length strategies);
   Array.iter
     (Option.iter (fun { Acc.votes; cert } ->
-         ignore (sized "votes" votes);
-         Option.iter (fun (_, quorum) -> ignore (within "cert_quorum" quorum)) cert))
+         sized "votes" (Array.length votes);
+         Option.iter (fun (_, quorum) -> within "cert_quorum" quorum) cert))
     strategies;
-  {
-    witness =
-      {
-        n;
-        f;
-        seed =
-          (match Json.member "seed" json with
-          | Json.String s -> int_of_string s
-          | j -> Json.int j);
-        inputs = sized "inputs" (int_array_of_json (Json.member "inputs" json));
-        strategies;
-      };
-    expected_fork = Json.bool (Json.member "expected_fork" json);
-    expected_accused =
-      within "expected_accused" (pset_of_json (Json.member "expected_accused" json));
-  }
+  within "expected_accused" t.expected_accused;
+  t
 
-let of_json = Report.decoding decode
-
-let save path t = Report.write ~pretty:true path (to_json t)
-
-let load = Report.read of_json
+let codec =
+  Codec.(
+    record (fun witness expected_fork expected_accused ->
+        { witness; expected_fork; expected_accused })
+    |> header ~kind ~version
+    |> inline witness (fun t -> t.witness)
+    |> field "expected_fork" bool (fun t -> t.expected_fork)
+    |> field "expected_accused" pset (fun t -> t.expected_accused)
+    |> obj
+    |> map ~enc:Fun.id ~dec:consistent)
 
 type replay = {
   outcome : Acc.outcome;

@@ -117,16 +117,12 @@ type artifact = {
 val of_outcome : witness -> Msgnet.Accountability.outcome -> artifact
 (** Pin the outcome's fork flag and accused set as the expectation. *)
 
-val to_json : artifact -> Report.Json.t
-
-val of_json : Report.Json.t -> (artifact, string) result
-(** [Error] on malformed input, wrong [kind] or unsupported [version]. *)
-
-val save : string -> artifact -> unit
-(** Pretty-printed, trailing newline. *)
-
-val load : string -> (artifact, string) result
-(** {!Report.read} with {!of_json}: never raises. *)
+val codec : artifact Report.Codec.t
+(** Schema [e24-byz] version 1, written pretty-printed.  [Error] on
+    malformed input, wrong [kind] or unsupported [version], and on a
+    witness {!run_witness} would reject: [f] outside [\[0, n)], an
+    input, strategy or vote vector not of length [n], or a process set
+    naming a process outside [0..n-1]. *)
 
 type replay = {
   outcome : Msgnet.Accountability.outcome;

@@ -10,7 +10,7 @@
    if it were, it would be a conjunct of the meet — so witnessing every
    refuted candidate certifies tightness over the whole vocabulary. *)
 
-module Json = Report.Json
+module Codec = Report.Codec
 
 type config = {
   n : int;
@@ -347,114 +347,81 @@ let kind = "e26-derive"
 
 let version = 1
 
-let strings l = Json.List (List.map (fun s -> Json.String s) l)
+(* A witness's provenance, flat in the witness object: ["source"], plus
+   the ["trial"] a fuzz witness came from. *)
+let source =
+  Codec.(
+    record (fun tag trial ->
+        match (tag, trial) with
+        | "fuzz", Some t -> Fuzz t
+        | "fuzz", None -> fail "fuzz witness without a trial"
+        | "exhaustive", _ -> Exhaustive
+        | s, _ -> fail "unknown witness source %s" s)
+    |> field "source" string (function Fuzz _ -> "fuzz" | Exhaustive -> "exhaustive")
+    |> opt "trial" int (function Fuzz t -> Some t | Exhaustive -> None)
+    |> obj)
 
-let string_list json = List.map Json.str (Json.list json)
+let witness =
+  Codec.(
+    record (fun spec source history reason -> { spec; source; history; reason })
+    |> field "spec" string (fun w -> w.spec)
+    |> inline source (fun w -> w.source)
+    |> field "history" history (fun w -> w.history)
+    |> field "reason" string (fun w -> w.reason)
+    |> obj)
 
-let witness_to_json w =
-  Json.Obj
-    (("spec", Json.String w.spec)
-    :: (match w.source with
-       | Fuzz t -> [ ("source", Json.String "fuzz"); ("trial", Json.Number (float_of_int t)) ]
-       | Exhaustive -> [ ("source", Json.String "exhaustive") ])
-    @ [
-        ("history", Json.String (Rrfd.Fault_history.to_string_compact w.history));
-        ("reason", Json.String w.reason);
-      ])
+let config =
+  Codec.(
+    record (fun n f rounds observe_trials certify_trials exhaustive seed ->
+        { n; f; rounds; observe_trials; certify_trials; exhaustive; seed;
+          jobs = None })
+    |> field "n" int (fun c -> c.n)
+    |> field "f" int (fun c -> c.f)
+    |> field "rounds" int (fun c -> c.rounds)
+    |> field "observe_trials" int (fun c -> c.observe_trials)
+    |> field "certify_trials" int (fun c -> c.certify_trials)
+    |> field "exhaustive" bool (fun c -> c.exhaustive)
+    |> field "seed" decimal (fun c -> c.seed)
+    |> obj)
 
-let witness_of_json json =
-  let spec = Json.str (Json.member "spec" json) in
-  let source =
-    match Json.str (Json.member "source" json) with
-    | "fuzz" -> Fuzz (Json.int (Json.member "trial" json))
-    | "exhaustive" -> Exhaustive
-    | s -> raise (Json.Error ("unknown witness source " ^ s))
-  in
-  let history =
-    Rrfd.Fault_history.of_string_compact (Json.str (Json.member "history" json))
-  in
-  let reason = Json.str (Json.member "reason" json) in
-  { spec; source; history; reason }
+let certify_violation =
+  Codec.(
+    record (fun trial history -> (trial, history))
+    |> field "trial" int fst
+    |> field "history" history snd
+    |> obj)
 
-let to_json o =
-  Json.Obj
-    [
-      ("version", Json.Number (float_of_int version));
-      ("kind", Json.String kind);
-      ("policy", Json.String o.policy);
-      ("n", Json.Number (float_of_int o.cfg.n));
-      ("f", Json.Number (float_of_int o.cfg.f));
-      ("rounds", Json.Number (float_of_int o.cfg.rounds));
-      ("observe_trials", Json.Number (float_of_int o.cfg.observe_trials));
-      ("certify_trials", Json.Number (float_of_int o.cfg.certify_trials));
-      ("exhaustive", Json.Bool o.cfg.exhaustive);
-      (* Seeds can be 63-bit (derived per grid row); a JSON double only
-         holds 53, so carry the seed as a decimal string. *)
-      ("seed", Json.String (string_of_int o.cfg.seed));
-      ("candidates", strings o.cands);
-      ("sound", strings o.sound);
-      ("conjuncts", strings o.conjuncts);
-      ("frontier", strings o.frontier);
-      ("witnesses", Json.List (List.map witness_to_json o.witnesses));
-      ("separations", Json.List (List.map witness_to_json o.separations));
-      ("certified", Json.Bool o.certified);
-      ( "certify_violation",
-        match o.certify_violation with
-        | None -> Json.Null
-        | Some (t, h) ->
-          Json.Obj
-            [
-              ("trial", Json.Number (float_of_int t));
-              ("history", Json.String (Rrfd.Fault_history.to_string_compact h));
-            ] );
-    ]
-
-let decode json =
-  Report.require_header ~kind ~version json;
-  let seed =
-    match int_of_string_opt (Json.str (Json.member "seed" json)) with
-    | Some s -> s
-    | None -> raise (Json.Error "seed is not a decimal integer")
-  in
-  let cfg =
-    {
-      n = Json.int (Json.member "n" json);
-      f = Json.int (Json.member "f" json);
-      rounds = Json.int (Json.member "rounds" json);
-      observe_trials = Json.int (Json.member "observe_trials" json);
-      certify_trials = Json.int (Json.member "certify_trials" json);
-      exhaustive = Json.bool (Json.member "exhaustive" json);
-      seed;
-      jobs = None;
-    }
-  in
-  {
-    policy = Json.str (Json.member "policy" json);
-    cfg;
-    cands = string_list (Json.member "candidates" json);
-    sound = string_list (Json.member "sound" json);
-    conjuncts = string_list (Json.member "conjuncts" json);
-    frontier = string_list (Json.member "frontier" json);
-    witnesses = List.map witness_of_json (Json.list (Json.member "witnesses" json));
-    separations =
-      List.map witness_of_json (Json.list (Json.member "separations" json));
-    certified = Json.bool (Json.member "certified" json);
-    certify_violation =
-      (match Json.member "certify_violation" json with
-      | Json.Null -> None
-      | cv ->
-        Some
-          ( Json.int (Json.member "trial" cv),
-            Rrfd.Fault_history.of_string_compact
-              (Json.str (Json.member "history" cv)) ));
-    counters = [||];
-  }
-
-let of_json = Report.decoding decode
-
-let save path o = Report.write path (to_json o)
-
-let load = Report.read of_json
+let codec =
+  Codec.(
+    record
+      (fun policy cfg cands sound conjuncts frontier witnesses separations certified
+           certify_violation ->
+        {
+          policy;
+          cfg;
+          cands;
+          sound;
+          conjuncts;
+          frontier;
+          witnesses;
+          separations;
+          certified;
+          certify_violation;
+          counters = [||];
+        })
+    |> header ~kind ~version
+    |> field "policy" string (fun o -> o.policy)
+    |> inline config (fun o -> o.cfg)
+    |> field "candidates" (list string) (fun o -> o.cands)
+    |> field "sound" (list string) (fun o -> o.sound)
+    |> field "conjuncts" (list string) (fun o -> o.conjuncts)
+    |> field "frontier" (list string) (fun o -> o.frontier)
+    |> field "witnesses" (list witness) (fun o -> o.witnesses)
+    |> field "separations" (list witness) (fun o -> o.separations)
+    |> field "certified" bool (fun o -> o.certified)
+    |> field "certify_violation" (nullable certify_violation) (fun o ->
+           o.certify_violation)
+    |> obj)
 
 type replay = {
   loaded : outcome;

@@ -144,17 +144,10 @@ val pp : Format.formatter -> outcome -> unit
     JSON carries everything needed to re-check the claim from scratch.
     Schema [e26-derive] version 1. *)
 
-val to_json : outcome -> Report.Json.t
-
-val of_json : Report.Json.t -> (outcome, string) result
-(** [Error] on shape, kind or version mismatch ([counters] come back
-    empty, [jobs] as [None]). *)
-
-val save : string -> outcome -> unit
-(** Compact, trailing newline. *)
-
-val load : string -> (outcome, string) result
-(** {!Report.read} with {!of_json}: never raises. *)
+val codec : outcome Report.Codec.t
+(** Written compact.  [Error] on shape, kind or version mismatch, and on
+    a seed that is not a decimal string ([counters] come back empty,
+    [jobs] as [None]). *)
 
 type replay = {
   loaded : outcome;

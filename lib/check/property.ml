@@ -63,11 +63,7 @@ let termination =
 
 (* The packing itself lives in core ({!Rrfd.Adopt_commit.encode}) so the
    protocol catalog, which check depends on, shares the single definition. *)
-let encode_outcome = Rrfd.Adopt_commit.encode
-
 let decode_outcome = Rrfd.Adopt_commit.decode
-
-let pp_encoded_outcome = Rrfd.Adopt_commit.pp_encoded
 
 let adopt_commit_coherence =
   make ~name:"adopt-commit"

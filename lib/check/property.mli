@@ -9,7 +9,7 @@
     the theorem.
 
     All decisions are carried as [int].  Adopt-commit outcomes are packed
-    through {!encode_outcome} so that adopt-commit executions flow through
+    through {!Rrfd.Adopt_commit.encode} so that adopt-commit executions flow through
     the same checker pipeline as agreement tasks. *)
 
 type obs = {
@@ -57,16 +57,11 @@ val termination : t
 (** Every process decided within the executed rounds. *)
 
 val adopt_commit_coherence : t
-(** Decisions are {!encode_outcome}-packed adopt-commit outcomes and they
+(** Decisions are {!Rrfd.Adopt_commit.encode}-packed adopt-commit outcomes and they
     satisfy the full adopt-commit specification (termination, convergence,
     agreement, validity) via {!Rrfd.Adopt_commit.check_outcomes}. *)
 
 (** {1 Adopt-commit packing} *)
 
-val encode_outcome : int Rrfd.Adopt_commit.outcome -> int
-(** [Commit v ↦ 2v], [Adopt v ↦ 2v + 1] — injective for [v ≥ 0]. *)
-
 val decode_outcome : int -> int Rrfd.Adopt_commit.outcome
-
-val pp_encoded_outcome : Format.formatter -> int -> unit
-(** Renders an encoded outcome as [commit v] / [adopt v]. *)
+(** {!Rrfd.Adopt_commit.decode}. *)

@@ -14,12 +14,6 @@ type t = {
     check:Rrfd.Predicate.t ->
     detector:Rrfd.Detector.t ->
     string;
-  network_fn :
-    n:int ->
-    f:int ->
-    seed:int ->
-    adversary:Msgnet.Adversary.t ->
-    Property.obs;
 }
 
 let name sut = sut.name
@@ -62,37 +56,10 @@ let make ~name ~rounds ~pp_msg ?(pp_out = Format.pp_print_int) algo =
             ~algorithm:(algo ~inputs) ~detector ()
         in
         Format.asprintf "@[<v>%a@]" (Rrfd.Trace.pp pp_out) trace);
-    network_fn =
-      (fun ~n ~f ~seed ~adversary ->
-        let inputs = default_inputs ~n in
-        let r : int Msgnet.Round_layer.result =
-          Msgnet.Round_layer.run ~seed ~adversary ~n ~f ~rounds
-            ~algorithm:(algo ~inputs) ()
-        in
-        {
-          Property.n;
-          inputs;
-          decisions = r.decisions;
-          (* A process that decided did so at its last completed round:
-             the round layer's decisions are read off final states. *)
-          decision_rounds =
-            Array.init n (fun i ->
-                match r.decisions.(i) with
-                | None -> None
-                | Some _ -> Some (max 1 r.completed.(i)));
-          rounds_used = Rrfd.Fault_history.rounds r.induced;
-          history = r.induced;
-          violation =
-            Rrfd.Predicate.explain (Rrfd.Predicate.async_resilient ~f)
-              r.induced;
-        });
   }
 
 let run sut ~n ~max_rounds ~check ~detector =
   sut.run_fn ~n ~max_rounds ~check ~detector
-
-let run_network sut ~n ~f ~seed ~adversary =
-  sut.network_fn ~n ~f ~seed ~adversary
 
 (* Replay a pinned history, padded with failure-free rounds up to the
    protocol's horizon.  Without the padding, shrinking away a round of a
@@ -155,29 +122,6 @@ let of_protocol p =
       (fun ~n ~max_rounds ~check ~detector ->
         Protocols.Catalog.transcript p ~check ~n
           ~f:(Protocols.Catalog.default_f p ~n) ~max_rounds ~detector ());
-    network_fn =
-      (fun ~n ~f ~seed ~adversary ->
-        let inputs = default_inputs ~n in
-        let ex =
-          Protocols.Catalog.run_msgnet p ~inputs ~adversary ~seed ~n ~f
-            ~rounds:
-              (Protocols.Catalog.horizon p ~n:default_n
-                 ~f:(Protocols.Catalog.default_f p ~n:default_n))
-            ()
-        in
-        {
-          (obs_of_execution ~n ~inputs ex) with
-          (* A process that decided did so at its last completed round:
-             the round layer's decisions are read off final states. *)
-          Property.decision_rounds =
-            Array.init n (fun i ->
-                match ex.Rrfd.Substrate.decisions.(i) with
-                | None -> None
-                | Some _ -> Some (max 1 ex.Rrfd.Substrate.completed.(i)));
-          violation =
-            Rrfd.Predicate.explain (Rrfd.Predicate.async_resilient ~f)
-              ex.Rrfd.Substrate.induced;
-        });
   }
 
 let kset_one_round = of_protocol (Protocols.Catalog.find_exn "kset-one-round")

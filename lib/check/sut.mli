@@ -48,19 +48,6 @@ val run :
     detector straying outside its predicate is reported in
     [obs.violation]. *)
 
-val run_network :
-  t ->
-  n:int ->
-  f:int ->
-  seed:int ->
-  adversary:Msgnet.Adversary.t ->
-  Property.obs
-(** One execution over the fault-injected asynchronous network
-    ({!Msgnet.Round_layer} with [adversary]) instead of the abstract
-    engine, observed through the extracted heard-of history — so the same
-    {!Property} vocabulary judges network runs.  [obs.violation] reports
-    any breach of the layer's own guarantee, [async:f] (P3). *)
-
 val run_history :
   t -> check:Rrfd.Predicate.t -> Rrfd.Fault_history.t -> Property.obs
 (** Replay a pinned fault history ({!Rrfd.Detector.of_schedule}).  A
@@ -88,4 +75,4 @@ val consensus : t
 
 val adopt_commit : t
 (** The two-round adopt-commit protocol ({!Rrfd.Adopt_commit.algorithm}),
-    decisions packed through {!Property.encode_outcome}. *)
+    decisions packed through {!Rrfd.Adopt_commit.encode}. *)

@@ -15,8 +15,6 @@ let pp_msg ppf = function
       Format.fprintf ppf "cert %d by %s" v (Pset.to_string quorum)
   | Idle -> Format.pp_print_string ppf "idle"
 
-let quorum_of state = Option.map snd state.decided
-
 (* Find a value carried by at least [threshold] distinct senders.  Votes
    are keyed by sender position in the view, so duplicated deliveries
    can never inflate a quorum — the same discipline Ct_consensus uses. *)

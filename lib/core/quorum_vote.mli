@@ -31,9 +31,6 @@ type state
 
 val pp_msg : Format.formatter -> msg -> unit
 
-val quorum_of : state -> Pset.t option
-(** The sender set behind the decision, if any — what round 2 broadcasts. *)
-
 val algorithm : inputs:int array -> f:int -> (state, msg, int) Algorithm.t
 (** [algorithm ~inputs ~f] decides on vote quorums of [n − f] distinct
     senders.  @raise Invalid_argument (at [init]) unless [0 ≤ f < n]. *)

@@ -37,8 +37,6 @@ let sync_state s = s.sync_state
 
 let self_crashed s = s.self_crashed
 
-let proposed_crashed s = s.failed
-
 let missing_witnesses s = s.missing_witness_count
 
 let dummy_vote = { vote = Adopt_commit.Adopt_vote Faulty; witness = None }

@@ -54,9 +54,6 @@ val sync_state : ('s, 'm) state -> 's
 val self_crashed : ('s, 'm) state -> bool
 (** Whether this process committed itself faulty at some simulated round. *)
 
-val proposed_crashed : ('s, 'm) state -> Pset.t
-(** The process's current [F_i]. *)
-
 val missing_witnesses : ('s, 'm) state -> int
 (** Number of adopt-faulty resolutions for which no alive value was
     available (expected 0; see the implementation note above). *)

@@ -116,8 +116,6 @@ let lattice ~n ~rounds named =
   explore (Fault_history.empty ~n) 0;
   { l_n = n; l_rounds = rounds; l_names = names; l_sat = sat; l_total = total }
 
-let lattice_size l = l.l_total
-
 let lattice_names l = Array.to_list l.l_names
 
 let index l name =

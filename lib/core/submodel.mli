@@ -55,9 +55,6 @@ val lattice : n:int -> rounds:int -> (string * Predicate.t) list -> lattice
     included).  Names are the query keys and must be distinct.
     @raise Invalid_argument on an empty or duplicate-named vocabulary. *)
 
-val lattice_size : lattice -> int
-(** Number of histories enumerated ([Σ_{d≤rounds} ((2^n − 1)^n)^d]). *)
-
 val lattice_names : lattice -> string list
 (** The vocabulary, in construction order. *)
 

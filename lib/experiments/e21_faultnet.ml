@@ -207,10 +207,4 @@ let run ?seed ?trials ?jobs () = fst (run_detailed ?seed ?trials ?jobs ())
 (* The grid artifact's extra field: every trial's extracted history, by
    adversary spec. *)
 let artifact_field histories =
-  let module Json = Report.Json in
-  ( "histories",
-    Json.Obj
-      (List.map
-         (fun (spec, hs) ->
-           (spec, Json.List (List.map (fun h -> Json.String h) hs)))
-         histories) )
+  Report.Codec.("histories", (assoc (list string)).enc histories)

@@ -20,7 +20,7 @@
    ([--from]) is deterministic at any [-j], which is what the
    [@live-smoke] gate compares. *)
 
-module Json = Report.Json
+module Codec = Report.Codec
 
 let protocol = "flood-consensus"
 
@@ -40,7 +40,7 @@ type recorded = {
   f : int;
   patience : string;  (** Canonical {!Live.Patience.to_string} form. *)
   inputs : int array;
-  history : string;  (** {!Rrfd.Fault_history.to_string_compact}. *)
+  history : Rrfd.Fault_history.t;  (** The induced heard-of history. *)
   decisions : int option array;  (** The live run's decisions. *)
   wall_ns : int64;
 }
@@ -76,9 +76,7 @@ let collect ?(seed = 23) ?(trials = 12) ?jobs () =
                 f;
                 patience = Live.Patience.to_string patience;
                 inputs;
-                history =
-                  Rrfd.Fault_history.to_string_compact
-                    ex.Rrfd.Substrate.induced;
+                history = ex.Rrfd.Substrate.induced;
                 decisions = ex.Rrfd.Substrate.decisions;
                 wall_ns = Option.get ex.Rrfd.Substrate.wall_ns;
               })
@@ -126,18 +124,17 @@ let cells_of records =
       let counters =
         List.map
           (fun r ->
-            let history = Rrfd.Fault_history.of_string_compact r.history in
             let replayed =
-              Protocols.Catalog.replay proto ~inputs:r.inputs ~f:r.f ~history
-                ()
+              Protocols.Catalog.replay proto ~inputs:r.inputs ~f:r.f
+                ~history:r.history ()
             in
             if replayed.Rrfd.Substrate.decisions = r.decisions then
               incr matched;
             List.iter
               (fun (name, holds) ->
                 if holds then incr (List.assoc name satisfied))
-              (Msgnet.Heard_of.classify ~f:r.f history);
-            Rrfd.Counters.of_history history)
+              (Msgnet.Heard_of.classify ~f:r.f r.history);
+            Rrfd.Counters.of_history r.history)
           mine
       in
       {
@@ -195,75 +192,52 @@ let run ?seed ?trials ?jobs () = table_of (collect ?seed ?trials ?jobs ())
 
 (* {2 Artifact codec}
 
-   Version-tagged so [live --grid --from] can refuse foreign files; the
-   decisions array uses the counterexample artifact's null-for-undecided
-   convention. *)
+   Version-tagged so [live --grid --from] can refuse foreign files. *)
 
 let version = 1
 
 let kind = "rrfd-live-grid"
 
-let to_json records =
-  Json.Obj
-    [
-      ("version", Json.Number (float_of_int version));
-      ("kind", Json.String kind);
-      ("protocol", Json.String protocol);
-      ( "records",
-        Json.List
-          (List.map
-             (fun r ->
-               Json.Obj
-                 [
-                   ("n", Json.Number (float_of_int r.n));
-                   ("f", Json.Number (float_of_int r.f));
-                   ("patience", Json.String r.patience);
-                   ( "inputs",
-                     Json.List
-                       (List.map
-                          (fun v -> Json.Number (float_of_int v))
-                          (Array.to_list r.inputs)) );
-                   ("history", Json.String r.history);
-                   ( "decisions",
-                     Json.List
-                       (List.map
-                          (function
-                            | None -> Json.Null
-                            | Some v -> Json.Number (float_of_int v))
-                          (Array.to_list r.decisions)) );
-                   ("wall_ns", Json.String (Int64.to_string r.wall_ns));
-                 ])
-             records) );
-    ]
+let wall_ns =
+  Codec.(
+    map string ~enc:Int64.to_string ~dec:(fun s ->
+        match Int64.of_string_opt s with
+        | Some v -> v
+        | None -> fail "bad wall_ns %s" s))
 
-let decode json =
-  Report.require_header ~kind ~version json;
-  List.map
-    (fun r ->
-      {
-        n = Json.int (Json.member "n" r);
-        f = Json.int (Json.member "f" r);
-        patience = Json.str (Json.member "patience" r);
-        inputs =
-          Array.of_list (List.map Json.int (Json.list (Json.member "inputs" r)));
-        history =
-          (* parsed here too, so a bad history is refused at load time *)
-          (let h = Json.str (Json.member "history" r) in
-           ignore (Rrfd.Fault_history.of_string_compact h : Rrfd.Fault_history.t);
-           h);
-        decisions =
-          Array.of_list
-            (List.map
-               (function Json.Null -> None | j -> Some (Json.int j))
-               (Json.list (Json.member "decisions" r)));
-        wall_ns =
-          (let s = Json.str (Json.member "wall_ns" r) in
-           match Int64.of_string_opt s with
-           | Some v -> v
-           | None -> raise (Json.Error ("bad wall_ns " ^ s)));
-      })
-    (Json.list (Json.member "records" json))
+(* A record must be one the replay accepts: [0 <= f < n], and inputs,
+   decisions and history all of width [n].  Anything else is refused at
+   load rather than raising halfway through the regeneration. *)
+let replayable r =
+  if r.f < 0 || r.f >= r.n then
+    Codec.fail "f = %d is outside [0, n) for n = %d" r.f r.n;
+  let sized field width =
+    if width <> r.n then
+      Codec.fail "%s has width %d, expected n = %d" field width r.n
+  in
+  sized "inputs" (Array.length r.inputs);
+  sized "decisions" (Array.length r.decisions);
+  sized "history" (Rrfd.Fault_history.n r.history);
+  r
 
-let of_json = Report.decoding decode
+let recording =
+  Codec.(
+    record (fun n f patience inputs history decisions wall_ns ->
+        { n; f; patience; inputs; history; decisions; wall_ns })
+    |> field "n" int (fun r -> r.n)
+    |> field "f" int (fun r -> r.f)
+    |> field "patience" string (fun r -> r.patience)
+    |> field "inputs" (array int) (fun r -> r.inputs)
+    |> field "history" history (fun r -> r.history)
+    |> field "decisions" decisions (fun r -> r.decisions)
+    |> field "wall_ns" wall_ns (fun r -> r.wall_ns)
+    |> obj
+    |> map ~enc:Fun.id ~dec:replayable)
 
-let load = Report.read of_json
+let codec =
+  Codec.(
+    record (fun _protocol records -> records)
+    |> header ~kind ~version
+    |> field "protocol" string (fun _ -> protocol)
+    |> field "records" (list recording) Fun.id
+    |> obj)

@@ -240,51 +240,33 @@ let run ?seed ?trials ?jobs () = fst (run_detailed ?seed ?trials ?jobs ())
 let version = 1
 
 let to_json cells =
+  let open Report.Codec in
+  let digest d =
+    let c = d.counters in
+    Json.Obj
+      [
+        ("ok", bool.enc d.ok);
+        ("rounds", int.enc c.Rrfd.Counters.rounds);
+        ("messages", int.enc c.Rrfd.Counters.messages);
+        ("detector_queries", int.enc c.Rrfd.Counters.detector_queries);
+        ("predicate_checks", int.enc c.Rrfd.Counters.predicate_checks);
+        ("checksum", int.enc d.checksum);
+      ]
+  in
+  let cell c =
+    Json.Obj
+      [
+        ("probe", string.enc c.probe);
+        ("n", int.enc c.cell_n);
+        ("trials", int.enc c.cell_trials);
+        ("digests", Json.List (Array.to_list (Array.map digest c.digests)));
+      ]
+  in
   Json.Obj
     [
-      ("version", Json.Number (float_of_int version));
-      ("kind", Json.String "rrfd-scale-grid");
-      ( "cells",
-        Json.List
-          (List.map
-             (fun c ->
-               Json.Obj
-                 [
-                   ("probe", Json.String c.probe);
-                   ("n", Json.Number (float_of_int c.cell_n));
-                   ("trials", Json.Number (float_of_int c.cell_trials));
-                   ( "digests",
-                     Json.List
-                       (Array.to_list
-                          (Array.map
-                             (fun d ->
-                               Json.Obj
-                                 [
-                                   ("ok", Json.Bool d.ok);
-                                   ( "rounds",
-                                     Json.Number
-                                       (float_of_int
-                                          d.counters.Rrfd.Counters.rounds) );
-                                   ( "messages",
-                                     Json.Number
-                                       (float_of_int
-                                          d.counters.Rrfd.Counters.messages) );
-                                   ( "detector_queries",
-                                     Json.Number
-                                       (float_of_int
-                                          d.counters
-                                            .Rrfd.Counters.detector_queries) );
-                                   ( "predicate_checks",
-                                     Json.Number
-                                       (float_of_int
-                                          d.counters
-                                            .Rrfd.Counters.predicate_checks) );
-                                   ( "checksum",
-                                     Json.Number (float_of_int d.checksum) );
-                                 ])
-                             c.digests)) );
-                 ])
-             cells) );
+      ("version", int.enc version);
+      ("kind", string.enc "rrfd-scale-grid");
+      ("cells", Json.List (List.map cell cells));
     ]
 
 (* {2 Throughput measurement}

@@ -184,6 +184,6 @@ let artifact_field rows =
              [
                ("policy", Json.String r.policy);
                ("mode", Json.String r.mode);
-               ("artifact", Check.Derive.to_json r.outcome);
+               ("artifact", Check.Derive.codec.enc r.outcome);
              ])
          rows) )

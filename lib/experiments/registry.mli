@@ -16,5 +16,3 @@ val find : string -> entry option
 (** Look up by case-insensitive id ("e9" finds E9). *)
 
 val default_seed : int
-
-val run_all : ?seed:int -> ?jobs:int -> unit -> Table.t list

@@ -72,14 +72,13 @@ let print t =
 let ok t = not (List.exists (List.exists (String.equal "NO")) t.rows)
 
 let to_json ~seed ~extra t =
-  let module Json = Report.Json in
-  let strings l = Json.List (List.map (fun s -> Json.String s) l) in
-  Json.Obj
+  let open Report.Codec in
+  Report.Json.Obj
     [
-      ("id", Json.String t.id);
-      ("seed", Json.Number (float_of_int seed));
-      ("header", strings t.header);
-      ("rows", Json.List (List.map strings t.rows));
-      ("ok", Json.Bool (ok t));
+      ("id", string.enc t.id);
+      ("seed", int.enc seed);
+      ("header", (list string).enc t.header);
+      ("rows", (list (list string)).enc t.rows);
+      ("ok", bool.enc (ok t));
       extra;
     ]

@@ -296,8 +296,6 @@ let member k = function
   | Obj fields -> ( match List.assoc_opt k fields with Some v -> v | None -> Null)
   | j -> error "json: member %S of non-object (%s)" k (type_name j)
 
-let mem k = function Obj fields -> List.mem_assoc k fields | _ -> false
-
 let str = function
   | String s -> s
   | j -> error "json: expected string, found %s" (type_name j)

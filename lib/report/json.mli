@@ -38,8 +38,6 @@ val of_string : string -> t
 val member : string -> t -> t
 (** Field of an [Obj]; [Null] when the field is absent. *)
 
-val mem : string -> t -> bool
-
 val str : t -> string
 
 val num : t -> float

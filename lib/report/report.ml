@@ -1,4 +1,5 @@
 module Json = Json
+module Codec = Codec
 
 let version = 2
 
@@ -58,141 +59,79 @@ let stat_of_stats (s : Runtime.Stats.t) =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Encode.                                                             *)
+(* Codec.                                                              *)
 
-let json_of_stat s =
-  Json.Obj
-    [
-      ("count", Json.Number (float_of_int s.count));
-      ("mean", Json.Number s.mean);
-      ("stddev", Json.Number s.stddev);
-      ("min", Json.Number s.min);
-      ("max", Json.Number s.max);
-    ]
+let stat =
+  Codec.(
+    record (fun count mean stddev min max -> { count; mean; stddev; min; max })
+    |> field "count" int (fun s -> s.count)
+    |> field "mean" float (fun s -> s.mean)
+    |> field "stddev" float (fun s -> s.stddev)
+    |> field "min" float (fun s -> s.min)
+    |> field "max" float (fun s -> s.max)
+    |> obj)
 
-let json_of_subject s =
-  Json.Obj
-    ([ ("name", Json.String s.name); ("ns_per_run", Json.Number s.ns_per_run) ]
-    @
-    match s.alloc_per_run with
-    | None -> []
-    | Some w -> [ ("alloc_per_run", Json.Number w) ])
+let subject =
+  Codec.(
+    record (fun name ns_per_run alloc_per_run -> { name; ns_per_run; alloc_per_run })
+    |> field "name" string (fun s -> s.name)
+    |> field "ns_per_run" float (fun s -> s.ns_per_run)
+    (* absent in v1 reports and in v2 subjects without a sample *)
+    |> opt "alloc_per_run" float (fun s -> s.alloc_per_run)
+    |> obj)
 
-let json_of_table t =
-  Json.Obj
-    [
-      ("id", Json.String t.id);
-      ("title", Json.String t.title);
-      ("ok", Json.Bool t.ok);
-      ( "counters",
-        Json.Obj (List.map (fun (k, s) -> (k, json_of_stat s)) t.counters) );
-    ]
+let table =
+  Codec.(
+    record (fun id title ok counters -> { id; title; ok; counters })
+    |> field "id" string (fun t -> t.id)
+    |> field "title" string (fun t -> t.title)
+    |> field "ok" bool (fun t -> t.ok)
+    |> field "counters" (assoc stat) (fun t -> t.counters)
+    |> obj)
 
-let json_of_speedup s =
-  Json.Obj
-    [
-      ("trials", Json.Number (float_of_int s.trials));
-      ("jobs", Json.Number (float_of_int s.jobs));
-      ("serial_s", Json.Number s.serial_s);
-      ("parallel_s", Json.Number s.parallel_s);
-      ("factor", Json.Number s.factor);
-      ("identical", Json.Bool s.identical);
-    ]
+let speedup =
+  Codec.(
+    record (fun trials jobs serial_s parallel_s factor identical ->
+        { trials; jobs; serial_s; parallel_s; factor; identical })
+    |> field "trials" int (fun s -> s.trials)
+    |> field "jobs" int (fun (s : speedup) -> s.jobs)
+    |> field "serial_s" float (fun s -> s.serial_s)
+    |> field "parallel_s" float (fun s -> s.parallel_s)
+    |> field "factor" float (fun s -> s.factor)
+    |> field "identical" bool (fun s -> s.identical)
+    |> obj)
 
-let to_json r =
-  Json.Obj
-    [
-      ("version", Json.Number (float_of_int r.version));
-      ( "meta",
-        Json.Obj
-          [
-            ("seed", Json.Number (float_of_int r.meta.seed));
-            ("jobs", Json.Number (float_of_int r.meta.jobs));
-            ( "recommended_jobs",
-              Json.Number (float_of_int r.meta.recommended_jobs) );
-            ("git_sha", Json.String r.meta.git_sha);
-            ("hostname", Json.String r.meta.hostname);
-          ] );
-      ("subjects", Json.List (List.map json_of_subject r.subjects));
-      ("tables", Json.List (List.map json_of_table r.tables));
-      ( "speedup",
-        match r.speedup with None -> Json.Null | Some s -> json_of_speedup s );
-    ]
+let meta =
+  Codec.(
+    record (fun seed jobs recommended_jobs git_sha hostname ->
+        (* absent in pre-oversubscription-era reports: 0 = unrecorded *)
+        let recommended_jobs = Option.value recommended_jobs ~default:0 in
+        { seed; jobs; recommended_jobs; git_sha; hostname })
+    |> field "seed" int (fun m -> m.seed)
+    |> field "jobs" int (fun (m : meta) -> m.jobs)
+    |> opt "recommended_jobs" int (fun m -> Some m.recommended_jobs)
+    |> field "git_sha" string (fun m -> m.git_sha)
+    |> field "hostname" string (fun m -> m.hostname)
+    |> obj)
 
-(* ------------------------------------------------------------------ *)
-(* Decode.                                                             *)
+(* v1 decodes tolerantly: it is v2 minus the per-subject allocation
+   field, so old baselines stay comparable across the schema bump. *)
+let schema_version =
+  Codec.map Codec.int ~enc:Fun.id ~dec:(fun v ->
+      if v < 1 || v > version then
+        Codec.fail "report: unsupported schema version %d (want 1..%d)" v version;
+      v)
 
-let stat_of_json j =
-  {
-    count = Json.int (Json.member "count" j);
-    mean = Json.num (Json.member "mean" j);
-    stddev = Json.num (Json.member "stddev" j);
-    min = Json.num (Json.member "min" j);
-    max = Json.num (Json.member "max" j);
-  }
-
-let subject_of_json j =
-  {
-    name = Json.str (Json.member "name" j);
-    ns_per_run = Json.num (Json.member "ns_per_run" j);
-    alloc_per_run =
-      (* absent in v1 reports and in v2 subjects without a sample *)
-      (match Json.member "alloc_per_run" j with
-      | Json.Null -> None
-      | w -> Some (Json.num w));
-  }
-
-let table_of_json j =
-  {
-    id = Json.str (Json.member "id" j);
-    title = Json.str (Json.member "title" j);
-    ok = Json.bool (Json.member "ok" j);
-    counters =
-      List.map (fun (k, s) -> (k, stat_of_json s))
-        (Json.obj (Json.member "counters" j));
-  }
-
-let speedup_of_json j =
-  {
-    trials = Json.int (Json.member "trials" j);
-    jobs = Json.int (Json.member "jobs" j);
-    serial_s = Json.num (Json.member "serial_s" j);
-    parallel_s = Json.num (Json.member "parallel_s" j);
-    factor = Json.num (Json.member "factor" j);
-    identical = Json.bool (Json.member "identical" j);
-  }
-
-let decode_report j =
-  let v = Json.int (Json.member "version" j) in
-  (* v1 decodes tolerantly: it is v2 minus the per-subject allocation
-     field, so old baselines stay comparable across the schema bump. *)
-  if v < 1 || v > version then
-    raise
-      (Json.Error
-         (Printf.sprintf "report: unsupported schema version %d (want 1..%d)" v
-            version));
-  let m = Json.member "meta" j in
-  {
-    version = v;
-    meta =
-      {
-        seed = Json.int (Json.member "seed" m);
-        jobs = Json.int (Json.member "jobs" m);
-        recommended_jobs =
-          (* absent in pre-oversubscription-era reports: 0 = unrecorded *)
-          (match Json.member "recommended_jobs" m with
-          | Json.Null -> 0
-          | j -> Json.int j);
-        git_sha = Json.str (Json.member "git_sha" m);
-        hostname = Json.str (Json.member "hostname" m);
-      };
-    subjects = List.map subject_of_json (Json.list (Json.member "subjects" j));
-    tables = List.map table_of_json (Json.list (Json.member "tables" j));
-    speedup =
-      (match Json.member "speedup" j with
-      | Json.Null -> None
-      | s -> Some (speedup_of_json s));
-  }
+let codec =
+  Codec.(
+    record (fun version meta subjects tables speedup ->
+        { version; meta; subjects; tables; speedup })
+    |> field "version" schema_version (fun r -> r.version)
+    |> field "meta" meta (fun r -> r.meta)
+    |> field "subjects" (list subject) (fun r -> r.subjects)
+    |> field "tables" (list table) (fun r -> r.tables)
+    |> field "speedup" (nullable speedup) (fun r -> r.speedup)
+    |> obj)
 
 (* ------------------------------------------------------------------ *)
 (* The one artifact path: naming, writer, loader.                      *)
@@ -210,48 +149,16 @@ let artifact_path ~prefix path =
   if path = "auto" then Printf.sprintf "%s_%s.json" prefix (git_short_sha ())
   else path
 
-let write ?(pretty = false) path json =
+let write ?pretty codec path v =
   Out_channel.with_open_bin path (fun oc ->
-      output_string oc
-        (if pretty then Json.to_string_pretty json else Json.to_string json);
+      output_string oc (Codec.to_string ?pretty codec v);
       output_char oc '\n')
 
-(* Every way a decoder can reject hostile input: the accessors' shape
-   errors, and the integer/history parsers some codecs call. *)
-let decoding decode json =
-  match decode json with
-  | v -> Ok v
-  | exception (Json.Error e | Failure e | Invalid_argument e) -> Error e
-
-let require_header ~kind ~version json =
-  let fail fmt = Printf.ksprintf (fun e -> raise (Json.Error e)) fmt in
-  let k = Json.str (Json.member "kind" json) in
-  if k <> kind then fail "expected kind %S, got %S" kind k;
-  let v = Json.int (Json.member "version" json) in
-  if v <> version then fail "unsupported %s version %d" kind v
-
-let parse decode text =
-  match Json.of_string text with
-  | json -> decode json
-  | exception Json.Error e -> Error e
-
-let read decode path =
+let read codec path =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error e -> Error e
-  | text -> (
-    match parse decode text with
-    | Ok _ as ok -> ok
-    | Error e -> Error (Printf.sprintf "%s: %s" path e))
-
-let of_json = decoding decode_report
-
-let to_string r = Json.to_string (to_json r)
-
-let of_string = parse of_json
-
-let save path r = write path (to_json r)
-
-let load = read of_json
+  | text ->
+    Result.map_error (Printf.sprintf "%s: %s" path) (Codec.of_string codec text)
 
 let make ~seed ?(tables = []) ?speedup subjects =
   {

@@ -23,8 +23,10 @@
 
 module Json = Json
 
+module Codec = Codec
+
 val version : int
-(** Current schema version (2).  {!of_json} also accepts version 1 —
+(** Current schema version (2).  {!codec} also accepts version 1 —
     v2 is v1 plus the optional per-subject [alloc_per_run] — and refuses
     anything else. *)
 
@@ -87,20 +89,8 @@ type t = {
 
 val stat_of_stats : Runtime.Stats.t -> stat
 
-val to_json : t -> Json.t
-
-val of_json : Json.t -> (t, string) result
+val codec : t Codec.t
 (** [Error] on shape or version mismatch. *)
-
-val to_string : t -> string
-
-val of_string : string -> (t, string) result
-
-val save : string -> t -> unit
-(** {!write}, compact. *)
-
-val load : string -> (t, string) result
-(** {!read} with {!of_json}. *)
 
 val make : seed:int -> ?tables:table list -> ?speedup:speedup -> subject list -> t
 (** A current-version report whose {!meta} describes this run: [seed],
@@ -121,20 +111,12 @@ val artifact_path : prefix:string -> string -> string
     ["auto"] becomes [<prefix>_<sha>.json], [<sha>] being
     [git rev-parse --short HEAD] (["unknown"] outside a work tree). *)
 
-val write : ?pretty:bool -> string -> Json.t -> unit
-(** Write JSON (compact unless [pretty]) with a trailing newline. *)
+val write : ?pretty:bool -> 'a Codec.t -> string -> 'a -> unit
+(** [write codec path v] writes [v] (compact unless [pretty]) with a
+    trailing newline. *)
 
-val decoding : (Json.t -> 'a) -> Json.t -> ('a, string) result
-(** [decoding decode] runs a decoder written with the raising {!Json}
-    accessors and turns every rejection ({!Json.Error}, [Failure],
-    [Invalid_argument]) into [Error]: the total form of a decoder. *)
-
-val require_header : kind:string -> version:int -> Json.t -> unit
-(** The versioned-artifact preamble: @raise Json.Error unless the
-    document's ["kind"] and ["version"] fields are exactly these. *)
-
-val read : (Json.t -> ('a, string) result) -> string -> ('a, string) result
-(** [read decode path] loads, parses and decodes the file at [path].  A
+val read : 'a Codec.t -> string -> ('a, string) result
+(** [read codec path] loads, parses and decodes the file at [path].  A
     missing, unreadable, empty, truncated or foreign file is [Error] with
     the path in the message; this never raises. *)
 

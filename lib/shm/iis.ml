@@ -14,9 +14,3 @@ let history rng ~n ~rounds =
     else go (Rrfd.Fault_history.append h (one_round rng ~n)) (r + 1)
   in
   go (Rrfd.Fault_history.empty ~n) 1
-
-let steps_per_round rng ~n =
-  let result =
-    Immediate_snapshot.run_once ~n ~schedule:(Exec.Random (Dsim.Rng.split rng))
-  in
-  result.Immediate_snapshot.steps

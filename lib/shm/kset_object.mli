@@ -24,5 +24,3 @@ val propose : t -> int -> int
 
 val anchors : t -> int list
 (** Current anchor values, oldest first (≤ k of them). *)
-
-val proposals_seen : t -> int

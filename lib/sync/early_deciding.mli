@@ -23,6 +23,3 @@ type state
 val algorithm : inputs:int array -> f:int -> (state, int list, int) Rrfd.Algorithm.t
 (** Flooding with the clean-round rule; still decides by [f + 1] at the
     latest.  Messages are sorted known-value lists, as in {!Flood}. *)
-
-val rounds_heard : state -> Rrfd.Pset.t list
-(** Heard-sets of completed rounds (most recent first), for tests. *)

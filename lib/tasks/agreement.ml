@@ -42,11 +42,3 @@ let check ?(allow_undecided = Rrfd.Pset.empty) ~k ~inputs decisions =
         (Printf.sprintf "agreement: %d distinct values decided, bound is %d"
            distinct k)
     else None
-
-let pp_report ppf r =
-  Format.fprintf ppf "@[<h>decided %d/%d, %d distinct value(s)%s%s@]"
-    (r.n - List.length r.undecided)
-    r.n
-    (List.length r.distinct_values)
-    (if r.undecided = [] then "" else ", some undecided")
-    (if r.invalid = [] then "" else ", INVALID decisions present")

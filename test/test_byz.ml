@@ -274,22 +274,22 @@ let artifact_roundtrip () =
   let w = Lazy.force forking_witness in
   let artifact = Byz.of_outcome w (Byz.run_witness w) in
   Alcotest.(check bool) "expectation pins a fork" true artifact.Byz.expected_fork;
-  let json = Byz.to_json artifact in
-  let back = Test_support.ok_exn (Byz.of_json json) in
+  let json = Byz.codec.enc artifact in
+  let back = Test_support.ok_exn (Report.Codec.decode Byz.codec json) in
   Alcotest.(check int) "seed survives verbatim" w.Byz.seed
     back.Byz.witness.Byz.seed;
   let path = Filename.temp_file "e24_byz" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Byz.save path artifact;
-      let r = Byz.replay (Test_support.ok_exn (Byz.load path)) in
+      Report.write ~pretty:true Byz.codec path artifact;
+      let r = Byz.replay (Test_support.ok_exn (Report.read Byz.codec path)) in
       Alcotest.(check bool) "replay reproduces" true (Byz.reproduced r);
       Alcotest.(check bool) "replayed verdict accountable" true
         (r.Byz.verdict = Acc.Accountable));
   (* Malformed inputs are rejected, not misread. *)
   let reject name j =
-    match Byz.of_json j with
+    match Report.Codec.decode Byz.codec j with
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "%s should not parse" name
   in

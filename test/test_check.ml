@@ -211,9 +211,8 @@ let artifact_roundtrip_and_replay () =
   in
   let reread =
     Test_support.ok_exn
-      (Check.Artifact.of_json
-         (Report.Json.of_string
-            (Report.Json.to_string_pretty (Check.Artifact.to_json artifact))))
+      (Report.Codec.of_string Check.Artifact.codec
+         (Report.Codec.to_string ~pretty:true Check.Artifact.codec artifact))
   in
   Alcotest.(check Test_support.history_t)
     "history survives the JSON round-trip"

@@ -121,8 +121,8 @@ let artifact_roundtrip_and_replay () =
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      D.save path o;
-      let loaded = ok_result (D.load path) in
+      Report.write D.codec path o;
+      let loaded = ok_result (Report.read D.codec path) in
       Alcotest.(check string) "policy survives" o.D.policy loaded.D.policy;
       Alcotest.(check (list string)) "sound survives" o.D.sound loaded.D.sound;
       let r = ok_result (D.replay loaded) in
@@ -135,8 +135,8 @@ let artifact_roundtrip_and_replay () =
 let j_invariant () =
   let at jobs =
     let cfg = { fuzz_cfg with D.jobs = Some jobs } in
-    Report.Json.to_string_pretty
-      (D.to_json (derive ~lattice:fuzz_lat ~cfg "spike:p=20,factor=8"))
+    Report.Codec.to_string ~pretty:true D.codec
+      (derive ~lattice:fuzz_lat ~cfg "spike:p=20,factor=8")
   in
   Alcotest.(check string) "-j1 = -j2" (at 1) (at 2)
 

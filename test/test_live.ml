@@ -237,8 +237,10 @@ let record_roundtrip () =
     Fun.protect
       ~finally:(fun () -> Sys.remove path)
       (fun () ->
-        Check.Artifact.save path artifact;
-        let loaded = Test_support.ok_exn (Check.Artifact.load path) in
+        Report.write ~pretty:true Check.Artifact.codec path artifact;
+        let loaded =
+          Test_support.ok_exn (Report.read Check.Artifact.codec path)
+        in
         match Check.Artifact.replay loaded with
         | Error e -> Alcotest.fail e
         | Ok replay ->
@@ -268,23 +270,21 @@ let effective_jobs_guard () =
    refused. *)
 let e23_codec () =
   let records = Experiments.E23_live.collect ~trials:1 () in
-  let json = Experiments.E23_live.to_json records in
-  let s = Report.Json.to_string json in
-  let back =
-    Test_support.ok_exn (Experiments.E23_live.of_json (Report.Json.of_string s))
-  in
+  let codec = Experiments.E23_live.codec in
+  let s = Report.Codec.to_string codec records in
+  let back = Test_support.ok_exn (Report.Codec.of_string codec s) in
   Alcotest.(check string) "codec roundtrip" s
-    (Report.Json.to_string (Experiments.E23_live.to_json back));
+    (Report.Codec.to_string codec back);
   Alcotest.(check bool) "table regenerates ok" true
     (Experiments.Table.ok (Experiments.E23_live.table_of back));
   (match
-     Experiments.E23_live.of_json
-       (Report.Json.of_string {|{"version": 1, "kind": "rrfd-counterexample"}|})
+     Report.Codec.of_string codec
+       {|{"version": 1, "kind": "rrfd-counterexample"}|}
    with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "foreign kind accepted");
   match
-    Experiments.E23_live.of_json (Report.Json.of_string {|{"version": 99}|})
+    Report.Codec.of_string codec {|{"version": 99}|}
   with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "foreign version accepted"

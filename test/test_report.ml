@@ -58,12 +58,13 @@ let json_roundtrip () =
         }
       ()
   in
-  let r' = Test_support.ok_exn (R.of_string (R.to_string r)) in
+  let roundtrip r = R.Codec.of_string R.codec (R.Codec.to_string R.codec r) in
+  let r' = Test_support.ok_exn (roundtrip r) in
   Alcotest.(check bool) "encode/decode round-trip" true (r = r');
   (* no speedup section encodes as null and survives too *)
   let r2 = mk_report () in
   Alcotest.(check bool) "empty report round-trip" true
-    (Ok r2 = R.of_string (R.to_string r2));
+    (Ok r2 = roundtrip r2);
   (* reports written before the oversubscription guard lack
      recommended_jobs; they decode with the 0 = unrecorded sentinel.
      v1 baselines also predate alloc_per_run: subjects decode with None
@@ -74,7 +75,7 @@ let json_roundtrip () =
        "subjects": [{"name": "s", "ns_per_run": 7.0}],
        "tables": [], "speedup": null}|}
   in
-  let decoded = Test_support.ok_exn (R.of_string old) in
+  let decoded = Test_support.ok_exn (R.Codec.of_string R.codec old) in
   Alcotest.(check int) "tolerant recommended_jobs decode" 0
     decoded.R.meta.R.recommended_jobs;
   (match decoded.R.subjects with
@@ -83,7 +84,7 @@ let json_roundtrip () =
       (s.R.alloc_per_run = None)
   | _ -> Alcotest.fail "v1 subject list decoded wrong");
   (* a wrong version is refused *)
-  match R.of_string {|{"version": 99, "meta": {}}|} with
+  match R.Codec.of_string R.codec {|{"version": 99, "meta": {}}|} with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted schema version 99"
 
@@ -162,21 +163,22 @@ let save_load_file () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      R.save path r;
-      Alcotest.(check bool) "save/load round-trip" true (R.load path = Ok r))
+      R.write R.codec path r;
+      Alcotest.(check bool) "save/load round-trip" true
+        (R.read R.codec path = Ok r))
 
 (* Every artifact loader, fed hostile files: each must come back [Error],
    never raise.  One row per loader: its name, the loader, and the kind
    tag a well-formed document of its own would carry. *)
 let hostile_loader_input () =
-  let loader load path = Result.map ignore (load path) in
+  let loader codec path = Result.map ignore (R.read codec path) in
   let loaders =
     [
-      ("bench report", loader R.load, "rrfd-bench");
-      ("check artifact", loader Check.Artifact.load, "rrfd-counterexample");
-      ("e24-byz", loader Check.Byz_check.load, "e24-byz");
-      ("e26-derive", loader Check.Derive.load, "e26-derive");
-      ("live grid", loader Experiments.E23_live.load, "rrfd-live-grid");
+      ("bench report", loader R.codec, "rrfd-bench");
+      ("check artifact", loader Check.Artifact.codec, "rrfd-counterexample");
+      ("e24-byz", loader Check.Byz_check.codec, "e24-byz");
+      ("e26-derive", loader Check.Derive.codec, "e26-derive");
+      ("live grid", loader Experiments.E23_live.codec, "rrfd-live-grid");
     ]
   in
   let inputs kind =
@@ -190,20 +192,28 @@ let hostile_loader_input () =
       ("foreign kind", Some {|{"version": 1, "kind": "rrfd-foreign"}|});
     ]
   in
-  let refuses name load (case, contents) =
+  (* [load] run on a file holding [contents] ([None]: no file at all). *)
+  let load_from load contents =
     let path = Filename.temp_file "rrfd_hostile" ".json" in
     (match contents with
     | None -> Sys.remove path
     | Some text ->
       Out_channel.with_open_bin path (fun oc -> output_string oc text));
+    Fun.protect
+      ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+      (fun () -> load path)
+  in
+  let refuses name load (case, contents) =
     let outcome =
-      match load path with
+      match load_from load contents with
       | Error _ -> None
       | Ok () -> Some "accepted it"
       | exception e -> Some ("raised " ^ Printexc.to_string e)
     in
-    if Sys.file_exists path then Sys.remove path;
     Option.iter (Alcotest.failf "%s loader, %s: %s" name case) outcome
+  in
+  let accepts case load contents =
+    Alcotest.(check (result unit string)) case (Ok ()) (load_from load contents)
   in
   List.iter
     (fun (name, load, kind) -> List.iter (refuses name load) (inputs kind))
@@ -219,13 +229,8 @@ let hostile_loader_input () =
             "expected_accused": %s}|}
          f inputs strategies accused)
   in
-  let byz_load = loader Check.Byz_check.load in
-  let path = Filename.temp_file "rrfd_witness" ".json" in
-  Out_channel.with_open_bin path (fun oc ->
-      output_string oc (Option.get (witness ())));
-  let consistent = byz_load path in
-  Sys.remove path;
-  Alcotest.(check (result unit string)) "consistent witness loads" (Ok ()) consistent;
+  let byz_load = loader Check.Byz_check.codec in
+  accepts "consistent witness loads" byz_load (witness ());
   List.iter (refuses "e24-byz" byz_load)
     [
       ("inputs shorter than n", witness ~inputs:"[0, 1, 0]" ());
@@ -240,7 +245,87 @@ let hostile_loader_input () =
           ~strategies:
             {|[{"votes": [0, 1, 0, 1], "cert_value": 0, "cert_quorum": [0, 7]}, null, null, null]|}
           () );
+    ];
+  (* Well-formed live-grid records the E23 replay would choke on. *)
+  let live_grid ?(f = "1") ?(inputs = "[1, 2, 0]") ?(history = "n=3;1:{}{}{}")
+      ?(decisions = "[0, 0, 0]") () =
+    Some
+      (Printf.sprintf
+         {|{"version": 1, "kind": "rrfd-live-grid", "protocol": "flood-consensus",
+            "records": [{"n": 3, "f": %s, "patience": "all", "inputs": %s,
+            "history": "%s", "decisions": %s, "wall_ns": "1"}]}|}
+         f inputs history decisions)
+  in
+  let live_load = loader Experiments.E23_live.codec in
+  accepts "consistent record loads" live_load (live_grid ());
+  List.iter (refuses "live grid" live_load)
+    [
+      ("inputs shorter than n", live_grid ~inputs:"[1, 2]" ());
+      ("decisions longer than n", live_grid ~decisions:"[0, 0, 0, 0]" ());
+      ("history of another width", live_grid ~history:"n=4;1:{}{}{}{}" ());
+      ("f = n", live_grid ~f:"3" ());
+      ("negative f", live_grid ~f:"-1" ());
     ]
+
+(* One file per read-back format, written by an earlier build: each must
+   decode and re-encode to the identical bytes (pretty for the
+   counterexample and e24-byz artifacts, compact for the rest). *)
+let reencode ?pretty codec text =
+  Result.map (R.Codec.to_string ?pretty codec) (R.Codec.of_string codec text)
+
+let golden =
+  [
+    ("fixtures/golden-counterexample.json", reencode ~pretty:true Check.Artifact.codec);
+    ("fixtures/golden-e24-byz.json", reencode ~pretty:true Check.Byz_check.codec);
+    ( "fixtures/golden-e24-byz-forged.json",
+      reencode ~pretty:true Check.Byz_check.codec );
+    ("fixtures/golden-e26-derive.json", reencode Check.Derive.codec);
+    ("fixtures/golden-e26-derive-exhaustive.json", reencode Check.Derive.codec);
+    ("fixtures/golden-live-grid.json", reencode Experiments.E23_live.codec);
+    ("fixtures/golden-bench-v1.json", reencode R.codec);
+    ("../bench/baseline.json", reencode R.codec);
+    ("../bench/scale-baseline.json", reencode R.codec);
+  ]
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let golden_fixtures () =
+  List.iter
+    (fun (path, reencode) ->
+      let text = read_file path in
+      match reencode text with
+      | Ok out -> Alcotest.(check string) path text (out ^ "\n")
+      | Error e -> Alcotest.failf "%s: %s" path e)
+    golden
+
+(* Hostile bytes near a real document: truncations, single-byte flips
+   and inserted bytes of every golden fixture.  Each decoder must answer
+   [Ok] or [Error]; an exception fails the property. *)
+let mutated_fixtures_never_raise =
+  let fixtures =
+    lazy (List.map (fun (path, reencode) -> (read_file path, reencode)) golden)
+  in
+  let mutate (i, op, pos, byte) =
+    let text, reencode = List.nth (Lazy.force fixtures) i in
+    let pos = pos mod (String.length text + 1) in
+    let c = String.make 1 (Char.chr byte) in
+    let prefix = String.sub text 0 pos in
+    let suffix from = String.sub text from (String.length text - from) in
+    let mutated =
+      match op with
+      | 0 -> prefix
+      | 1 when pos < String.length text -> prefix ^ c ^ suffix (pos + 1)
+      | _ -> prefix ^ c ^ suffix pos
+    in
+    (mutated, reencode)
+  in
+  QCheck.Test.make ~count:2000 ~name:"codecs never raise on mutated fixtures"
+    QCheck.(
+      quad (int_bound (List.length golden - 1)) (int_bound 2) (int_bound 1_000_000)
+        (int_bound 255))
+    (fun m ->
+      let text, reencode = mutate m in
+      match reencode text with Ok _ | Error _ -> true)
 
 (* Engine counters against a run small enough to count by hand: n = 4, a
    fixed detector with D(0,r)=D(1,r)=D(2,r)={p3}, D(3,r)=∅ (satisfies the
@@ -320,6 +405,9 @@ let tests =
     Alcotest.test_case "save/load" `Quick save_load_file;
     Alcotest.test_case "loaders refuse hostile files" `Quick
       hostile_loader_input;
+    Alcotest.test_case "golden artifacts re-encode byte-for-byte" `Quick
+      golden_fixtures;
+    QCheck_alcotest.to_alcotest mutated_fixtures_never_raise;
     Alcotest.test_case "engine counters (hand-computed)" `Quick
       engine_counters_hand_computed;
     Alcotest.test_case "counters aggregation" `Quick counters_aggregation;
