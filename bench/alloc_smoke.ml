@@ -150,6 +150,76 @@ let check_fresh_sim () =
     Printf.printf "  %-28s %+.0f words/sim vs depth 64  FAIL\n" label extra
   end
 
+(* One message's delay plan under every delay-touching atom at once.
+   The time, the drawn delay and the redrawn duplicate delay are
+   constants, boxed once, as a caller's would be; every draw, the
+   modified delay and the copies' delays stay unboxed in the caller's
+   buffer. *)
+let plan_n = 5
+
+let plan_adversary =
+  match Msgnet.Adversary.of_spec "drop:p=15+dup:p=15+spike+reorder" with
+  | Ok a -> a
+  | Error e -> failwith e
+
+let plan_now = 12.0
+
+let plan_delay = 4.5
+
+let plan_redraw_delay = 3.25
+
+let plan_redraw () = plan_redraw_delay
+
+let plan_buf = Float.Array.create (Msgnet.Adversary.max_copies plan_adversary)
+
+let plan_into plans =
+  let rng = Dsim.Rng.create 15 in
+  for j = 1 to plans do
+    ignore
+      (Msgnet.Adversary.plan_into plan_adversary rng ~now:plan_now
+         ~from:(j mod plan_n)
+         ~to_:((j + 1) mod plan_n)
+         ~delay:plan_delay ~redraw:plan_redraw plan_buf
+        : int)
+  done
+
+(* Derive's candidate vocabulary at n = 5 judged on induced histories of
+   a lossy, duplicating network, each call a whole-history verdict.  A
+   run of [k] calls walks the (history, candidate) pairs in order, so
+   the long run covers every pair more often than the short one. *)
+let holds_preds =
+  Array.of_list
+    (List.map
+       (fun spec ->
+         match Check.Spec.predicate spec with
+         | Ok p -> p
+         | Error e -> failwith e)
+       (Check.Derive.candidates ~n:5 ~f:2))
+
+let holds_histories =
+  let adversary =
+    match Msgnet.Adversary.of_spec "drop:p=15+dup:p=15" with
+    | Ok a -> a
+    | Error e -> failwith e
+  in
+  Array.init 8 (fun seed ->
+      (Msgnet.Round_layer.run ~seed ~adversary ~n:5 ~f:2 ~rounds:4
+         ~algorithm:(Rrfd.Full_info.algorithm ~inputs:(Tasks.Inputs.distinct 5))
+         ())
+        .Msgnet.Round_layer.induced)
+
+let holds_pairs = Array.length holds_preds * Array.length holds_histories
+
+let sink = ref 0
+
+let predicate_holds calls =
+  let np = Array.length holds_preds in
+  for j = 0 to calls - 1 do
+    let k = j mod holds_pairs in
+    if Rrfd.Predicate.holds holds_preds.(k mod np) holds_histories.(k / np)
+    then incr sink
+  done
+
 let () =
   Printf.printf "=== alloc smoke: minor words per steady-state round ===\n";
   List.iter
@@ -163,11 +233,16 @@ let () =
     ~label:(Printf.sprintf "dsim-event-loop depth=%d" depth)
     dsim_event_loop;
   check_fresh_sim ();
+  check ~unit:"plan" ~short:1000 ~long:4000
+    ~label:(Printf.sprintf "adversary-plan-into n=%d" plan_n)
+    plan_into;
+  check ~unit:"call" ~short:holds_pairs ~long:(4 * holds_pairs)
+    ~label:"predicate-holds n=5" predicate_holds;
   if !failures > 0 then begin
     Printf.printf "alloc smoke: %d kernel(s) allocate in steady state\n"
       !failures;
     exit 1
   end;
   Printf.printf
-    "alloc smoke: steady-state rounds, simulator events and queue storage \
-     are allocation-free\n"
+    "alloc smoke: steady-state rounds, simulator events, queue storage, \
+     adversary plans and predicate verdicts are allocation-free\n"

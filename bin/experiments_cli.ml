@@ -552,10 +552,18 @@ let faultnet_cmd =
   let run_single ~seed ~spec ~n ~f ~rounds =
     let adversary = or_die (Check.Spec.adversary spec) in
     let d =
-      Msgnet.Round_layer.differential ~seed ~adversary
-        ~equal:Rrfd.Full_info.equal ~n ~f ~rounds
-        ~algorithm:(Rrfd.Full_info.algorithm ~inputs:(Tasks.Inputs.distinct n))
-        ()
+      (* The round layer rejects an empty run or an f outside [0, n):
+         a usage error, not a crash. *)
+      or_die
+        (match
+           Msgnet.Round_layer.differential ~seed ~adversary
+             ~equal:Rrfd.Full_info.equal ~n ~f ~rounds
+             ~algorithm:
+               (Rrfd.Full_info.algorithm ~inputs:(Tasks.Inputs.distinct n))
+             ()
+         with
+        | d -> Ok d
+        | exception Invalid_argument msg -> Error ("faultnet: " ^ msg))
     in
     let o = d.Msgnet.Round_layer.outcome in
     Printf.printf "faultnet: %s over n=%d f=%d rounds=%d (seed %d)\n" spec n f

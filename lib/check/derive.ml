@@ -125,10 +125,11 @@ let conj_of named =
 let predicate_of o =
   match predicates_of o.sound with
   | Ok named ->
+    let p = conj_of named in
     Rrfd.Predicate.make
       ~name:(String.concat " ∧ " o.conjuncts)
       ~doc:("derived from policy " ^ o.policy)
-      (fun h -> Rrfd.Predicate.explain (conj_of named) h)
+      ~holds:(Rrfd.Predicate.holds p) (Rrfd.Predicate.explain p)
   | Error e -> invalid_arg ("Derive.predicate_of: " ^ e)
 
 (* Enumeration-backed separation: the first history of the whole
@@ -168,7 +169,11 @@ let derive ?lattice ~cfg ~policy () =
   let cands = candidates ~n:cfg.n ~f:cfg.f in
   let* named = predicates_of cands in
   if List.length cands > 62 then invalid_arg "Derive.derive: > 62 candidates";
-  if cfg.exhaustive && cfg.n > 4 then
+  if cfg.rounds < 1 then
+    Error (Printf.sprintf "derive needs rounds >= 1; got rounds=%d" cfg.rounds)
+  else if cfg.f < 0 || cfg.f >= cfg.n then
+    Error (Printf.sprintf "derive needs 0 <= f < n; got n=%d f=%d" cfg.n cfg.f)
+  else if cfg.exhaustive && cfg.n > 4 then
     Error
       (Printf.sprintf
          "exhaustive tightness needs n <= 4 (the space is ((2^n-1)^n)^rounds); \
@@ -183,7 +188,8 @@ let derive ?lattice ~cfg ~policy () =
         let n', rounds' = lattice_dims cfg in
         Rrfd.Submodel.lattice ~n:n' ~rounds:rounds' named
     in
-    (* Observation pass: one violation bitmask per execution. *)
+    (* Observation pass: one violation bitmask per execution, kept with
+       the induced history it judged. *)
     let obs =
       Runtime.Campaign.run ?jobs:cfg.jobs ~seed:(observe_seed cfg)
         ~trials:cfg.observe_trials (fun ~trial:_ ~rng ->
@@ -196,8 +202,7 @@ let derive ?lattice ~cfg ~policy () =
             (fun i p -> if not (Rrfd.Predicate.holds p h) then
                 mask := !mask lor (1 lsl i))
             preds;
-          (Rrfd.Fault_history.to_string_compact h, !mask, counters))
-      |> Array.map (fun (c, m, k) -> (c, m, k))
+          (h, !mask, counters))
     in
     let violated =
       Array.fold_left (fun acc (_, mask, _) -> acc lor mask) 0 obs
@@ -225,12 +230,11 @@ let derive ?lattice ~cfg ~policy () =
             if mask land (1 lsl i) <> 0 then t else first (t + 1)
           in
           let trial = first 0 in
-          let compact, _, _ = obs.(trial) in
-          let history = Rrfd.Fault_history.of_string_compact compact in
+          let history, _, _ = obs.(trial) in
           let reason =
             match Rrfd.Predicate.explain preds.(i) history with
             | Some r -> r
-            | None -> "violation not reproducible from compact history"
+            | None -> invalid_arg "Derive.derive: verdict and explanation disagree"
           in
           { spec; source = Fuzz trial; history; reason })
         refuted

@@ -126,7 +126,8 @@ val derive :
     share one {!Rrfd.Submodel.lattice} over the same [(n, f)] vocabulary
     across many derivations (the grid, the tests); when absent one is
     built at the {!lattice_for} dimensions.  [Error] on an unparseable
-    policy spec. *)
+    policy spec, on [rounds < 1], on [f] outside [\[0, n)], and on
+    [exhaustive] with [n > 4]. *)
 
 val tight : outcome -> bool
 (** Every refuted candidate has a witness, and — in [exhaustive] mode —

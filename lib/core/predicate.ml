@@ -2,6 +2,11 @@ type t = {
   name : string;
   doc : string;
   explain : Fault_history.t -> string option;
+  verdict : (Fault_history.t -> bool) option;
+      (* [explain h = None], decided without formatting a report: the
+         path of every [holds] call, so it builds no message.  [None]
+         asks [explain]; [make] without [~holds] then allocates
+         nothing more than the record. *)
   incr : (Fault_history.t -> round:int -> string option) option;
       (* Round-local re-check: equals [explain h] under the precondition
          that [explain] returned [None] on every proper prefix of [h] and
@@ -15,7 +20,8 @@ let doc p = p.doc
 
 let explain p h = p.explain h
 
-let holds p h = explain p h = None
+let holds p h =
+  match p.verdict with Some v -> v h | None -> p.explain h = None
 
 (* What the executor calls after each round: sound whenever the history
    grew one round at a time and no earlier call reported a violation —
@@ -24,7 +30,8 @@ let holds p h = explain p h = None
 let check_round p h ~round =
   match p.incr with Some f -> f h ~round | None -> p.explain h
 
-let make ?incr ~name ~doc explain = { name; doc; explain; incr }
+let make ?incr ?holds ~name ~doc explain =
+  { name; doc; explain; verdict = holds; incr }
 
 let conj ?name:n2 a b =
   let name = match n2 with Some n -> n | None -> a.name ^ " ∧ " ^ b.name in
@@ -34,6 +41,7 @@ let conj ?name:n2 a b =
     explain =
       (fun h ->
         match a.explain h with Some e -> Some e | None -> b.explain h);
+    verdict = Some (fun h -> holds a h && holds b h);
     (* Both conjuncts were clean on every prefix whenever the conjunction
        was, so each side's round check is individually sound. *)
     incr =
@@ -54,6 +62,7 @@ let disj ?name:n2 a b =
         match a.explain h with
         | None -> None
         | Some e -> ( match b.explain h with None -> None | Some _ -> Some e));
+    verdict = Some (fun h -> holds a h || holds b h);
     (* A clean disjunction does not mean both disjuncts were clean, so a
        per-round check of either side is unsound; re-scan. *)
     incr = None;
@@ -61,11 +70,13 @@ let disj ?name:n2 a b =
 
 let always =
   make ~name:"true" ~doc:"the unconstrained RRFD; every history is allowed"
+    ~holds:(fun _ -> true)
     (fun _ -> None)
 
 (* Earliest (round, proc) violating [bad], reported via [msg]; the
    violation test only reads round [r], so checking just the newest round
-   is a sound incremental form. *)
+   is a sound incremental form.  The verdict runs the same test as
+   loops, with no message and no closure. *)
 let per_proc ~name ~doc bad msg =
   let at h ~round =
     let n = Fault_history.n h in
@@ -89,6 +100,20 @@ let per_proc ~name ~doc bad msg =
             | None -> scan_round (r + 1)
         in
         scan_round 1);
+    verdict =
+      Some
+        (fun h ->
+          let n = Fault_history.n h and rounds = Fault_history.rounds h in
+          let ok = ref true and r = ref 1 in
+          while !ok && !r <= rounds do
+            let i = ref 0 in
+            while !ok && !i < n do
+              ok := not (bad h !r !i);
+              incr i
+            done;
+            incr r
+          done;
+          !ok);
     incr = Some at;
   }
 
@@ -108,6 +133,16 @@ let per_round ~name ~doc bad msg =
             | None -> scan (r + 1)
         in
         scan 1);
+    verdict =
+      Some
+        (fun h ->
+          let rounds = Fault_history.rounds h in
+          let ok = ref true and r = ref 1 in
+          while !ok && !r <= rounds do
+            ok := not (bad h !r);
+            incr r
+          done;
+          !ok);
     incr = Some at;
   }
 
@@ -118,15 +153,17 @@ let no_self_suspicion =
 
 let bounded_cumulative_union ~bound ~strict =
   let op = if strict then "<" else "≤" in
+  let within total = if strict then total < bound else total <= bound in
   make
     ~name:(Printf.sprintf "|∪∪D| %s %d" op bound)
     ~doc:
       (Printf.sprintf "|⋃_{r>0} ⋃_i D(i,r)| %s %d over all completed rounds" op
          bound)
+    ~holds:(fun h ->
+      within (Pset.cardinal (Fault_history.cumulative_union h)))
     (fun h ->
       let total = Pset.cardinal (Fault_history.cumulative_union h) in
-      let ok = if strict then total < bound else total <= bound in
-      if ok then None
+      if within total then None
       else
         Some
           (Printf.sprintf "cumulative union has %d processes, want %s %d" total
@@ -138,28 +175,41 @@ let omission ~f =
     no_self_suspicion
     (bounded_cumulative_union ~bound:f ~strict:false)
 
-(* The closure test for one adjacent pair (r, r+1); [explain] scans all
-   pairs, the incremental form checks only the pair the new round
-   completed. *)
-let crash_closure_pair h r =
+(* The closure test for one adjacent pair (r, r+1): the first process
+   whose round-(r+1) set misses part of the round-r union, or -1.  A
+   process never suspects itself under crash faults, so the requirement
+   exempts k's own id.  [explain] scans all pairs, the incremental form
+   checks only the pair the new round completed. *)
+let crash_closure_violator h r =
   let union = Fault_history.round_union h ~round:r in
-  let n = Fault_history.n h in
-  let rec check k =
-    if k >= n then None
-    else
-      let next = Fault_history.d h ~proc:k ~round:(r + 1) in
-      (* A process never suspects itself under crash faults, so the
-         closure requirement exempts k's own id. *)
-      if Pset.subset (Pset.remove k union) next then check (k + 1)
-      else
-        Some
-          (Printf.sprintf "round-%d union %s not contained in D(%d,%d)=%s" r
-             (Pset.to_string union) k (r + 1) (Pset.to_string next))
-  in
-  check 0
+  let n = Fault_history.n h and k = ref 0 in
+  while
+    !k < n
+    && Pset.subset (Pset.remove !k union)
+         (Fault_history.d h ~proc:!k ~round:(r + 1))
+  do
+    incr k
+  done;
+  if !k < n then !k else -1
+
+let crash_closure_pair h r =
+  let k = crash_closure_violator h r in
+  if k < 0 then None
+  else
+    Some
+      (Printf.sprintf "round-%d union %s not contained in D(%d,%d)=%s" r
+         (Pset.to_string (Fault_history.round_union h ~round:r))
+         k (r + 1)
+         (Pset.to_string (Fault_history.d h ~proc:k ~round:(r + 1))))
 
 let crash_closure =
   make ~name:"crash-closure" ~doc:"∀r,k. ⋃_i D(i,r) ⊆ D(k,r+1)"
+    ~holds:(fun h ->
+      let rounds = Fault_history.rounds h and r = ref 1 in
+      while !r < rounds && crash_closure_violator h !r < 0 do
+        incr r
+      done;
+      !r >= rounds)
     ~incr:(fun h ~round ->
       if round < 2 then None else crash_closure_pair h (round - 1))
     (fun h ->
@@ -197,13 +247,15 @@ let async_mixed ~f ~t =
       (* The minimal witness Q is exactly the processes missing more
          than f; the predicate holds iff that set is small enough and
          none of its members misses more than t. *)
-      let n = Fault_history.n h in
-      let over = ref [] in
-      for i = 0 to n - 1 do
+      let over = ref 0 and too_many = ref false in
+      for i = 0 to Fault_history.n h - 1 do
         let size = Pset.cardinal (Fault_history.d h ~proc:i ~round:r) in
-        if size > f then over := (i, size) :: !over
+        if size > f then begin
+          incr over;
+          if size > t then too_many := true
+        end
       done;
-      List.length !over > t || List.exists (fun (_, s) -> s > t) !over)
+      !over > t || !too_many)
     (fun _ r -> Printf.sprintf "no witness Q exists at round %d" r)
 
 let someone_seen_by_all =
@@ -221,10 +273,14 @@ let shared_memory ~f =
 let antisymmetric_misses =
   per_proc ~name:"antisymmetric-misses" ~doc:"p_j ∈ D(i,r) ⇒ p_i ∉ D(j,r)"
     (fun h r i ->
-      let di = Fault_history.d h ~proc:i ~round:r in
-      Pset.exists
-        (fun j -> Pset.mem i (Fault_history.d h ~proc:j ~round:r))
-        di)
+      (* Walks [D(i,r)] by its lowest member: no closure to allocate. *)
+      let rest = ref (Fault_history.d h ~proc:i ~round:r) and mutual = ref false in
+      while (not !mutual) && not (Pset.is_empty !rest) do
+        let j = Pset.lowest !rest in
+        mutual := Pset.mem i (Fault_history.d h ~proc:j ~round:r);
+        rest := Pset.remove j !rest
+      done;
+      !mutual)
     (fun h r i ->
       let di = Fault_history.d h ~proc:i ~round:r in
       let j =
@@ -265,6 +321,8 @@ let snapshot ~f =
 
 let detector_s =
   make ~name:"detector-S" ~doc:"∃p_j. p_j ∉ ⋃_{r>0} ⋃_i D(i,r)"
+    ~holds:(fun h ->
+      Pset.cardinal (Fault_history.cumulative_union h) < Fault_history.n h)
     (fun h ->
       let total = Pset.cardinal (Fault_history.cumulative_union h) in
       if total < Fault_history.n h then None
@@ -324,6 +382,12 @@ let eventual_honest_kernel ~k =
          "∃r₀. |⋃_{r≥r₀} ⋃_i D(i,r)| ≤ n − %d — from some round on, a \
           kernel of ≥ %d processes is never suspected or lied about"
          k k)
+    ~holds:(fun h ->
+      let rounds = Fault_history.rounds h in
+      rounds = 0
+      || Fault_history.n h
+         - Pset.cardinal (Fault_history.round_union h ~round:rounds)
+         >= k)
     (fun h ->
       let n = Fault_history.n h in
       let rounds = Fault_history.rounds h in

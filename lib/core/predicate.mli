@@ -18,7 +18,10 @@ val doc : t -> string
 (** One-line description, quoting the paper's definition. *)
 
 val holds : t -> Fault_history.t -> bool
-(** [holds p h] is true iff the (prefix) history [h] satisfies [p]. *)
+(** [holds p h] is true iff the (prefix) history [h] satisfies [p] —
+    always [explain p h = None], but decided without building a report.
+    For the named predicates below (on universes small enough for
+    single-word {!Pset}s) it allocates nothing. *)
 
 val explain : t -> Fault_history.t -> string option
 (** [explain p h] is [None] when [holds p h], otherwise a human-readable
@@ -35,6 +38,7 @@ val check_round : t -> Fault_history.t -> round:int -> string option
 
 val make :
   ?incr:(Fault_history.t -> round:int -> string option) ->
+  ?holds:(Fault_history.t -> bool) ->
   name:string ->
   doc:string ->
   (Fault_history.t -> string option) ->
@@ -42,7 +46,9 @@ val make :
 (** [make ~name ~doc explain] builds a predicate from a violation finder.
     [incr], when given, is the round-local form {!check_round} uses; it
     must equal [explain] whenever [explain] was [None] on every proper
-    prefix (the {!check_round} precondition). *)
+    prefix (the {!check_round} precondition).  [holds], when given, is
+    the verdict {!holds} returns; it must equal [explain h = None] on
+    every history (the default computes exactly that). *)
 
 val conj : ?name:string -> t -> t -> t
 (** Conjunction: both predicates must hold. *)

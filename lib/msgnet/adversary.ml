@@ -17,11 +17,34 @@ type atom =
   | Partition of { at : float; heal : float; blocks : blocks }
   | Byz of { members : Rrfd.Pset.t; behaviour : byz_behaviour }
 
-type t = { spec : string; atoms : atom list }
+(* The atoms as given, plus the same atoms split once into one array
+   per pass of the delay plan, each in atom order: partitions (no
+   draws), drops, the delay modifiers (spikes and reorders) and
+   duplications.  [plan_into] walks only these. *)
+type t = {
+  spec : string;
+  atoms : atom list;
+  noop : bool;
+  cuts : atom array;
+  drops : atom array;
+  shifts : atom array;
+  dups : atom array;
+}
 
-let none = { spec = "none"; atoms = [] }
-let is_noop t = t.atoms = []
-let make ~spec atoms = { spec; atoms }
+let make ~spec atoms =
+  let only keep = Array.of_list (List.filter keep atoms) in
+  {
+    spec;
+    atoms;
+    noop = atoms = [];
+    cuts = only (function Partition _ -> true | _ -> false);
+    drops = only (function Drop _ -> true | _ -> false);
+    shifts = only (function Spike _ | Reorder _ -> true | _ -> false);
+    dups = only (function Duplicate _ -> true | _ -> false);
+  }
+
+let none = make ~spec:"none" []
+let is_noop t = t.noop
 let atoms t = t.atoms
 let spec t = t.spec
 
@@ -140,7 +163,7 @@ let of_spec s =
              match parsed with None -> Ok acc | Some a -> Ok (a :: acc))
            (Ok [])
     in
-    Ok { spec = s; atoms = List.rev atoms }
+    Ok (make ~spec:s (List.rev atoms))
 
 let cuts blocks ~from ~to_ =
   match blocks with
@@ -152,12 +175,15 @@ let cuts blocks ~from ~to_ =
       | _ -> false)
 
 let partitioned t ~now ~from ~to_ =
-  List.exists
-    (function
-      | Partition { at; heal; blocks } ->
-          now >= at && now < heal && cuts blocks ~from ~to_
-      | _ -> false)
-    t.atoms
+  let cut = ref false and k = ref 0 in
+  while (not !cut) && !k < Array.length t.cuts do
+    (match t.cuts.(!k) with
+    | Partition { at; heal; blocks } ->
+        cut := now >= at && now < heal && cuts blocks ~from ~to_
+    | _ -> ());
+    incr k
+  done;
+  !cut
 
 let byzantine t ~n =
   List.fold_left
@@ -184,40 +210,63 @@ let byz_behaviour t p =
       | _ -> acc)
     None t.atoms
 
+let max_copies t =
+  Array.fold_left
+    (fun acc -> function Duplicate { copies; _ } -> acc + copies | _ -> acc)
+    1 t.dups
+
+(* [Dsim.Rng.float rng 1.0] computed here from the same 53 bits, so the
+   draw stays unboxed without cross-module inlining. *)
+let[@inline] unit_draw rng =
+  Float.of_int (Dsim.Rng.bits53 rng) /. 9007199254740992.0
+
+(* The first drop atom whose coin comes up, in atom order: the draws
+   stop there. *)
+let dropped t rng =
+  let hit = ref false and k = ref 0 in
+  while (not !hit) && !k < Array.length t.drops do
+    (match t.drops.(!k) with
+    | Drop { p } -> hit := unit_draw rng < p
+    | _ -> ());
+    incr k
+  done;
+  !hit
+
 (* Atoms consume the rng in list order; every branch draws the same
    number of variates whatever the earlier outcomes, except drops, which
-   short-circuit the whole plan (also deterministically).  [Byz] atoms
-   never touch the delay plan — lying is about content, not timing — so
+   short-circuit the whole plan (also deterministically).  The passes
+   run in a fixed order — drops, then spikes and reorders, then
+   duplications, then one [redraw] per extra copy.  [Byz] atoms never
+   touch the delay plan — lying is about content, not timing — so
    adding one leaves the benign delay stream bit-identical. *)
+let plan_into t rng ~now ~from ~to_ ~delay ~redraw out =
+  if partitioned t ~now ~from ~to_ || dropped t rng then 0
+  else begin
+    let d = ref delay in
+    for k = 0 to Array.length t.shifts - 1 do
+      match t.shifts.(k) with
+      | Spike { p; factor } -> if unit_draw rng < p then d := !d *. factor
+      | Reorder { p; window } ->
+          let jitter = window *. unit_draw rng in
+          if unit_draw rng < p then d := !d +. jitter
+      | _ -> ()
+    done;
+    let extras = ref 0 in
+    for k = 0 to Array.length t.dups - 1 do
+      match t.dups.(k) with
+      | Duplicate { p; copies } ->
+          let c = 1 + Dsim.Rng.int rng copies in
+          if unit_draw rng < p then extras := !extras + c
+      | _ -> ()
+    done;
+    Float.Array.set out 0 !d;
+    for k = 1 to !extras do
+      Float.Array.set out k (redraw ())
+    done;
+    1 + !extras
+  end
+
 let plan t rng ~now ~from ~to_ ~delay ~redraw =
-  if partitioned t ~now ~from ~to_ then []
-  else if
-    List.exists
-      (function Drop { p } -> Dsim.Rng.float rng 1.0 < p | _ -> false)
-      t.atoms
-  then []
-  else
-    let delay =
-      List.fold_left
-        (fun d atom ->
-          match atom with
-          | Spike { p; factor } ->
-              if Dsim.Rng.float rng 1.0 < p then d *. factor else d
-          | Reorder { p; window } ->
-              let jitter = Dsim.Rng.float rng window in
-              if Dsim.Rng.float rng 1.0 < p then d +. jitter else d
-          | Drop _ | Duplicate _ | Partition _ | Byz _ -> d)
-        delay t.atoms
-    in
-    let extras =
-      List.fold_left
-        (fun acc atom ->
-          match atom with
-          | Duplicate { p; copies } ->
-              let k = 1 + Dsim.Rng.int rng copies in
-              if Dsim.Rng.float rng 1.0 < p then acc + k else acc
-          | _ -> acc)
-        0 t.atoms
-    in
-    let rec dup acc k = if k = 0 then acc else dup (redraw () :: acc) (k - 1) in
-    delay :: List.rev (dup [] extras)
+  let out = Float.Array.create (max_copies t) in
+  let copies = plan_into t rng ~now ~from ~to_ ~delay ~redraw out in
+  List.init copies (Float.Array.get out)

@@ -107,6 +107,28 @@ val byz_behaviour : t -> Rrfd.Proc.t -> byz_behaviour option
     behaviours of multiple atoms naming [p] are OR-merged.  [None] means
     [p] is honest and its messages must never be tampered with. *)
 
+val max_copies : t -> int
+(** The most copies one message can be planned into: [1] plus every
+    duplication atom's [copies].  A {!plan_into} buffer needs this many
+    slots. *)
+
+val plan_into :
+  t ->
+  Dsim.Rng.t ->
+  now:float ->
+  from:Rrfd.Proc.t ->
+  to_:Rrfd.Proc.t ->
+  delay:float ->
+  redraw:(unit -> float) ->
+  Float.Array.t ->
+  int
+(** [plan_into t rng ~now ~from ~to_ ~delay ~redraw out] is {!plan}
+    written into the caller's buffer: it makes exactly the same draws in
+    the same order, stores the copies' delays in [out.(0..k-1)] and
+    returns [k] ([0] means the message is lost).  [out] must hold at
+    least {!max_copies}[ t] slots.  Apart from [redraw] it allocates
+    nothing. *)
+
 val plan :
   t ->
   Dsim.Rng.t ->
@@ -121,4 +143,5 @@ val plan :
     one delivery delay per copy ([[]] means the message is lost; extra
     copies draw fresh base delays via [redraw]).  Atoms consume [rng] in
     list order with a fixed per-atom draw pattern, so equal policies and
-    stream states always plan identically. *)
+    stream states always plan identically.  A fresh-list wrapper over
+    {!plan_into}. *)

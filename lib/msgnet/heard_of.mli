@@ -15,7 +15,9 @@ type t
 (** A per-process, round-ordered record of heard-from sets. *)
 
 val create : n:int -> t
-(** @raise Invalid_argument if [n] is out of {!Rrfd.Pset} range. *)
+(** An empty record.  Rows grow by doubling, so {!note} is amortised
+    O(1).
+    @raise Invalid_argument if [n] is out of {!Rrfd.Pset} range. *)
 
 val n : t -> int
 

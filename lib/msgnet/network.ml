@@ -25,6 +25,8 @@ type 'msg t = {
   tamper : 'msg tamper option;
   log_sends : bool;
   deliver : Dsim.Sim.t -> to_:Rrfd.Proc.t -> from:Rrfd.Proc.t -> 'msg -> unit;
+  plan : Float.Array.t; (* the adversary's per-copy delays for one send *)
+  redraw : unit -> float; (* a fresh base delay for a duplicate copy *)
   mutable crashed : Pset.t;
   mutable log : 'msg signed list; (* newest first *)
   mutable seq : int;
@@ -36,36 +38,41 @@ type 'msg t = {
   mutable lost_to_crash : int;
 }
 
+let pick_delay t =
+  t.min_delay +. Dsim.Rng.float (Dsim.Sim.rng t.sim) (t.max_delay -. t.min_delay)
+
 let create ~sim ~n ?(min_delay = 1.0) ?(max_delay = 10.0)
     ?(adversary = Adversary.none) ?tamper ?(log_sends = false) ~deliver () =
   if n < 1 || n > Pset.max_universe then invalid_arg "Network.create: bad n";
   if min_delay < 0.0 || max_delay < min_delay then
     invalid_arg "Network.create: bad delay bounds";
-  {
-    sim;
-    n;
-    min_delay;
-    max_delay;
-    adversary;
-    tamper;
-    log_sends;
-    deliver;
-    crashed = Pset.empty;
-    log = [];
-    seq = 0;
-    sent = 0;
-    delivered = 0;
-    dropped = 0;
-    duplicated = 0;
-    tampered = 0;
-    lost_to_crash = 0;
-  }
+  let rec t =
+    {
+      sim;
+      n;
+      min_delay;
+      max_delay;
+      adversary;
+      tamper;
+      log_sends;
+      deliver;
+      plan = Float.Array.create (Adversary.max_copies adversary);
+      redraw = (fun () -> pick_delay t);
+      crashed = Pset.empty;
+      log = [];
+      seq = 0;
+      sent = 0;
+      delivered = 0;
+      dropped = 0;
+      duplicated = 0;
+      tampered = 0;
+      lost_to_crash = 0;
+    }
+  in
+  t
 
 let n t = t.n
 let adversary t = t.adversary
-
-let pick_delay t =
-  t.min_delay +. Dsim.Rng.float (Dsim.Sim.rng t.sim) (t.max_delay -. t.min_delay)
 
 let schedule_delivery t ~from ~to_ ~delay msg =
   Dsim.Sim.schedule t.sim ~delay (fun sim ->
@@ -109,16 +116,19 @@ let send t ~from ~to_ ?delay msg =
     let msg =
       if Rrfd.Proc.equal from to_ then msg
       else
-        match (t.tamper, Adversary.byz_behaviour t.adversary from) with
-        | Some tamper, Some behaviour -> (
-            match
-              tamper ~behaviour ~now:(Dsim.Sim.now t.sim) ~from ~to_ msg
-            with
-            | Some forged ->
-                t.tampered <- t.tampered + 1;
-                forged
-            | None -> msg)
-        | _ -> msg
+        match t.tamper with
+        | None -> msg
+        | Some tamper -> (
+            match Adversary.byz_behaviour t.adversary from with
+            | None -> msg
+            | Some behaviour -> (
+                match
+                  tamper ~behaviour ~now:(Dsim.Sim.now t.sim) ~from ~to_ msg
+                with
+                | Some forged ->
+                    t.tampered <- t.tampered + 1;
+                    forged
+                | None -> msg))
     in
     log_signed t ~from ~to_ msg;
     (* Loopback traffic never leaves the process, so the adversary cannot
@@ -126,20 +136,18 @@ let send t ~from ~to_ ?delay msg =
     if Rrfd.Proc.equal from to_ || Adversary.is_noop t.adversary then
       schedule_delivery t ~from ~to_ ~delay msg
     else
-      match
-        Adversary.plan t.adversary
+      let copies =
+        Adversary.plan_into t.adversary
           (Dsim.Sim.rng t.sim)
-          ~now:(Dsim.Sim.now t.sim) ~from ~to_ ~delay
-          ~redraw:(fun () -> pick_delay t)
-      with
-      | [] -> t.dropped <- t.dropped + 1
-      | first :: copies ->
-          schedule_delivery t ~from ~to_ ~delay:first msg;
-          List.iter
-            (fun d ->
-              t.duplicated <- t.duplicated + 1;
-              schedule_delivery t ~from ~to_ ~delay:d msg)
-            copies
+          ~now:(Dsim.Sim.now t.sim) ~from ~to_ ~delay ~redraw:t.redraw t.plan
+      in
+      if copies = 0 then t.dropped <- t.dropped + 1
+      else begin
+        t.duplicated <- t.duplicated + copies - 1;
+        for k = 0 to copies - 1 do
+          schedule_delivery t ~from ~to_ ~delay:(Float.Array.get t.plan k) msg
+        done
+      end
   end
 
 let broadcast t ~from ?(self = true) msg =

@@ -22,41 +22,40 @@ type 'out result = {
    after healing.  Only [`Retry] triggers help — help answering help
    would ping-pong forever between two finished processes. *)
 
-(* A round buffer: who has been heard from ([got]) plus their payloads.
-   [msgs] is sized lazily from the first payload (there is no dummy 'm);
-   slots outside [got] hold stale junk the view never exposes. *)
-type 'm buf = {
-  mutable msgs : 'm array;
-  mutable got : Pset.t;
-}
-
+(* Per-process round state, indexed by round ([r] at slot [r - 1]):
+   rounds are communication-closed and the horizon is [rounds], so every
+   buffer is allocated once per execution.  [got.(r-1)] is who has been
+   heard from in round [r]; [msgs.(r-1)] holds their payloads, sized
+   lazily from the first one (there is no dummy 'm) — slots outside
+   [got] hold stale junk the view never exposes.  Own emissions are
+   always rounds [1..emitted_count], kept for repair and lie detection;
+   [emitted] is sized from the first one too.  A process emits round [r]
+   as it starts collecting it, so [emitted_count = min current_round
+   rounds]. *)
 type ('s, 'm) proc = {
   mutable state : 's;
   mutable current_round : int; (* round currently being collected *)
-  buffers : (int, 'm buf) Hashtbl.t;
-  emitted : (int, 'm) Hashtbl.t; (* own emissions, kept for repair *)
+  msgs : 'm array array;
+  got : Pset.t array;
+  mutable emitted : 'm array;
+  mutable emitted_count : int;
   mutable done_ : bool;
 }
 
-let buffer_for proc round =
-  match Hashtbl.find_opt proc.buffers round with
-  | Some b -> b
-  | None ->
-    let b = { msgs = [||]; got = Pset.empty } in
-    Hashtbl.replace proc.buffers round b;
-    b
+let has_emitted proc round = round >= 1 && round <= proc.emitted_count
 
 (* Idempotent per (sender, round): duplicates overwrite with the same
-   payload, and tampered payloads keep only the latest delivery — exactly
-   the [buffer.(from) <- Some msg] semantics this replaces. *)
-let store b ~n ~from msg =
-  if Array.length b.msgs = 0 then b.msgs <- Array.make n msg
-  else b.msgs.(from) <- msg;
-  b.got <- Pset.add from b.got
+   payload, and tampered payloads keep only the latest delivery. *)
+let store proc ~n ~round ~from msg =
+  let r = round - 1 in
+  if Array.length proc.msgs.(r) = 0 then proc.msgs.(r) <- Array.make n msg
+  else proc.msgs.(r).(from) <- msg;
+  proc.got.(r) <- Pset.add from proc.got.(r)
 
 let run ?(seed = 0) ?min_delay ?max_delay ?(crashes = []) ?adversary
     ?retransmit_every ?(horizon = 600.0) ~n ~f ~rounds ~algorithm () =
   if f < 0 || f >= n then invalid_arg "Round_layer.run: need 0 ≤ f < n";
+  if rounds < 1 then invalid_arg "Round_layer.run: need rounds ≥ 1";
   if List.length crashes > f then
     invalid_arg "Round_layer.run: more crashes than the resilience bound";
   let adversary = Option.value adversary ~default:Adversary.none in
@@ -77,8 +76,10 @@ let run ?(seed = 0) ?min_delay ?max_delay ?(crashes = []) ?adversary
         {
           state = algorithm.init ~n i;
           current_round = 1;
-          buffers = Hashtbl.create 16;
-          emitted = Hashtbl.create 16;
+          msgs = Array.make rounds [||];
+          got = Array.make rounds Pset.empty;
+          emitted = [||];
+          emitted_count = 0;
           done_ = false;
         })
   in
@@ -94,24 +95,28 @@ let run ?(seed = 0) ?min_delay ?max_delay ?(crashes = []) ?adversary
   let byz_rng = Dsim.Rng.derive ~seed ~stream:0xB42 in
   let tamper ~behaviour ~now:_ ~from ~to_:_ (round, msg, kind) =
     let { Adversary.equivocate; corrupt; forge = _ } = behaviour in
-    match Hashtbl.find_opt procs.(from).emitted (round - 1) with
-    | None -> None
-    | Some stale ->
-        (* Equivocation is a per-receiver coin — broadcast calls the hook
-           once per receiver, so some get the truth and some the lie. *)
-        let lie = corrupt || (equivocate && Dsim.Rng.bool byz_rng) in
-        if lie && stale <> msg then Some (round, stale, kind) else None
+    let sender = procs.(from) in
+    if not (has_emitted sender (round - 1)) then None
+    else
+      let stale = sender.emitted.(round - 2) in
+      (* Equivocation is a per-receiver coin — broadcast calls the hook
+         once per receiver, so some get the truth and some the lie. *)
+      let lie = corrupt || (equivocate && Dsim.Rng.bool byz_rng) in
+      if lie && stale <> msg then Some (round, stale, kind) else None
   in
   let tamper = if Pset.is_empty byz then None else Some tamper in
   let full = Pset.full n in
   let view = Rrfd.View.create ~n in
   let emit_round i round =
-    let msg = algorithm.emit procs.(i).state ~round in
-    Hashtbl.replace procs.(i).emitted round msg;
+    let proc = procs.(i) in
+    let msg = algorithm.emit proc.state ~round in
+    if proc.emitted_count = 0 then proc.emitted <- Array.make rounds msg
+    else proc.emitted.(round - 1) <- msg;
+    proc.emitted_count <- round;
     (* Own emissions are delivered locally at emission time: a process
        always hears itself, so i ∉ D(i,r) by construction and the
        adversary cannot fabricate self-suspicion. *)
-    store (buffer_for procs.(i) round) ~n ~from:i msg;
+    store proc ~n ~round ~from:i msg;
     Network.broadcast (net ()) ~from:i ~self:false (round, msg, `Fresh);
     (* A forging sender also injects round-[r+1] messages it was never
        asked to send — its current payload under a future round tag. *)
@@ -125,12 +130,12 @@ let run ?(seed = 0) ?min_delay ?max_delay ?(crashes = []) ?adversary
     let proc = procs.(i) in
     if not proc.done_ then begin
       let round = proc.current_round in
-      let buffer = buffer_for proc round in
-      if Pset.cardinal buffer.got >= n - f then begin
-        let heard = buffer.got in
+      let heard = proc.got.(round - 1) in
+      if Pset.cardinal heard >= n - f then begin
+        let msgs = proc.msgs.(round - 1) in
         let faulty = Pset.diff full heard in
-        (* n - f ≥ 1 senders heard, so [buffer.msgs] is sized. *)
-        Rrfd.View.set view ~msgs:buffer.msgs ~faulty;
+        (* n - f ≥ 1 senders heard, so [msgs] is sized. *)
+        Rrfd.View.set view ~msgs ~faulty;
         proc.state <- algorithm.deliver proc.state ~round ~view;
         (* "Lied to i": the final buffered content differs from the
            sender's canonical cached emission for this round (or the
@@ -145,13 +150,11 @@ let run ?(seed = 0) ?min_delay ?max_delay ?(crashes = []) ?adversary
           else
             Pset.filter
               (fun j ->
-                match Hashtbl.find_opt procs.(j).emitted round with
-                | Some canonical -> buffer.msgs.(j) <> canonical
-                | None -> true)
+                (not (has_emitted procs.(j) round))
+                || msgs.(j) <> procs.(j).emitted.(round - 1))
               heard
         in
         Heard_of.note heard_rec i ~round ~lied ~heard ();
-        Hashtbl.remove proc.buffers round;
         proc.current_round <- round + 1;
         if round + 1 > rounds then proc.done_ <- true
         else begin
@@ -163,16 +166,14 @@ let run ?(seed = 0) ?min_delay ?max_delay ?(crashes = []) ?adversary
   in
   let help i ~to_ ~round =
     let proc = procs.(i) in
-    for r = round to min proc.current_round rounds do
-      match Hashtbl.find_opt proc.emitted r with
-      | Some m -> Network.send (net ()) ~from:i ~to_ (r, m, `Help)
-      | None -> ()
+    for r = round to proc.emitted_count do
+      Network.send (net ()) ~from:i ~to_ (r, proc.emitted.(r - 1), `Help)
     done
   in
   let deliver _sim ~to_ ~from (round, msg, kind) =
     let proc = procs.(to_) in
     if round >= proc.current_round && not proc.done_ then begin
-      store (buffer_for proc round) ~n ~from msg;
+      store proc ~n ~round ~from msg;
       if round = proc.current_round then try_complete to_
     end
     else if kind = `Retry && repair_every <> None then
@@ -192,21 +193,25 @@ let run ?(seed = 0) ?min_delay ?max_delay ?(crashes = []) ?adversary
   | None -> ()
   | Some every ->
       if every <= 0.0 then invalid_arg "Round_layer.run: bad retransmit_every";
-      let rec tick i sim =
+      (* One retransmission closure per process, built once: each tick
+         reschedules its own. *)
+      let ticks = Array.make n ignore in
+      let tick i sim =
         let proc = procs.(i) in
         if (not proc.done_) && not (Pset.mem i (Network.crashed (net ())))
         then begin
-          (match Hashtbl.find_opt proc.emitted proc.current_round with
-          | Some m ->
-              Network.broadcast (net ()) ~from:i ~self:false
-                (proc.current_round, m, `Retry)
-          | None -> ());
+          let r = proc.current_round in
+          Network.broadcast (net ()) ~from:i ~self:false
+            (r, proc.emitted.(r - 1), `Retry);
           if Dsim.Sim.now sim +. every <= horizon then
-            Dsim.Sim.schedule sim ~delay:every (tick i)
+            Dsim.Sim.schedule sim ~delay:every ticks.(i)
         end
       in
       for i = 0 to n - 1 do
-        Dsim.Sim.schedule sim ~delay:every (tick i)
+        ticks.(i) <- tick i
+      done;
+      for i = 0 to n - 1 do
+        Dsim.Sim.schedule sim ~delay:every ticks.(i)
       done);
   for i = 0 to n - 1 do
     emit_round i 1;

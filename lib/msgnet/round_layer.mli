@@ -73,7 +73,8 @@ val run :
     virtual time.  Passing [retransmit_every] explicitly enables repair
     even without an adversary.  Without repair the fault-free behaviour —
     including its random delay stream — is unchanged.
-    @raise Invalid_argument if more than [f] crashes are requested or
+    @raise Invalid_argument if [rounds < 1], if [f] is outside
+    [\[0, n)], if more than [f] crashes are requested or if
     [retransmit_every <= 0]. *)
 
 (** {1 The asynchronous network as a substrate} *)

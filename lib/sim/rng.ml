@@ -74,9 +74,12 @@ let int_in_range t ~min ~max =
    hot path never calls the boxed-int64 structural equality. *)
 let bool t = Int64.to_int (int64 t) land 1 = 1
 
-let float t bound =
-  let r = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
-  bound *. (r /. 9007199254740992.0)
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (int64 t) 11)
+
+(* Inlined so the result stays unboxed in the caller: an out-of-line
+   float return is boxed, two minor words per draw. *)
+let[@inline] float t bound =
+  bound *. (Float.of_int (bits53 t) /. 9007199254740992.0)
 
 let shuffle_in_place t a =
   for i = Array.length a - 1 downto 1 do

@@ -49,6 +49,13 @@ val int_in_range : t -> min:int -> max:int -> int
 val bool : t -> bool
 (** [bool t] is a fair coin flip. *)
 
+val bits53 : t -> int
+(** [bits53 t] is a uniform integer in [\[0, 2^53)]: the draw behind
+    {!float}.  [float t b] is [b *. (Float.of_int (bits53 t) /. 2^53)]
+    on the same stream state, so a caller that cannot rely on
+    cross-module inlining can scale the bits itself and keep the float
+    unboxed. *)
+
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 

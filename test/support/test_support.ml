@@ -52,4 +52,33 @@ let history_arb ?(min_n = 2) ?(max_n = 5) ?max_rounds () =
     ~print:H.to_string_compact
     ~shrink:(fun h yield -> List.iter yield (Check.Shrink.candidates h))
 
+(* dune runtest runs the test executable in test/; dune exec runs it
+   from the workspace root — accept both. *)
+let check_fixture ~what ~file actual =
+  let path =
+    List.find Sys.file_exists [ "fixtures/" ^ file; "test/fixtures/" ^ file ]
+  in
+  let expected = In_channel.with_open_bin path In_channel.input_all in
+  if not (String.equal expected actual) then begin
+    let rec first_diff i = function
+      | e :: es, a :: aas ->
+        if String.equal e a then first_diff (i + 1) (es, aas) else Some (i, e, a)
+      | e :: _, [] -> Some (i, e, "<end of output>")
+      | [], a :: _ -> Some (i, "<end of fixture>", a)
+      | [], [] -> None
+    in
+    match
+      first_diff 1
+        (String.split_on_char '\n' expected, String.split_on_char '\n' actual)
+    with
+    | Some (line, e, a) ->
+      Alcotest.failf
+        "%s diverged from the pre-refactor fixture %s at line %d:\n\
+         fixture: %s\n\
+         current: %s" what file line e a
+    | None -> Alcotest.fail "fixture mismatch (line endings?)"
+  end
+
 module Compat_fixture = Compat_fixture
+
+module Round_layer_fixture = Round_layer_fixture

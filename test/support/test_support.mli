@@ -55,6 +55,13 @@ val history_arb :
     {!Check.Shrink.candidates}, so qcheck reports the same minimal
     histories the model checker does. *)
 
+(** {1 Pinned fixtures} *)
+
+val check_fixture : what:string -> file:string -> string -> unit
+(** [check_fixture ~what ~file actual] fails the current Alcotest case,
+    naming the first differing line, unless [actual] is byte-identical
+    to [test/fixtures/file].  [what] names the output in the message. *)
+
 (** {1 Engine-compat fixture} *)
 
 module Compat_fixture : sig
@@ -62,4 +69,14 @@ module Compat_fixture : sig
   (** Canonical catalog × substrate outcomes under pinned seeds; compared
       byte-for-byte against [test/fixtures/engine_compat.expected] by the
       differential pin test.  See [compat_fixture.ml] for the grid. *)
+end
+
+(** {1 Round-layer schedule fixture} *)
+
+module Round_layer_fixture : sig
+  val render : unit -> string
+  (** {!Msgnet.Round_layer.run} outcomes for every adversary atom at two
+      pinned seeds; compared byte-for-byte against
+      [test/fixtures/round_layer.expected].  See
+      [round_layer_fixture.ml] for the grid. *)
 end

@@ -10,36 +10,10 @@
    stream.  Regenerate only from a trusted tree:
    dune exec test/gen/gen_compat.exe > test/fixtures/engine_compat.expected *)
 
-(* dune runtest runs the executable in test/; dune exec runs it from the
-   workspace root — accept both. *)
-let fixture_path () =
-  List.find Sys.file_exists
-    [ "fixtures/engine_compat.expected"; "test/fixtures/engine_compat.expected" ]
-
 let compat_pin () =
-  let expected =
-    In_channel.with_open_bin (fixture_path ()) In_channel.input_all
-  in
-  let actual = Test_support.Compat_fixture.render () in
-  if not (String.equal expected actual) then begin
-    let exp_lines = String.split_on_char '\n' expected in
-    let act_lines = String.split_on_char '\n' actual in
-    let rec first_diff i = function
-      | e :: es, a :: aas ->
-        if String.equal e a then first_diff (i + 1) (es, aas)
-        else Some (i, e, a)
-      | e :: _, [] -> Some (i, e, "<end of output>")
-      | [], a :: _ -> Some (i, "<end of fixture>", a)
-      | [], [] -> None
-    in
-    match first_diff 1 (exp_lines, act_lines) with
-    | Some (line, e, a) ->
-      Alcotest.failf
-        "executor output diverged from the pre-refactor fixture at line %d:\n\
-         fixture: %s\n\
-         current: %s" line e a
-    | None -> Alcotest.fail "fixture mismatch (line endings?)"
-  end
+  Test_support.check_fixture ~what:"executor output"
+    ~file:"engine_compat.expected"
+    (Test_support.Compat_fixture.render ())
 
 (* The three validate_round rejections, pinned by exact message: the
    engine's per-round detector validation is what makes the downstream

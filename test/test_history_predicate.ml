@@ -210,6 +210,87 @@ let explain_names_round () =
     Alcotest.(check bool) "mentions round 2" true (contains msg "2")
   | None -> Alcotest.fail "expected a violation"
 
+(* {1 Verdict against explanation}
+
+   [holds] decides without formatting; [explain] reports.  They must
+   agree on every history, for every predicate of the spec vocabulary
+   and any conjunction or disjunction of them. *)
+
+type shape = Leaf of string | Conj of shape * shape | Disj of shape * shape
+
+let rec shape_name = function
+  | Leaf spec -> spec
+  | Conj (a, b) -> Printf.sprintf "(%s & %s)" (shape_name a) (shape_name b)
+  | Disj (a, b) -> Printf.sprintf "(%s | %s)" (shape_name a) (shape_name b)
+
+let rec predicate_of_shape = function
+  | Leaf spec -> Test_support.ok_exn (Check.Spec.predicate spec)
+  | Conj (a, b) -> P.conj (predicate_of_shape a) (predicate_of_shape b)
+  | Disj (a, b) -> P.disj (predicate_of_shape a) (predicate_of_shape b)
+
+(* Every name Check.Spec parses, parameters drawn from 0..n+1. *)
+let leaf_gen ~n =
+  let open QCheck.Gen in
+  let k = int_bound (n + 1) in
+  let with_param name key = map (Printf.sprintf "%s:%s=%d" name key) in
+  oneof
+    [
+      oneofl
+        [
+          "true"; "no-self"; "not-all-faulty"; "crash-closure"; "someone-seen";
+          "antisym"; "eq5"; "detector-s";
+        ];
+      (oneofl [ "omission"; "crash"; "async"; "shm"; "shm-alt"; "snapshot";
+                "byz-round" ]
+       >>= fun name -> with_param name "f" k);
+      with_param "kset" "k" k;
+      with_param "honest-kernel" "k" k;
+      map2 (Printf.sprintf "async-mixed:f=%d,t=%d") k k;
+    ]
+
+let rec shape_gen ~n depth =
+  let open QCheck.Gen in
+  let leaf = map (fun spec -> Leaf spec) (leaf_gen ~n) in
+  if depth = 0 then leaf
+  else
+    let sub = shape_gen ~n (depth - 1) in
+    frequency
+      [
+        (3, leaf);
+        (1, map2 (fun a b -> Conj (a, b)) sub sub);
+        (1, map2 (fun a b -> Disj (a, b)) sub sub);
+      ]
+
+(* Cells are empty, the whole system, or a random subset at a per-history
+   density, so both verdicts are common.  Self-suspicion is allowed. *)
+let verdict_history_gen ~n =
+  let open QCheck.Gen in
+  oneofl [ 0.05; 0.2; 0.5; 0.9 ] >>= fun density ->
+  let subset =
+    list_repeat n (float_bound_exclusive 1.0) >|= fun coins ->
+    snd
+      (List.fold_left
+         (fun (i, acc) c -> (i + 1, if c < density then Pset.add i acc else acc))
+         (0, Pset.empty) coins)
+  in
+  let cell =
+    frequency [ (3, return Pset.empty); (1, return (Pset.full n)); (6, subset) ]
+  in
+  int_bound 4 >>= fun rounds ->
+  list_repeat rounds (list_repeat n cell >|= Array.of_list) >|= H.of_rounds ~n
+
+let verdict_matches_explanation =
+  QCheck.Test.make ~name:"holds p h = (explain p h = None)" ~count:2000
+    (QCheck.make
+       ~print:(fun (shape, h) ->
+         Printf.sprintf "%s on %s" (shape_name shape) (H.to_string_compact h))
+       QCheck.Gen.(
+         frequency [ (8, int_range 1 8); (1, return 70) ] >>= fun n ->
+         pair (shape_gen ~n 2) (verdict_history_gen ~n)))
+    (fun (shape, h) ->
+      let p = predicate_of_shape shape in
+      P.holds p h = (P.explain p h = None))
+
 let tests =
   [
     Alcotest.test_case "history accessors" `Quick history_accessors;
@@ -230,4 +311,5 @@ let tests =
     Alcotest.test_case "surgery: remove_proc" `Quick surgery_remove_proc;
     Alcotest.test_case "surgery: wide universe" `Quick surgery_wide;
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ compact_roundtrip ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ compact_roundtrip; verdict_matches_explanation ]

@@ -111,14 +111,196 @@ let round_layer_full_information_recreates_missed_rounds =
         result.Msgnet.Round_layer.completed;
       !ok)
 
+(* Every adversary atom's schedule, byte-identical to the list- and
+   hashtable-based round layer the fixture was generated from. *)
+let round_layer_schedule_pin () =
+  Test_support.check_fixture ~what:"round-layer schedule"
+    ~file:"round_layer.expected"
+    (Test_support.Round_layer_fixture.render ())
+
+let round_layer_rejects_empty_runs () =
+  let run rounds () =
+    ignore
+      (Msgnet.Round_layer.run ~n:3 ~f:1 ~rounds
+         ~algorithm:(Rrfd.Full_info.algorithm ~inputs:(Tasks.Inputs.distinct 3))
+         ()
+        : Rrfd.Full_info.t Msgnet.Round_layer.result)
+  in
+  List.iter
+    (fun rounds ->
+      Alcotest.check_raises
+        (Printf.sprintf "rounds=%d" rounds)
+        (Invalid_argument "Round_layer.run: need rounds ≥ 1")
+        (run rounds))
+    [ 0; -2 ]
+
+(* The list-walking plan the flattened arrays replaced, kept as the
+   model: drops short-circuit in atom order, then spikes and reorders,
+   then duplications, then one redraw per extra copy. *)
+let reference_plan policy rng ~now ~from ~to_ ~delay ~redraw =
+  let open Msgnet.Adversary in
+  let cuts = function
+    | Split_at k -> from < k <> (to_ < k)
+    | Blocks bs ->
+      let find p = List.find_opt (fun b -> Pset.mem p b) bs in
+      (match (find from, find to_) with
+      | Some bf, Some bt -> not (Pset.equal bf bt)
+      | _ -> false)
+  in
+  let partitioned =
+    List.exists
+      (function
+        | Partition { at; heal; blocks } -> now >= at && now < heal && cuts blocks
+        | _ -> false)
+      policy
+  in
+  if partitioned then []
+  else if
+    List.exists
+      (function Drop { p } -> Dsim.Rng.float rng 1.0 < p | _ -> false)
+      policy
+  then []
+  else
+    let delay =
+      List.fold_left
+        (fun d -> function
+          | Spike { p; factor } ->
+            if Dsim.Rng.float rng 1.0 < p then d *. factor else d
+          | Reorder { p; window } ->
+            let jitter = Dsim.Rng.float rng window in
+            if Dsim.Rng.float rng 1.0 < p then d +. jitter else d
+          | _ -> d)
+        delay policy
+    in
+    let extras =
+      List.fold_left
+        (fun acc -> function
+          | Duplicate { p; copies } ->
+            let k = 1 + Dsim.Rng.int rng copies in
+            if Dsim.Rng.float rng 1.0 < p then acc + k else acc
+          | _ -> acc)
+        0 policy
+    in
+    delay :: List.init extras (fun _ -> redraw ())
+
+let atom_gen =
+  let open QCheck.Gen in
+  let pct = map (fun k -> float_of_int k /. 100.0) (int_bound 100) in
+  let small = map float_of_int (int_range 1 20) in
+  oneof
+    [
+      map (fun p -> Msgnet.Adversary.Drop { p }) pct;
+      map2 (fun p copies -> Msgnet.Adversary.Duplicate { p; copies }) pct
+        (int_range 1 3);
+      map2 (fun p factor -> Msgnet.Adversary.Spike { p; factor }) pct small;
+      map2 (fun p window -> Msgnet.Adversary.Reorder { p; window }) pct small;
+      map3
+        (fun at len k ->
+          Msgnet.Adversary.Partition
+            { at; heal = at +. len; blocks = Split_at k })
+        small small (int_range 1 4);
+      map2
+        (fun m forge ->
+          Msgnet.Adversary.Byz
+            {
+              members = Pset.singleton m;
+              behaviour = { equivocate = true; corrupt = false; forge };
+            })
+        (int_bound 4) bool;
+    ]
+
+let plan_into_matches_reference =
+  QCheck.Test.make ~name:"plan_into: same copies and draws as the list plan"
+    ~count:300
+    QCheck.(
+      pair
+        (make ~print:(fun l -> Printf.sprintf "%d atoms" (List.length l))
+           Gen.(list_size (int_bound 5) atom_gen))
+        (int_bound 100000))
+    (fun (atoms, seed) ->
+      let t = Msgnet.Adversary.make ~spec:"generated" atoms in
+      let out = Float.Array.create (Msgnet.Adversary.max_copies t) in
+      let model_rng = Dsim.Rng.create seed and rng = Dsim.Rng.create seed in
+      (* Each side's redraws come from its own copy of one stream. *)
+      let redraws () =
+        let r = Dsim.Rng.create (seed + 1) in
+        fun () -> 1.0 +. Dsim.Rng.float r 9.0
+      in
+      let model_redraw = redraws () and redraw = redraws () in
+      List.for_all
+        (fun j ->
+          let now = float_of_int (j * 3) and from = j mod 5 in
+          let to_ = (from + 1 + (j mod 3)) mod 5 in
+          let delay = float_of_int (1 + (j mod 7)) in
+          let expected =
+            reference_plan atoms model_rng ~now ~from ~to_ ~delay
+              ~redraw:model_redraw
+          in
+          let k =
+            Msgnet.Adversary.plan_into t rng ~now ~from ~to_ ~delay ~redraw out
+          in
+          expected = List.init k (Float.Array.get out)
+          && Msgnet.Adversary.plan t (Dsim.Rng.copy rng) ~now ~from ~to_ ~delay
+               ~redraw:(fun () -> 5.0)
+             = reference_plan atoms (Dsim.Rng.copy model_rng) ~now ~from ~to_
+                 ~delay ~redraw:(fun () -> 5.0)
+          && Dsim.Rng.int64 (Dsim.Rng.copy rng)
+             = Dsim.Rng.int64 (Dsim.Rng.copy model_rng))
+        (List.init 25 Fun.id))
+
+(* Rows past the initial capacity: [note] grows them, and reads, counts
+   and the extracted history still see every round. *)
+let heard_of_grows () =
+  let n = 3 and rounds = 11 in
+  let ho = Msgnet.Heard_of.create ~n in
+  let heard r = Pset.of_list [ 0; r mod n ] in
+  for r = 1 to rounds do
+    Msgnet.Heard_of.note ho 0 ~round:r
+      ~lied:(Pset.singleton (r mod n))
+      ~heard:(heard r) ()
+  done;
+  Msgnet.Heard_of.note ho 2 ~round:1 ~heard:(Pset.full n) ();
+  Alcotest.(check int) "completed p0" rounds (Msgnet.Heard_of.completed ho 0);
+  Alcotest.(check int) "completed p1" 0 (Msgnet.Heard_of.completed ho 1);
+  Alcotest.(check int) "rounds" rounds (Msgnet.Heard_of.rounds ho);
+  for r = 1 to rounds do
+    Alcotest.(check (option Test_support.pset_t))
+      (Printf.sprintf "heard r%d" r) (Some (heard r))
+      (Msgnet.Heard_of.heard ho ~proc:0 ~round:r);
+    Alcotest.(check (option Test_support.pset_t))
+      (Printf.sprintf "lied r%d" r)
+      (Some (Pset.singleton (r mod n)))
+      (Msgnet.Heard_of.lied ho ~proc:0 ~round:r)
+  done;
+  Alcotest.(check (option Test_support.pset_t)) "past the end" None
+    (Msgnet.Heard_of.heard ho ~proc:0 ~round:(rounds + 1));
+  let expected =
+    Rrfd.Fault_history.of_rounds ~n
+      (List.init rounds (fun i ->
+           let r = i + 1 in
+           [|
+             Pset.diff (Pset.full n) (heard r);
+             Pset.empty;
+             Pset.empty;
+           |]))
+  in
+  Alcotest.check Test_support.history_t "to_history" expected
+    (Msgnet.Heard_of.to_history ho)
+
 let tests =
   [
     Alcotest.test_case "network delivers" `Quick network_delivers_everything;
     Alcotest.test_case "network crashes" `Quick network_respects_crashes;
     Alcotest.test_case "network reorders" `Quick network_delay_order_can_invert;
+    Alcotest.test_case "round-layer schedule pin" `Quick
+      round_layer_schedule_pin;
+    Alcotest.test_case "round layer rejects rounds < 1" `Quick
+      round_layer_rejects_empty_runs;
+    Alcotest.test_case "heard-of rows grow" `Quick heard_of_grows;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
         round_layer_completes_and_satisfies_p3;
         round_layer_full_information_recreates_missed_rounds;
+        plan_into_matches_reference;
       ]
