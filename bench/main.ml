@@ -33,7 +33,6 @@ let tolerance = ref 50.0
 let table_trials = ref 50
 let speedup_trials = ref 1500
 let quota = ref 0.25
-let scale_repeats = ref 2
 
 let () =
   let spec =
@@ -59,10 +58,6 @@ let () =
       ( "--quota",
         Arg.Set_float quota,
         "SECS  bechamel time budget per subject (default 0.25)" );
-      ( "--scale-repeats",
-        Arg.Set_int scale_repeats,
-        "N  timed repetitions per E25 scale probe (default 2; 0 skips the \
-         scale section)" );
     ]
   in
   Arg.parse spec
@@ -371,25 +366,6 @@ let run_timing () =
     rows;
   rows
 
-(* The E25 scale probes, timed whole-run (they are far too coarse for
-   bechamel's per-op sampling): wide-Pset throughput at n = 100,
-   denominated in work units so the --check gate catches the
-   representation going accidentally quadratic.  The separate
-   bench/scale-baseline.json carries only these subjects; CI gates them
-   in the scale-smoke job with a loose tolerance. *)
-let run_scale () =
-  if !scale_repeats <= 0 then []
-  else begin
-    Printf.printf "\n=== scale throughput (E25 probes, wide Pset) ===\n%!";
-    let ms =
-      Experiments.E25_scale.measure
-        ~now_ns:(fun () -> Mclock.now ())
-        ~ns:[ 100 ] ~repeats:!scale_repeats ()
-    in
-    Experiments.E25_scale.print_measurements ms;
-    Experiments.E25_scale.subjects_of ms
-  end
-
 let run_tables () =
   Printf.printf "=== experiment tables (reduced trial counts) ===\n%!";
   let tables =
@@ -474,7 +450,7 @@ let () =
   in
   let tables = run_tables () in
   let failed = List.filter (fun t -> not (Experiments.Table.ok t)) tables in
-  let subjects = run_timing () @ run_scale () in
+  let subjects = run_timing () in
   let speedup = run_speedup () in
   let report = build_report ~subjects ~tables ~speedup in
   Option.iter

@@ -20,10 +20,6 @@ let seed_arg =
   let doc = "Random seed; every experiment is reproducible from it." in
   Arg.(value & opt int Experiments.Registry.default_seed & info [ "seed" ] ~doc)
 
-let trials_arg =
-  let doc = "Override the per-configuration trial count." in
-  Arg.(value & opt (some int) None & info [ "trials" ] ~doc)
-
 let jobs_arg =
   let doc =
     "Worker domains for Monte-Carlo campaigns (default: all cores).  \
@@ -37,30 +33,59 @@ let jobs_arg =
    One definition per option several subcommands take; they differ only
    in default and doc. *)
 
-(* A bad spec or artifact is a usage error: say why, exit 2. *)
-let or_die = function
-  | Ok v -> v
-  | Error msg ->
-    prerr_endline msg;
-    exit 2
+(* A bad spec, artifact or size is a usage error: say why, exit 2. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 2)
+    fmt
+
+let or_die = function Ok v -> v | Error msg -> usage_error "%s" msg
 
 let exit_code ok = if ok then 0 else 1
 
 let opt_arg name ?docv ~doc typ default =
   Arg.(value & opt typ default & info [ name ] ?docv ~doc)
 
-let n_arg ?(doc = "System size.") typ n = opt_arg "n" ~doc typ n
+let in_range name ~lo ~hi v =
+  if v < lo || v > hi then
+    if hi = max_int then usage_error "--%s must be at least %d, got %d" name lo v
+    else usage_error "--%s must be in %d..%d, got %d" name lo hi v;
+  v
 
-let f_arg ~doc typ f = opt_arg "f" ~doc typ f
+(* Integer options whose out-of-range values are usage errors, not
+   exceptions deep inside a run. *)
+let int_arg name ?docv ~doc ?(lo = 0) ?(hi = max_int) default =
+  Term.map (in_range name ~lo ~hi) (opt_arg name ?docv ~doc Arg.int default)
 
-let rounds_arg ~doc typ rounds = opt_arg "rounds" ~doc typ rounds
+let int_opt_arg name ?docv ~doc ?(lo = 0) ?(hi = max_int) () =
+  Term.map
+    (Option.map (in_range name ~lo ~hi))
+    (opt_arg name ?docv ~doc Arg.(some int) None)
 
-(* [(n, f)], with [f] defaulting to a minority of [n]. *)
-let n_minority_f_arg n =
-  let f = f_arg ~doc:"Resilience (default: a minority, (n-1)/2)." Arg.(some int) None in
+let trials_arg =
+  int_opt_arg "trials" ~doc:"Override the per-configuration trial count." ()
+
+let n_arg ?(doc = "System size.") ?(hi = Rrfd.Pset.max_universe) n =
+  int_arg "n" ~doc ~lo:1 ~hi n
+
+let f_arg ~doc f = int_arg "f" ~doc f
+
+let rounds_arg ~doc rounds = int_arg "rounds" ~doc rounds
+
+let rounds_opt_arg ~doc = int_opt_arg "rounds" ~doc ()
+
+(* [(n, f)], with [f] defaulting to a minority of [n] and bounded by it. *)
+let n_minority_f_arg ?hi n =
+  let f =
+    opt_arg "f" ~doc:"Resilience (default: a minority, (n-1)/2)."
+      Arg.(some int) None
+  in
   Term.(
-    const (fun n f -> (n, Option.value f ~default:((n - 1) / 2)))
-    $ n_arg Arg.int n $ f)
+    const (fun n f ->
+        (n, in_range "f" ~lo:0 ~hi:(n - 1) (Option.value f ~default:((n - 1) / 2))))
+    $ n_arg ?hi n $ f)
 
 let grid_arg doc = Arg.(value & flag & info [ "grid" ] ~doc)
 
@@ -219,9 +244,9 @@ let lattice_cmd =
        ~doc:"Check a submodel relation (Sec. 2) exhaustively at a small size.")
     Term.(
       const run $ a_arg $ b_arg
-      $ n_arg ~doc:"System size (keep ≤ 4)." Arg.int 3
-      $ f_arg ~doc:"Resilience parameter." Arg.int 1
-      $ rounds_arg ~doc:"History length (keep ≤ 2)." Arg.int 2)
+      $ n_arg ~doc:"System size (keep ≤ 4)." 3
+      $ f_arg ~doc:"Resilience parameter." 1
+      $ rounds_arg ~doc:"History length (keep ≤ 2)." 2)
 
 (* `trace` — run any catalog protocol under a chosen model and print the
    full transcript.  Protocol names, printers and horizons all come from
@@ -239,7 +264,7 @@ let trace_cmd =
       & info [ "protocol" ] ~docv:"NAME" ~doc)
   in
   let n_arg =
-    n_arg Arg.(some int) None
+    int_opt_arg "n" ~lo:1 ~hi:Rrfd.Pset.max_universe ()
       ~doc:
         "System size (default: 6 for k-set protocols, the catalog default \
          otherwise)."
@@ -263,31 +288,28 @@ let trace_cmd =
         | None -> if is_kset then 6 else Protocols.Catalog.default_n proto
       in
       let f =
-        if is_kset then k - 1 else Protocols.Catalog.default_f proto ~n
+        if is_kset then in_range "k" ~lo:1 ~hi:n k - 1
+        else Protocols.Catalog.default_f proto ~n
       in
+      if f >= n then usage_error "trace: %s needs n > f = %d" protocol f;
       let inputs = Tasks.Inputs.distinct n in
-      let detector rng =
+      let rng = Dsim.Rng.create seed in
+      let detector =
         if is_kset then Rrfd.Detector_gen.k_set rng ~n ~k
         else Rrfd.Detector_gen.crash rng ~n ~f
       in
       let check = if is_kset then Some (Rrfd.Predicate.k_set ~k) else None in
       let max_rounds = max 1 (Protocols.Catalog.horizon proto ~n ~f) in
-      (* Two identically-seeded RNGs: one consumed by the rendered
-         transcript, one by the execution we report decisions from. *)
-      print_endline
-        (Protocols.Catalog.transcript proto ~inputs ?check ~n ~f ~max_rounds
-           ~detector:(detector (Dsim.Rng.create seed))
-           ());
-      let ex =
-        Protocols.Catalog.run_engine proto ~inputs ?check ~max_rounds ~n ~f
-          ~detector:(detector (Dsim.Rng.create seed))
-          ()
+      let transcript, outcome =
+        Protocols.Catalog.transcript proto ~inputs ?check ~n ~f ~max_rounds
+          ~detector ()
       in
+      print_endline transcript;
       Printf.printf "history: %s\n"
-        (Rrfd.Fault_history.to_string_compact ex.Rrfd.Substrate.induced);
+        (Rrfd.Fault_history.to_string_compact outcome.Rrfd.Engine.history);
       if is_kset then (
         match
-          Tasks.Agreement.check ~k ~inputs ex.Rrfd.Substrate.decisions
+          Tasks.Agreement.check ~k ~inputs outcome.Rrfd.Engine.decisions
         with
         | None ->
           Printf.printf "%d-set agreement: OK\n" k;
@@ -303,7 +325,7 @@ let trace_cmd =
                match d with
                | None -> Format.pp_print_string fmt "-"
                | Some v -> Protocols.Catalog.pp_out proto fmt v))
-          ex.Rrfd.Substrate.decisions;
+          outcome.Rrfd.Engine.decisions;
         0
       end
   in
@@ -349,12 +371,10 @@ let check_cmd =
     Arg.(value & opt_all string [] & info [ "property" ] ~docv:"PROP" ~doc)
   in
   let rounds_arg =
-    rounds_arg Arg.(some int) None
+    rounds_opt_arg
       ~doc:"History length to explore (default: what the SUT needs)."
   in
-  let trials_arg =
-    Arg.(value & opt int 1000 & info [ "trials" ] ~doc:"Fuzzing trials.")
-  in
+  let trials_arg = int_arg "trials" ~doc:"Fuzzing trials." 1000 in
   let attempts_arg =
     let doc = "Per-round rejection budget when sampling histories." in
     Arg.(value & opt int 64 & info [ "attempts" ] ~doc)
@@ -520,7 +540,7 @@ let check_cmd =
           as a JSON artifact.")
     Term.(
       const run $ seed_arg $ trials_arg $ jobs_arg $ sut_arg $ predicate_arg
-      $ generator_arg $ property_arg $ n_arg Arg.int 4 $ rounds_arg $ attempts_arg
+      $ generator_arg $ property_arg $ n_arg 4 $ rounds_arg $ attempts_arg
       $ exhaustive_arg $ save_arg $ expect_arg $ replay_arg $ trace_flag)
 
 (* `faultnet` — drive the fault-injection network layer: run one adversary
@@ -551,43 +571,41 @@ let faultnet_cmd =
   in
   let run_single ~seed ~spec ~n ~f ~rounds =
     let adversary = or_die (Check.Spec.adversary spec) in
-    let d =
-      (* The round layer rejects an empty run or an f outside [0, n):
-         a usage error, not a crash. *)
+    let algorithm = Rrfd.Full_info.algorithm ~inputs:(Tasks.Inputs.distinct n) in
+    let o =
+      (* The round layer rejects an empty run: a usage error, not a
+         crash. *)
       or_die
         (match
-           Msgnet.Round_layer.differential ~seed ~adversary
-             ~equal:Rrfd.Full_info.equal ~n ~f ~rounds
-             ~algorithm:
-               (Rrfd.Full_info.algorithm ~inputs:(Tasks.Inputs.distinct n))
-             ()
+           Msgnet.Round_layer.run ~seed ~adversary ~n ~f ~rounds ~algorithm ()
          with
-        | d -> Ok d
+        | o -> Ok o
         | exception Invalid_argument msg -> Error ("faultnet: " ^ msg))
     in
-    let o = d.Msgnet.Round_layer.outcome in
+    let ex = Msgnet.Round_layer.As_substrate.of_result o in
+    let matched =
+      Rrfd.Substrate.agrees ~equal:Rrfd.Full_info.equal ex
+        ~replayed:(Msgnet.Heard_of.replay_decisions ~algorithm ex.induced)
+    in
     Printf.printf "faultnet: %s over n=%d f=%d rounds=%d (seed %d)\n" spec n f
       rounds seed;
     Printf.printf "  messages: sent=%d delivered=%d dropped=%d duplicated=%d\n"
-      o.Msgnet.Round_layer.messages_sent o.Msgnet.Round_layer.messages_delivered
-      o.Msgnet.Round_layer.messages_dropped
-      o.Msgnet.Round_layer.messages_duplicated;
+      o.messages_sent o.messages_delivered o.messages_dropped
+      o.messages_duplicated;
     Printf.printf "  completed rounds: %s  (virtual time %.1f)\n"
-      (String.concat " "
-         (Array.to_list
-            (Array.map string_of_int o.Msgnet.Round_layer.completed)))
-      o.Msgnet.Round_layer.virtual_time;
-    let p3 = List.assoc "P3" (print_induced ~f o.Msgnet.Round_layer.induced) in
-    if d.Msgnet.Round_layer.matched then
+      (String.concat " " (Array.to_list (Array.map string_of_int o.completed)))
+      o.virtual_time;
+    let p3 = List.assoc "P3" (print_induced ~f ex.induced) in
+    if matched then
       Printf.printf "  replay: engine decisions match the network's%s.\n"
-        (if d.Msgnet.Round_layer.all_completed then ""
+        (if Array.for_all (( = ) rounds) o.completed then ""
          else " over the completed prefix")
     else Printf.printf "  replay: DIVERGED from the abstract engine.\n";
     if not p3 then
       Printf.printf
         "  P3 VIOLATED: some D(i,r) exceeds f — the round layer's guarantee \
          broke.\n";
-    exit_code (d.Msgnet.Round_layer.matched && p3)
+    exit_code (matched && p3)
   in
   let run seed trials jobs spec (n, f) rounds grid json =
     if grid then
@@ -606,7 +624,7 @@ let faultnet_cmd =
     Term.(
       const run $ seed_arg $ trials_arg $ jobs_arg $ adversary_arg
       $ n_minority_f_arg 5
-      $ rounds_arg ~doc:"Simulated rounds." Arg.int 4
+      $ rounds_arg ~doc:"Simulated rounds." 4
       $ grid_arg $ json_arg)
 
 (* `xsub` — the E22 cross-substrate differential matrix: every catalog
@@ -656,7 +674,7 @@ let live_cmd =
       & info [ "protocol" ] ~docv:"NAME" ~doc)
   in
   let rounds_arg =
-    rounds_arg Arg.(some int) None
+    rounds_opt_arg
       ~doc:"Round horizon (default: the protocol's at n, f)."
   in
   let patience_arg =
@@ -705,18 +723,19 @@ let live_cmd =
         (String.concat ", " Protocols.Catalog.names);
       exit 2
   in
-  let differential_once proto ~inputs ~patience ~n ~f ~rounds =
-    let ex = Protocols.Catalog.run_live proto ~inputs ~patience ~n ~f ~rounds () in
-    let replayed =
-      Protocols.Catalog.replay proto ~inputs ~f
-        ~history:ex.Rrfd.Substrate.induced ()
-    in
-    (ex, ex.Rrfd.Substrate.decisions = replayed.Rrfd.Substrate.decisions)
+  (* The verdict on one live run: its pinned replay decides the same. *)
+  let replay_agrees proto ~inputs ~f ex =
+    Rrfd.Substrate.agrees ~equal:Int.equal ex
+      ~replayed:
+        (Protocols.Catalog.replay proto ~inputs ~f
+           ~history:ex.Rrfd.Substrate.induced ())
+          .Rrfd.Substrate.decisions
   in
   let run_single ~proto_name ~patience ~n ~f ~rounds ~record =
     let proto = find_protocol proto_name in
     let inputs = Protocols.Catalog.default_inputs ~n in
-    let ex, matched = differential_once proto ~inputs ~patience ~n ~f ~rounds in
+    let ex = Protocols.Catalog.run_live proto ~inputs ~patience ~n ~f ~rounds () in
+    let matched = replay_agrees proto ~inputs ~f ex in
     Printf.printf "live: %s over n=%d f=%d rounds=%d, patience %s\n" proto_name
       n f rounds
       (Live.Patience.to_string patience);
@@ -754,8 +773,8 @@ let live_cmd =
       let rng = Dsim.Rng.derive ~seed ~stream:trial in
       let inputs = Protocols.Catalog.default_inputs ~n in
       Dsim.Rng.shuffle_in_place rng inputs;
-      let _, matched = differential_once proto ~inputs ~patience ~n ~f ~rounds in
-      if not matched then incr mismatches
+      let ex = Protocols.Catalog.run_live proto ~inputs ~patience ~n ~f ~rounds () in
+      if not (replay_agrees proto ~inputs ~f ex) then incr mismatches
     done;
     Printf.printf
       "live stress: %s, n=%d f=%d rounds=%d, patience %s: %d/%d replays \
@@ -799,7 +818,7 @@ let live_cmd =
           artifact for check --replay, or the E23 --grid.")
     Term.(
       const run $ seed_arg $ trials_arg $ jobs_arg $ protocol_arg
-      $ n_minority_f_arg 5 $ rounds_arg $ patience_arg $ stress_arg
+      $ n_minority_f_arg ~hi:Live.max_processes 5 $ rounds_arg $ patience_arg $ stress_arg
       $ record_arg $ grid_arg $ json_arg $ from_arg)
 
 (* `scale` — the E25 large-n grid on the wide Pset.  Default mode runs
@@ -916,9 +935,7 @@ let byz_cmd =
   let module Acc = Msgnet.Accountability in
   let module Byz = Check.Byz_check in
   let byz_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "byz" ] ~doc:"Byzantine member count (processes 0..byz-1).")
+    int_arg "byz" ~doc:"Byzantine member count (processes 0..byz-1)." 2
   in
   let forge_arg =
     Arg.(
@@ -939,7 +956,7 @@ let byz_cmd =
        never accuse an honest process, and every fork must convict \
        ≥ f+1."
     in
-    Arg.(value & opt (some int) None & info [ "fuzz" ] ~docv:"TRIALS" ~doc)
+    int_opt_arg "fuzz" ~docv:"TRIALS" ~doc ()
   in
   let exhaustive_arg =
     let doc =
@@ -1096,6 +1113,8 @@ let byz_cmd =
   in
   let run seed trials jobs n f byz forge grid json fuzz exhaustive seeds save
       replay =
+    let f = in_range "f" ~lo:0 ~hi:(n - 1) f in
+    let byz = in_range "byz" ~lo:0 ~hi:n byz in
     match replay with
     | Some path -> run_replay path
     | None ->
@@ -1118,8 +1137,8 @@ let byz_cmd =
           soundness, prove its completeness exhaustively, and save or \
           replay e24-byz witnesses.")
     Term.(
-      const run $ seed_arg $ trials_arg $ jobs_arg $ n_arg Arg.int 4
-      $ f_arg ~doc:"Audit resilience bound." Arg.int 1
+      const run $ seed_arg $ trials_arg $ jobs_arg $ n_arg 4
+      $ f_arg ~doc:"Audit resilience bound." 1
       $ byz_arg
       $ forge_arg $ grid_arg $ json_arg $ fuzz_arg $ exhaustive_arg
       $ seeds_arg $ save_arg $ replay_arg)
@@ -1236,7 +1255,7 @@ let derive_cmd =
     Term.(
       const run $ seed_arg $ trials_arg $ jobs_arg $ policy_arg
       $ n_minority_f_arg 5
-      $ rounds_arg ~doc:"Simulated rounds." Arg.int 4
+      $ rounds_arg ~doc:"Simulated rounds." 4
       $ fuzz_arg $ exhaustive_arg $ grid_arg $ json_arg
       $ save_arg $ replay_arg)
 

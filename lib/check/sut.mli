@@ -1,9 +1,9 @@
 (** Systems under test: an algorithm packaged for the model checker.
 
-    A SUT hides the algorithm's state and message types behind two closures
-    — one producing a {!Property.obs} through {!Rrfd.Engine.run}, one
-    rendering a full {!Rrfd.Trace} transcript — so the checker can drive any
-    of the repo's protocols uniformly.  Inputs are always
+    A SUT is a {!Protocols.Catalog} entry plus the horizon the fuzzer
+    draws: {!run} observes one engine execution as a {!Property.obs} and
+    {!transcript} renders it as a full {!Rrfd.Trace}, so the checker can
+    drive any of the repo's protocols uniformly.  Inputs are always
     [Tasks.Inputs.distinct n] (every process proposes its own id, the
     hardest case for agreement), which keeps counterexamples meaningful
     after the shrinker merges processes away. *)
@@ -16,22 +16,12 @@ val rounds : t -> int
 (** Rounds the protocol needs to terminate — the default history length the
     fuzzer draws. *)
 
-val make :
-  name:string ->
-  rounds:int ->
-  pp_msg:(Format.formatter -> 'm -> unit) ->
-  ?pp_out:(Format.formatter -> int -> unit) ->
-  (inputs:int array -> ('s, 'm, int) Rrfd.Algorithm.t) ->
-  t
-(** [make ~name ~rounds ~pp_msg algo] packages [algo].  [pp_out] renders
-    decisions in transcripts (default: plain int). *)
-
 val of_protocol : Protocols.Catalog.t -> t
 (** Derive a SUT from a protocol-catalog entry — name, horizon (at the
-    entry's default [n]/[f]) and printers come from the catalog, the run
-    closures drive the catalog's engine/network runners.  This is how
-    every stock SUT is defined; the catalog is the single definition site
-    for algorithms. *)
+    entry's default [n]/[f]) and printers come from the catalog, and every
+    run goes through {!Protocols.Catalog.run_engine}.  This is how every
+    SUT is defined; the catalog is the single definition site for
+    algorithms. *)
 
 val default_inputs : n:int -> int array
 (** [Tasks.Inputs.distinct n]. *)
@@ -50,7 +40,7 @@ val run :
 
 val run_history :
   t -> check:Rrfd.Predicate.t -> Rrfd.Fault_history.t -> Property.obs
-(** Replay a pinned fault history ({!Rrfd.Detector.of_schedule}).  A
+(** Replay a pinned fault history ({!Rrfd.Detector.of_history}).  A
     history shorter than the SUT's horizon is padded with failure-free
     rounds up to {!rounds} — so shrinking a round away means "the adversary
     goes quiet", never "the protocol is starved of rounds" — and the
@@ -69,9 +59,6 @@ val transcript :
 
 val kset_one_round : t
 (** Theorem 3.1's one-round algorithm ({!Rrfd.Kset.one_round}). *)
-
-val consensus : t
-(** The same algorithm run for consensus ({!Rrfd.Kset.consensus}). *)
 
 val adopt_commit : t
 (** The two-round adopt-commit protocol ({!Rrfd.Adopt_commit.algorithm}),

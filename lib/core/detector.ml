@@ -26,6 +26,15 @@ let of_schedule ?after rounds =
       let r = Fault_history.rounds h in
       if r < Array.length table then table.(r) else fallback h)
 
+(* One shared failure-free row for the tail; the pinned rounds are read
+   off the history on demand, so no schedule list is ever built. *)
+let of_history h =
+  let pinned = Fault_history.rounds h in
+  let quiet = Array.make (Fault_history.n h) Pset.empty in
+  make ~name:"schedule" (fun sofar ->
+      let r = Fault_history.rounds sofar in
+      if r < pinned then Fault_history.round_sets h ~round:(r + 1) else quiet)
+
 let constant ~n:_ d = make ~name:"constant" (fun _ -> d)
 
 let map ~name f d = make ~name (fun h -> f h (d.next h))

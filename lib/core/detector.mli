@@ -34,6 +34,13 @@ val of_schedule : ?after:Pset.t array -> Pset.t array list -> t
     (default: the last scheduled round, or all-empty if the schedule is
     empty).  Array lengths must match the engine's [n]. *)
 
+val of_history : Fault_history.t -> t
+(** [of_history h] replays [h] pinned: round [r ≤ Fault_history.rounds h]
+    gets [h]'s round-[r] fault sets, every later round is failure-free.
+    The one way a recorded history becomes a detector — counterexample
+    replay, the pinned differential oracle and trace rendering all use
+    it. *)
+
 val constant : n:int -> Pset.t array -> t
 (** [constant ~n d] returns the same fault sets every round. *)
 

@@ -23,3 +23,18 @@ module type S = sig
     algorithm:('s, 'm, 'out) Algorithm.t ->
     'out execution
 end
+
+let comparable ex i = ex.completed.(i) = Fault_history.rounds ex.induced
+
+let agrees ~equal ex ~replayed =
+  let agree i d =
+    match (d, replayed.(i)) with
+    | None, None -> true
+    | Some x, Some y -> equal x y
+    | _ -> false
+  in
+  let ok = ref true in
+  Array.iteri
+    (fun i d -> if comparable ex i && not (agree i d) then ok := false)
+    ex.decisions;
+  !ok

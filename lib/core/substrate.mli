@@ -53,9 +53,11 @@ type 'out execution = {
       (** Processes the substrate actually crashed ([Pset.empty] for the
           abstract engine, whose processes all keep executing). *)
   completed : int array;
-      (** Rounds each process completed.  Lock-step substrates complete
-          the same number everywhere; the asynchronous layer may leave
-          slow processes behind. *)
+      (** Rounds each process completed.  The engine and the live
+          substrate complete every round everywhere; the synchronous
+          network stops counting at a crash (a process crashed in round
+          [c] completed [c − 1] rounds); the asynchronous layer may leave
+          crashed or slow processes behind. *)
   wall_ns : int64 option;
       (** Real elapsed wall-clock time of the run in nanoseconds.
           [Some _] only on substrates whose nondeterminism comes from an
@@ -85,3 +87,25 @@ module type S = sig
       stop on decision, crash schedules, repair protocols, patience
       deadlines …); the record is the common observable. *)
 end
+
+(** {1 The pinned-replay verdict}
+
+    Every substrate is checked the same way: replay [ex.induced] pinned on
+    the engine ([Protocols.Catalog.replay] or
+    [Msgnet.Heard_of.replay_decisions]) and compare decisions.  Only the
+    processes that ran the whole induced history are compared — a process
+    that crashed or fell behind stopped mid-history, while the replay keeps
+    executing it. *)
+
+val comparable : 'out execution -> Proc.t -> bool
+(** [comparable ex i] iff [i] completed every round of [ex.induced]
+    ([ex.completed.(i) = Fault_history.rounds ex.induced]). *)
+
+val agrees :
+  equal:('out -> 'out -> bool) ->
+  'out execution ->
+  replayed:'out option array ->
+  bool
+(** [agrees ~equal ex ~replayed] iff every {!comparable} process of [ex]
+    has the same decision (or the same absence of one) in [replayed],
+    under [equal]. *)

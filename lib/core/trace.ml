@@ -11,41 +11,49 @@ type 'out t = {
   outcome : 'out Engine.outcome;
 }
 
-(* Run the engine for the outcome, then replay the execution from the
-   recorded fault history to render each round's emissions — algorithms
-   are deterministic, so the replay reproduces the run exactly. *)
+(* Watch the engine's own run: each state carries its process id, so the
+   wrapped [emit] files the rendered message under (round, process) as
+   the engine asks for it.  Fault sets and first decisions are read off
+   the outcome afterwards. *)
 let record ~n ?max_rounds ?check ?stop_when_decided ~pp_msg ~algorithm
     ~detector () =
-  let outcome =
-    Engine.run ~n ?max_rounds ?check ?stop_when_decided ~algorithm ~detector ()
+  let open Algorithm in
+  let emitted = Hashtbl.create 8 in
+  let watched =
+    {
+      name = algorithm.name;
+      init = (fun ~n i -> (i, algorithm.init ~n i));
+      emit =
+        (fun (i, s) ~round ->
+          let m = algorithm.emit s ~round in
+          Hashtbl.replace emitted (round, i) (Format.asprintf "%a" pp_msg m);
+          m);
+      deliver =
+        (fun (i, s) ~round ~view -> (i, algorithm.deliver s ~round ~view));
+      decide = (fun (_, s) -> algorithm.decide s);
+    }
   in
-  let history = outcome.Engine.history in
-  let states = Array.init n (fun i -> algorithm.Algorithm.init ~n i) in
-  let decided = Array.make n false in
-  let view = View.create ~n in
-  let rounds = ref [] in
-  for round = 1 to Fault_history.rounds history do
-    let fault_sets = Fault_history.round_sets history ~round in
-    let emitted = Array.map (fun s -> algorithm.Algorithm.emit s ~round) states in
-    let emissions = Array.map (fun m -> Format.asprintf "%a" pp_msg m) emitted in
-    for i = 0 to n - 1 do
-      View.set view ~msgs:emitted ~faulty:fault_sets.(i);
-      states.(i) <- algorithm.Algorithm.deliver states.(i) ~round ~view
-    done;
-    let new_decisions = ref [] in
-    for i = n - 1 downto 0 do
-      if not decided.(i) then
-        match algorithm.Algorithm.decide states.(i) with
-        | Some v ->
-          decided.(i) <- true;
-          new_decisions := (i, v) :: !new_decisions
-        | None -> ()
-    done;
-    rounds :=
-      { number = round; emissions; fault_sets; new_decisions = !new_decisions }
-      :: !rounds
-  done;
-  { n; rounds = List.rev !rounds; outcome }
+  let outcome =
+    Engine.run ~n ?max_rounds ?check ?stop_when_decided ~algorithm:watched
+      ~detector ()
+  in
+  let { Engine.history; decisions; decision_rounds; _ } = outcome in
+  let rounds =
+    List.init (Fault_history.rounds history) (fun r ->
+        let number = r + 1 in
+        let decided_now i =
+          match (decision_rounds.(i), decisions.(i)) with
+          | Some d, Some v when d = number -> Some (i, v)
+          | _ -> None
+        in
+        {
+          number;
+          emissions = Array.init n (fun i -> Hashtbl.find emitted (number, i));
+          fault_sets = Fault_history.round_sets history ~round:number;
+          new_decisions = List.filter_map decided_now (List.init n Fun.id);
+        })
+  in
+  { n; rounds; outcome }
 
 let pp pp_out ppf t =
   List.iter

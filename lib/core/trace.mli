@@ -1,8 +1,8 @@
 (** Readable execution transcripts.
 
     The engine's {!Engine.outcome} carries the fault history and decisions;
-    this module runs an algorithm while also recording what every process
-    emitted and decided each round, and renders the transcript — the
+    this module runs an algorithm on the engine while also recording what
+    every process emitted each round, and renders the transcript — the
     debugging view for algorithm authors and the pretty output used by the
     examples. *)
 
@@ -31,9 +31,8 @@ val record :
   unit ->
   'out t
 (** Like {!Engine.run}, additionally rendering each emission with
-    [pp_msg].  The transcript is produced by replaying the recorded fault
-    history, so the algorithm must be deterministic (every algorithm in
-    this repository is). *)
+    [pp_msg] as the engine asks for it: the transcript is the one run
+    whose outcome it carries. *)
 
 val pp :
   (Format.formatter -> 'out -> unit) -> Format.formatter -> 'out t -> unit

@@ -5,9 +5,10 @@
    lock-step synchronous network, event-driven asynchronous network) under
    equivalent fault policies; each run's induced fault history is replayed
    pinned on the abstract engine, and the decisions and the P1–P5
-   classification of the history must agree bit-for-bit.  This generalises
-   Round_layer.differential from one ad-hoc algorithm to the whole
-   catalog × substrate × policy grid.
+   classification of the history must agree bit-for-bit on every process
+   that completed the whole induced history (Rrfd.Substrate.agrees) —
+   the engine's everybody, the synchronous network's non-crashed, the
+   asynchronous layer's fully-completed processes.
 
    Trials run as a Runtime.Campaign with per-(cell, trial) RNG derivation,
    so the table and the per-trial artifacts run_detailed exposes for the
@@ -37,32 +38,12 @@ let lossy_adversary =
   | Ok a -> a
   | Error e -> invalid_arg ("E22: " ^ e)
 
-(* The comparable set: processes whose substrate execution the pinned
-   replay is expected to reproduce.  The engine reproduces everybody; the
-   synchronous network everybody it did not crash (a crashed process stops
-   mid-protocol, while the RRFD reading keeps executing it); the
-   asynchronous layer everybody that completed the full extracted
-   prefix — exactly Round_layer.differential's rule. *)
-let comparable (ex : int Rrfd.Substrate.execution) =
-  let r_max = Rrfd.Fault_history.rounds ex.Rrfd.Substrate.induced in
-  List.filter
-    (fun i ->
-      match ex.Rrfd.Substrate.substrate with
-      | "engine" -> true
-      | "sync" -> not (Rrfd.Pset.mem i ex.Rrfd.Substrate.crashed)
-      | _ -> ex.Rrfd.Substrate.completed.(i) = r_max)
-    (List.init n Fun.id)
-
 let check_substrate proto ~inputs (ex : int Rrfd.Substrate.execution) =
   let open Rrfd.Substrate in
   let replayed =
     Protocols.Catalog.replay proto ~inputs ~f ~history:ex.induced ()
   in
-  let decisions_ok =
-    List.for_all
-      (fun i -> ex.decisions.(i) = replayed.decisions.(i))
-      (comparable ex)
-  in
+  let decisions_ok = agrees ~equal:Int.equal ex ~replayed:replayed.decisions in
   let classes_ok =
     Msgnet.Heard_of.classify ~f ex.induced
     = Msgnet.Heard_of.classify ~f replayed.induced
@@ -76,15 +57,13 @@ let check_substrate proto ~inputs (ex : int Rrfd.Substrate.execution) =
     },
     ex.counters )
 
-let failure_free_detector =
-  Rrfd.Detector.of_schedule ~after:(Array.make n Rrfd.Pset.empty) []
-
-let run_trial proto ~policy ~rng =
+(* One trial's three executions — engine, sync, msgnet — under [policy]. *)
+let executions proto ~policy ~rng =
   let inputs = Protocols.Catalog.default_inputs ~n in
   let rounds = Protocols.Catalog.horizon proto ~n ~f in
   let detector =
     match policy with
-    | "none" -> failure_free_detector
+    | "none" -> Rrfd.Detector.none
     | "crash" -> Rrfd.Detector_gen.crash rng ~n ~f
     | _ -> Rrfd.Detector_gen.omission rng ~n ~f
   in
@@ -117,13 +96,17 @@ let run_trial proto ~policy ~rng =
     Protocols.Catalog.run_msgnet proto ~inputs ~crashes ?adversary ~rounds
       ~seed:net_seed ~n ~f ()
   in
+  [ engine_ex; sync_ex; net_ex ]
+
+let run_trial proto ~policy ~rng =
+  let inputs = Protocols.Catalog.default_inputs ~n in
   let subs, counters =
     List.fold_left
       (fun (subs, acc) ex ->
         let s, c = check_substrate proto ~inputs ex in
         (s :: subs, Rrfd.Counters.add acc c))
       ([], Rrfd.Counters.zero)
-      [ engine_ex; sync_ex; net_ex ]
+      (executions proto ~policy ~rng)
   in
   { subs = List.rev subs; counters }
 

@@ -177,24 +177,3 @@ module As_substrate = struct
       wall_ns = Some r.wall_ns;
     }
 end
-
-type 'out differential = {
-  outcome : 'out result;
-  replayed : 'out option array;
-  matched : bool;
-}
-
-let differential ?patience ?(equal = Stdlib.( = )) ~n ~f ~rounds ~algorithm () =
-  let outcome = run ?patience ~n ~f ~rounds ~algorithm () in
-  let replayed = Msgnet.Heard_of.replay_decisions ~algorithm outcome.induced in
-  let opt_equal a b =
-    match (a, b) with
-    | None, None -> true
-    | Some x, Some y -> equal x y
-    | _ -> false
-  in
-  let matched = ref true in
-  Array.iteri
-    (fun i d -> if not (opt_equal d replayed.(i)) then matched := false)
-    outcome.decisions;
-  { outcome; replayed; matched = !matched }

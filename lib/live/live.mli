@@ -9,8 +9,9 @@
     asynchrony are {e observed}, and the per-round heard-from records are
     collected into exactly the paper's fault history [{D(i,r)}]
     ({!Msgnet.Heard_of}), which the abstract engine can replay pinned
-    ({!differential}) — the communication-closed reduction (Damian et
-    al.) run in the forward direction, validating the model against
+    ([Protocols.Catalog.replay], judged by {!Rrfd.Substrate.agrees}) —
+    the communication-closed reduction (Damian et al.) run in the forward
+    direction, validating the model against
     reality instead of against another simulation.
 
     Execution discipline: every process runs the full round horizon (no
@@ -94,26 +95,3 @@ module As_substrate : sig
       (live processes never stop early) and [wall_ns] is [Some _] — the
       only substrate whose executions carry real elapsed time. *)
 end
-
-type 'out differential = {
-  outcome : 'out result;
-  replayed : 'out option array;
-      (** Decisions of the pinned engine replay of [outcome.induced]. *)
-  matched : bool;
-      (** Live and replayed decision vectors agree at {e every} process
-          (all live processes complete the full horizon, so the whole
-          vector is comparable — no prefix rule needed). *)
-}
-
-val differential :
-  ?patience:Patience.t ->
-  ?equal:('out -> 'out -> bool) ->
-  n:int ->
-  f:int ->
-  rounds:int ->
-  algorithm:('s, 'm, 'out) Rrfd.Algorithm.t ->
-  unit ->
-  'out differential
-(** One live run plus its {!Msgnet.Heard_of.replay_decisions} oracle:
-    if [matched] is false, either the extraction lost information or the
-    substrate is not communication-closed — both bugs. *)

@@ -113,14 +113,9 @@ let classify ~f history =
     (paper_predicates ~f)
 
 let replay_decisions ~algorithm history =
-  let n = Rrfd.Fault_history.n history in
-  let rounds = Rrfd.Fault_history.rounds history in
-  let schedule =
-    List.init rounds (fun r ->
-        Rrfd.Fault_history.round_sets history ~round:(r + 1))
+  let states, _ =
+    Rrfd.Engine.states_after ~n:(Rrfd.Fault_history.n history)
+      ~rounds:(Rrfd.Fault_history.rounds history) ~algorithm
+      ~detector:(Rrfd.Detector.of_history history) ()
   in
-  let detector =
-    Rrfd.Detector.of_schedule ~after:(Array.make n Pset.empty) schedule
-  in
-  let states, _ = Rrfd.Engine.states_after ~n ~rounds ~algorithm ~detector () in
   Array.map algorithm.Rrfd.Algorithm.decide states

@@ -263,22 +263,14 @@ module As_substrate = struct
 
   let name = "msgnet"
 
-  let execute config ~n ~rounds ~algorithm =
-    let result =
-      run ~seed:config.seed ?min_delay:config.min_delay
-        ?max_delay:config.max_delay ~crashes:config.crashes
-        ?adversary:config.adversary ?retransmit_every:config.retransmit_every
-        ?horizon:config.horizon ~n ~f:config.f ~rounds ~algorithm ()
-    in
-    let decision_rounds =
-      Array.mapi
-        (fun i d -> Option.map (fun _ -> result.completed.(i)) d)
-        result.decisions
-    in
+  let of_result result =
     {
       Rrfd.Substrate.substrate = name;
       decisions = result.decisions;
-      decision_rounds;
+      decision_rounds =
+        Array.mapi
+          (fun i d -> Option.map (fun _ -> result.completed.(i)) d)
+          result.decisions;
       rounds_used = Rrfd.Fault_history.rounds result.induced;
       induced = result.induced;
       counters = result.counters;
@@ -287,41 +279,11 @@ module As_substrate = struct
       completed = result.completed;
       wall_ns = None;
     }
+
+  let execute config ~n ~rounds ~algorithm =
+    of_result
+      (run ~seed:config.seed ?min_delay:config.min_delay
+         ?max_delay:config.max_delay ~crashes:config.crashes
+         ?adversary:config.adversary ?retransmit_every:config.retransmit_every
+         ?horizon:config.horizon ~n ~f:config.f ~rounds ~algorithm ())
 end
-
-type 'out differential = {
-  outcome : 'out result;
-  replayed : 'out option array;
-  matched : bool;
-  all_completed : bool;
-}
-
-let differential ?seed ?min_delay ?max_delay ?crashes ?adversary
-    ?retransmit_every ?horizon ?(equal = Stdlib.( = )) ~n ~f ~rounds ~algorithm
-    () =
-  let outcome =
-    run ?seed ?min_delay ?max_delay ?crashes ?adversary ?retransmit_every
-      ?horizon ~n ~f ~rounds ~algorithm ()
-  in
-  let replayed = Heard_of.replay_decisions ~algorithm outcome.induced in
-  let r_max = Rrfd.Fault_history.rounds outcome.induced in
-  let opt_equal a b =
-    match (a, b) with
-    | None, None -> true
-    | Some x, Some y -> equal x y
-    | _ -> false
-  in
-  (* The engine replays the longest completed prefix in lockstep, so only
-     processes that got that far have a network decision to compare. *)
-  let matched = ref true in
-  Array.iteri
-    (fun i c ->
-      if c = r_max && not (opt_equal outcome.decisions.(i) replayed.(i)) then
-        matched := false)
-    outcome.completed;
-  {
-    outcome;
-    replayed;
-    matched = !matched;
-    all_completed = Array.for_all (fun c -> c = rounds) outcome.completed;
-  }

@@ -16,8 +16,9 @@
     catch-up copies from processes further ahead), without which a lossy
     or partitioned round could starve below the [n − f] threshold
     forever.  As rounds complete, a {!Heard_of} recorder extracts the
-    induced fault history; {!differential} replays it through the
-    abstract engine and checks the two executions decide identically. *)
+    induced fault history; {!Heard_of.replay_decisions} replays it through
+    the abstract engine and {!Rrfd.Substrate.agrees} checks the two
+    executions decide identically. *)
 
 type 'out result = {
   decisions : 'out option array;
@@ -92,39 +93,12 @@ module As_substrate : sig
   }
 
   include Rrfd.Substrate.S with type config := config
+
+  val of_result : 'out result -> 'out Rrfd.Substrate.execution
+  (** The uniform view of one {!run} result: [execute] is [of_result]
+      of [run]. *)
 end
 (** {!Rrfd.Substrate.S} view of {!run}.  [decision_rounds] reports the
     last completed round of each decided process (the layer has no global
     round clock); [completed] may be ragged when crashes or loss starve a
     process. *)
-
-type 'out differential = {
-  outcome : 'out result;
-  replayed : 'out option array;
-      (** {!Heard_of.replay_decisions} of the extracted history. *)
-  matched : bool;
-      (** Decisions agree (under [equal]) for every process that completed
-          the full extracted prefix. *)
-  all_completed : bool;  (** Every process completed all [rounds]. *)
-}
-
-val differential :
-  ?seed:int ->
-  ?min_delay:float ->
-  ?max_delay:float ->
-  ?crashes:(Rrfd.Proc.t * float) list ->
-  ?adversary:Adversary.t ->
-  ?retransmit_every:float ->
-  ?horizon:float ->
-  ?equal:('out -> 'out -> bool) ->
-  n:int ->
-  f:int ->
-  rounds:int ->
-  algorithm:('s, 'm, 'out) Rrfd.Algorithm.t ->
-  unit ->
-  'out differential
-(** Run over the damaged network, extract the fault history, replay it on
-    {!Rrfd.Engine.states_after}, and compare decision vectors ([equal]
-    defaults to structural equality).  This is the differential oracle
-    tying the discrete-event network back to the paper's abstract model:
-    [matched] must hold for every adversary. *)

@@ -291,22 +291,16 @@ let run_live t ?inputs ?patience ?rounds ~n ~f () =
     ~n ~rounds
     ~algorithm:(p.algorithm ~inputs ~f)
 
-(* Pinned replay: the differential oracle.  The history becomes an
-   [of_schedule] detector with a failure-free tail, the engine runs it for
-   exactly the history's length without early stopping, so the replay's
-   induced history is the input history bit-for-bit and the decisions are
-   those of the lock-step execution the history describes. *)
+(* Pinned replay: the differential oracle.  The engine runs the history's
+   detector ({!Rrfd.Detector.of_history}) for exactly the history's length
+   without early stopping, so the replay's induced history is the input
+   history bit-for-bit and the decisions are those of the lock-step
+   execution the history describes. *)
 let replay t ?inputs ?check ~f ~history () =
-  let n = Rrfd.Fault_history.n history in
-  let pinned = Rrfd.Fault_history.rounds history in
-  let schedule =
-    List.init pinned (fun r ->
-        Rrfd.Fault_history.round_sets history ~round:(r + 1))
-  in
-  let after = Array.make n Rrfd.Pset.empty in
-  let detector = Rrfd.Detector.of_schedule ~after schedule in
-  run_engine t ?inputs ?check ~stop_when_decided:false ~max_rounds:pinned ~n
-    ~f ~detector ()
+  run_engine t ?inputs ?check ~stop_when_decided:false
+    ~max_rounds:(Rrfd.Fault_history.rounds history)
+    ~n:(Rrfd.Fault_history.n history) ~f
+    ~detector:(Rrfd.Detector.of_history history) ()
 
 let transcript t ?inputs ?check ~n ~f ~max_rounds ~detector () =
   let (Packed p) = t.packed in
@@ -315,4 +309,5 @@ let transcript t ?inputs ?check ~n ~f ~max_rounds ~detector () =
     Rrfd.Trace.record ~n ~max_rounds ?check ~pp_msg:p.pp_msg
       ~algorithm:(p.algorithm ~inputs ~f) ~detector ()
   in
-  Format.asprintf "@[<v>%a@]" (Rrfd.Trace.pp t.pp_out) trace
+  ( Format.asprintf "@[<v>%a@]" (Rrfd.Trace.pp t.pp_out) trace,
+    trace.Rrfd.Trace.outcome )

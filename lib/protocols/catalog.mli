@@ -152,9 +152,10 @@ val replay :
   unit ->
   int Rrfd.Substrate.execution
 (** Pinned replay, the differential oracle: run the engine over exactly
-    [history] ({!Rrfd.Detector.of_schedule}, no early stop), so the
+    [history] ({!Rrfd.Detector.of_history}, no early stop), so the
     replay's induced history is [history] bit-for-bit and its decisions
-    are the lock-step reading of it. *)
+    are the first decisions of the lock-step reading of it.  Compare with
+    {!Rrfd.Substrate.agrees}. *)
 
 val transcript :
   t ->
@@ -165,6 +166,6 @@ val transcript :
   max_rounds:int ->
   detector:Rrfd.Detector.t ->
   unit ->
-  string
+  string * int Rrfd.Engine.outcome
 (** Rendered {!Rrfd.Trace} of one engine execution — what [check --replay]
-    and [trace] print. *)
+    and [trace] print — with the outcome of that same execution. *)

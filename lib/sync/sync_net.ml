@@ -6,6 +6,7 @@ type 'out result = {
   rounds_used : int;
   induced : Rrfd.Fault_history.t;
   crashed : Rrfd.Pset.t;
+  completed : int array;
   counters : Rrfd.Counters.t;
   violation : string option;
 }
@@ -30,8 +31,11 @@ let run ~n ~rounds ~pattern ~algorithm ?check ?(stop_when_decided = true) () =
   in
   let view = Rrfd.View.create ~n in
   let msgs = ref [||] in
+  let completed = Array.make n 0 in
   let rec loop round history counters violation =
     let alive = Pset.diff all (Faults.crashed_before pattern ~round) in
+    (* Alive at [round] means the previous round ran to its end here. *)
+    Pset.iter (fun i -> completed.(i) <- round - 1) alive;
     let done_ =
       round > rounds
       || (stop_when_decided
@@ -44,6 +48,7 @@ let run ~n ~rounds ~pattern ~algorithm ?check ?(stop_when_decided = true) () =
         rounds_used = round - 1;
         induced = history;
         crashed = Pset.diff all alive;
+        completed;
         counters;
         violation;
       }
@@ -140,7 +145,7 @@ module As_substrate = struct
       counters = result.counters;
       violation = result.violation;
       crashed = result.crashed;
-      completed = Array.make n result.rounds_used;
+      completed = result.completed;
       wall_ns = None;
     }
 end

@@ -18,6 +18,10 @@ type 'out result = {
           rounds record what it {e would} have missed — consistent with the
           RRFD reading in which every process keeps executing. *)
   crashed : Rrfd.Pset.t;  (** Processes that crashed during the run. *)
+  completed : int array;
+      (** Rounds each process ran to their end: [rounds_used], or [c − 1]
+          for a process crashed in round [c] (its round-[c] messages
+          reached only part of the system). *)
   counters : Rrfd.Counters.t;
       (** Work accounting in the engine's vocabulary: rounds executed,
           messages delivered to live processes, zero detector queries
@@ -56,6 +60,5 @@ module As_substrate : sig
   include Rrfd.Substrate.S with type config := config
 end
 (** {!Rrfd.Substrate.S} view of {!run}.  The induced history keeps the
-    RRFD reading in which every process executes every round, so
-    [completed] is uniform even when the pattern crashed someone —
-    [crashed] says who actually stopped. *)
+    RRFD reading in which every process executes every round; [completed]
+    and [crashed] say who actually stopped, and when. *)

@@ -80,3 +80,12 @@ module Round_layer_fixture : sig
       [test/fixtures/round_layer.expected].  See
       [round_layer_fixture.ml] for the grid. *)
 end
+
+(** {1 Transcript fixture} *)
+
+module Transcript_fixture : sig
+  val render : unit -> string
+  (** Catalog and SUT transcripts under pinned seeds and histories;
+      compared byte-for-byte against [test/fixtures/transcripts.expected].
+      See [transcript_fixture.ml] for the grid. *)
+end

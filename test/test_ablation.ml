@@ -46,11 +46,7 @@ let adopt_commit_safe_under_shm_exhaustive () =
     Adversary.Enumerate.find ~n:3 ~rounds:2
       ~satisfying:(Rrfd.Predicate.shared_memory ~f:2)
       ~f:(fun h ->
-        let rounds =
-          List.init (Rrfd.Fault_history.rounds h) (fun r ->
-              Rrfd.Fault_history.round_sets h ~round:(r + 1))
-        in
-        let detector = Rrfd.Detector.of_schedule rounds in
+        let detector = Rrfd.Detector.of_history h in
         let outcome =
           Rrfd.Engine.run ~n:3 ~algorithm:(Ac.algorithm ~inputs) ~detector ()
         in

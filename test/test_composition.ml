@@ -28,14 +28,10 @@ let network_rounds_to_shm_closure =
       else begin
         (* ...which replayed through the closure must land in the
            shared-memory predicate (2f < n). *)
-        let detector =
-          Rrfd.Detector.of_schedule
-            [
-              Rrfd.Fault_history.round_sets h ~round:1;
-              Rrfd.Fault_history.round_sets h ~round:2;
-            ]
+        let closure =
+          Rrfd.Emulation.two_round_closure ~n
+            ~detector:(Rrfd.Detector.of_history h)
         in
-        let closure = Rrfd.Emulation.two_round_closure ~n ~detector in
         let simulated =
           Rrfd.Fault_history.of_rounds ~n [ closure.Rrfd.Emulation.simulated ]
         in

@@ -93,6 +93,24 @@ let detector_of_schedule_after () =
   Alcotest.(check bool) "round 1 from schedule" true (Rrfd.Pset.is_empty r1.(0));
   Alcotest.(check bool) "round 2 from after" true (Rrfd.Pset.equal r2.(0) (s [ 1 ]))
 
+(* A pinned history replays round for round, then goes failure-free:
+   the engine's history under [of_history h] is [h] padded with empty
+   rounds. *)
+let detector_of_history_pads () =
+  let s = Rrfd.Pset.of_list in
+  let pinned = [ [| s [ 1 ]; s []; s [ 0 ] |]; [| s []; s [ 2 ]; s [] |] ] in
+  let h = Rrfd.Fault_history.of_rounds ~n:3 pinned in
+  let outcome =
+    Rrfd.Engine.run ~n:3 ~max_rounds:4 ~stop_when_decided:false
+      ~algorithm:(Rrfd.Kset.one_round ~inputs:[| 0; 1; 2 |])
+      ~detector:(Rrfd.Detector.of_history h) ()
+  in
+  let quiet = [| s []; s []; s [] |] in
+  Alcotest.check Test_support.history_t "pinned rounds, then failure-free"
+    (Rrfd.Fault_history.of_rounds ~n:3
+       (pinned @ [ quiet; quiet ]))
+    outcome.Rrfd.Engine.history
+
 let tests =
   [
     Alcotest.test_case "kill_after stops a process" `Quick kill_after_stops_a_process;
@@ -102,4 +120,6 @@ let tests =
     Alcotest.test_case "network range check" `Quick network_rejects_out_of_range;
     Alcotest.test_case "engine max rounds" `Quick engine_max_rounds_without_decisions;
     Alcotest.test_case "schedule detector after" `Quick detector_of_schedule_after;
+    Alcotest.test_case "history detector pads failure-free" `Quick
+      detector_of_history_pads;
   ]

@@ -122,24 +122,34 @@ let differential_matrix () =
     let f = (n - 1) / 2 in
     List.iteri
       (fun idx spec ->
-        let d =
-          Msgnet.Round_layer.differential ~seed:(100 + (17 * idx) + n)
-            ~adversary:(adversary spec) ~equal:Rrfd.Full_info.equal ~n ~f
-            ~rounds:4
-            ~algorithm:
-              (Rrfd.Full_info.algorithm ~inputs:(Tasks.Inputs.distinct n))
-            ()
+        let algorithm =
+          Rrfd.Full_info.algorithm ~inputs:(Tasks.Inputs.distinct n)
         in
+        let ex =
+          Msgnet.Round_layer.As_substrate.execute
+            {
+              Msgnet.Round_layer.As_substrate.seed = 100 + (17 * idx) + n;
+              f;
+              min_delay = None;
+              max_delay = None;
+              crashes = [];
+              adversary = Some (adversary spec);
+              retransmit_every = None;
+              horizon = None;
+            }
+            ~n ~rounds:4 ~algorithm
+        in
+        let induced = ex.Rrfd.Substrate.induced in
         Alcotest.(check bool)
           (Printf.sprintf "n=%d %s: replay matches" n spec)
-          true d.Msgnet.Round_layer.matched;
+          true
+          (Rrfd.Substrate.agrees ~equal:Rrfd.Full_info.equal ex
+             ~replayed:(Msgnet.Heard_of.replay_decisions ~algorithm induced));
         Alcotest.(check bool)
           (Printf.sprintf "n=%d %s: all processes completed" n spec)
-          true d.Msgnet.Round_layer.all_completed;
-        let held =
-          Msgnet.Heard_of.classify ~f
-            d.Msgnet.Round_layer.outcome.Msgnet.Round_layer.induced
-        in
+          true
+          (Array.for_all (( = ) 4) ex.Rrfd.Substrate.completed);
+        let held = Msgnet.Heard_of.classify ~f induced in
         Alcotest.(check bool)
           (Printf.sprintf "n=%d %s: P3 holds" n spec)
           true (List.assoc "P3" held))

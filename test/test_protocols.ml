@@ -233,6 +233,73 @@ let heard_of_roundtrip =
       done;
       true)
 
+(* The one comparable rule ({!Rrfd.Substrate.comparable}: the process
+   completed every round of the induced history) against the
+   per-substrate rules it replaced, kept here as the model: the engine
+   compares everyone, the synchronous network its non-crashed processes,
+   the asynchronous layer those that completed the full extracted prefix,
+   the live substrate everyone.  Run over E22's protocol × substrate ×
+   policy cells plus one live run per protocol; in each execution,
+   flipping a comparable replayed decision must break the verdict and
+   flipping a non-comparable one must not. *)
+let per_substrate_rule (ex : int Rrfd.Substrate.execution) i =
+  match ex.Rrfd.Substrate.substrate with
+  | "engine" | "live" -> true
+  | "sync" -> not (Pset.mem i ex.Rrfd.Substrate.crashed)
+  | _ -> ex.Rrfd.Substrate.completed.(i) = H.rounds ex.Rrfd.Substrate.induced
+
+let comparable_rule_is_the_per_substrate_rules () =
+  let module E22 = Experiments.E22_xsub in
+  let skipped = Hashtbl.create 4 in
+  let judge ~where proto (ex : int Rrfd.Substrate.execution) =
+    let procs = List.init E22.n Fun.id in
+    let select rule = List.filter (rule ex) procs in
+    if select per_substrate_rule <> select Rrfd.Substrate.comparable then
+      Alcotest.failf "%s: comparable set differs from the per-substrate rule"
+        where;
+    let replayed =
+      (Catalog.replay proto ~f:E22.f ~history:ex.Rrfd.Substrate.induced ())
+        .Rrfd.Substrate.decisions
+    in
+    if not (Rrfd.Substrate.agrees ~equal:Int.equal ex ~replayed) then
+      Alcotest.failf "%s: replay disagrees" where;
+    List.iter
+      (fun i ->
+        let comparable = Rrfd.Substrate.comparable ex i in
+        if not comparable then
+          Hashtbl.replace skipped ex.Rrfd.Substrate.substrate ();
+        let flipped = Array.copy replayed in
+        flipped.(i) <-
+          (match flipped.(i) with Some v -> Some (v + 1) | None -> Some 0);
+        if Rrfd.Substrate.agrees ~equal:Int.equal ex ~replayed:flipped = comparable then
+          Alcotest.failf "%s: flipping p%d (comparable %b) left the verdict %b"
+            where i comparable comparable)
+      procs
+  in
+  List.iteri
+    (fun pi proto ->
+      List.iteri
+        (fun ci policy ->
+          for trial = 0 to 5 do
+            let rng = Dsim.Rng.derive ~seed:22 ~stream:((((pi * 3) + ci) * 8) + trial) in
+            List.iter
+              (fun ex ->
+                judge proto ex
+                  ~where:
+                    (Printf.sprintf "%s/%s/%s trial %d" (Catalog.name proto)
+                       ex.Rrfd.Substrate.substrate policy trial))
+              (E22.executions proto ~policy ~rng)
+          done)
+        E22.policies;
+      judge proto
+        (Catalog.run_live proto ~n:E22.n ~f:E22.f ())
+        ~where:(Catalog.name proto ^ "/live"))
+    Catalog.all;
+  Alcotest.(check (list string))
+    "some crashed or lagging process was left out on sync and msgnet"
+    [ "msgnet"; "sync" ]
+    (List.sort compare (List.of_seq (Hashtbl.to_seq_keys skipped)))
+
 let tests =
   [
     Alcotest.test_case "catalog well-formed" `Quick catalog_well_formed;
@@ -243,4 +310,6 @@ let tests =
     Alcotest.test_case "one clean fuzz run per protocol" `Slow
       fuzz_each_protocol;
     QCheck_alcotest.to_alcotest heard_of_roundtrip;
+    Alcotest.test_case "one comparable rule = the per-substrate rules" `Quick
+      comparable_rule_is_the_per_substrate_rules;
   ]

@@ -45,6 +45,46 @@ let trace_multi_round () =
   in
   Alcotest.(check bool) "non-empty rendering" true (String.length rendered > 0)
 
+(* The transcript is the run it reports, not a re-run: an algorithm
+   whose emissions come from a counter shared across calls (so a second
+   execution would emit different values) still gets the emissions its
+   own decisions were computed from. *)
+let trace_watches_the_one_run () =
+  let calls = ref 0 in
+  let algorithm =
+    {
+      Rrfd.Algorithm.name = "counter";
+      init = (fun ~n:_ _ -> None);
+      emit =
+        (fun _ ~round:_ ->
+          incr calls;
+          !calls);
+      deliver =
+        (fun _ ~round:_ ~view ->
+          Some (Array.fold_left max 0 (Array.map (Option.value ~default:0) (Rrfd.View.to_option_array view))));
+      decide = Fun.id;
+    }
+  in
+  let trace =
+    Rrfd.Trace.record ~n:3 ~pp_msg:Format.pp_print_int ~algorithm
+      ~detector:Rrfd.Detector.none ()
+  in
+  Alcotest.(check int) "emit called once per process and round" 3 !calls;
+  let round = List.hd trace.Rrfd.Trace.rounds in
+  Alcotest.(check (array string)) "the run's own emissions"
+    [| "1"; "2"; "3" |] round.Rrfd.Trace.emissions;
+  Alcotest.(check (list (pair int int))) "decisions of that run"
+    [ (0, 3); (1, 3); (2, 3) ] round.Rrfd.Trace.new_decisions
+
+(* Every catalog transcript and every padded SUT transcript, byte for
+   byte against test/fixtures/transcripts.expected (generated before
+   Trace began watching the engine run instead of replaying it).
+   Regenerate only from a trusted tree:
+   dune exec test/gen/gen_transcripts.exe > test/fixtures/transcripts.expected *)
+let transcript_pin () =
+  Test_support.check_fixture ~what:"transcripts" ~file:"transcripts.expected"
+    (Test_support.Transcript_fixture.render ())
+
 let predicate_disj () =
   let h_selfish = Rrfd.Fault_history.of_rounds ~n:3 [ [| s [ 0 ]; s []; s [] |] ] in
   let p =
@@ -73,6 +113,10 @@ let tests =
   [
     Alcotest.test_case "trace matches engine" `Quick trace_matches_engine;
     Alcotest.test_case "trace multi round" `Quick trace_multi_round;
+    Alcotest.test_case "trace watches the one run" `Quick
+      trace_watches_the_one_run;
+    Alcotest.test_case "catalog and SUT transcripts vs fixture" `Quick
+      transcript_pin;
     Alcotest.test_case "predicate disj" `Quick predicate_disj;
     Alcotest.test_case "model metadata" `Quick model_metadata;
   ]
