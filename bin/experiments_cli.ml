@@ -381,8 +381,8 @@ let check_cmd =
   in
   let exhaustive_arg =
     let doc =
-      "Enumerate every history of the given size instead of fuzzing (keep \
-       n ≤ 4, rounds ≤ 2)."
+      "Enumerate every history of the given size instead of fuzzing \
+       (requires n ≤ 4; keep rounds ≤ 2)."
     in
     Arg.(value & flag & info [ "exhaustive" ] ~doc)
   in
@@ -493,6 +493,11 @@ let check_cmd =
       let rounds =
         match rounds with Some r -> r | None -> Check.Sut.rounds sut
       in
+      if exhaustive && n > 4 then
+        usage_error
+          "--exhaustive needs n <= 4 (the space is ((2^n-1)^n)^rounds); got \
+           n=%d"
+          n;
       let found =
         if exhaustive then
           Check.Checker.exhaustive ?jobs ~n ~rounds ~sut ~predicate
@@ -837,7 +842,11 @@ let scale_cmd =
        feasible for the kset probe but budget minutes for the simulated \
        network probes."
     in
-    Arg.(value & opt (list int) [ 100; 1000 ] & info [ "ns" ] ~docv:"N,N,..." ~doc)
+    (* E25's kset probe runs k = 2, so every size needs n >= 2. *)
+    Term.map
+      (List.map (in_range "ns" ~lo:2 ~hi:Rrfd.Pset.max_universe))
+      Arg.(
+        value & opt (list int) [ 100; 1000 ] & info [ "ns" ] ~docv:"N,N,..." ~doc)
   in
   let json_arg =
     json_arg ~prefix:"SCALE"
@@ -905,10 +914,7 @@ let scale_cmd =
     finish_grid ~json table (fun () -> Experiments.E25_scale.to_json cells)
   in
   let run seed trials jobs ns json bench repeats check tolerance =
-    if ns = [] || List.exists (fun n -> n < 1) ns then begin
-      Printf.eprintf "--ns needs at least one positive size\n";
-      2
-    end
+    if ns = [] then usage_error "--ns needs at least one size"
     else if bench then run_bench ~seed ~ns ~repeats ~json ~check ~tolerance
     else run_grid ~seed ~trials ~jobs ~ns ~json
   in

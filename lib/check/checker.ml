@@ -19,11 +19,26 @@ type fuzz_config = {
   attempts : int;
 }
 
+(* A run that tripped the online predicate check blames the adversary,
+   never the algorithm. *)
+let verdict ~properties obs =
+  match obs.Property.violation with
+  | Some _ -> None
+  | None -> Property.first_failure properties obs
+
 let test_history ~sut ~predicate ~properties history =
   let obs = Sut.run_history sut ~check:predicate history in
-  match obs.Property.violation with
-  | Some _ -> (obs, None)
-  | None -> (obs, Property.first_failure properties obs)
+  (obs, verdict ~properties obs)
+
+let live_trial ~sut ~predicate ~properties ~n ~rounds detector =
+  let obs = Sut.run_padded sut ~n ~rounds ~check:predicate ~detector in
+  let history = obs.Property.history in
+  let drawn =
+    if Rrfd.Fault_history.rounds history > rounds then
+      Rrfd.Fault_history.truncate history ~rounds
+    else history
+  in
+  (drawn, obs, verdict ~properties obs)
 
 (* Shrink a raw failing history and package the result.  Re-runs the SUT on
    the minimal history one last time so the recorded failure message and
@@ -60,29 +75,25 @@ let fuzz config ~sut ~predicate ?generator ~properties () =
   (* The candidate carries its own trial index so the artifact can name the
      exact stream a reader needs to reproduce the raw (pre-shrink) find. *)
   let candidate ~trial ~rng =
-    let raw =
-      match generator with
-      | None ->
+    match generator with
+    | None -> (
+      match
         Gen.history ~attempts:config.attempts rng ~n:config.n
           ~rounds:config.rounds ~satisfying:predicate
-      | Some gen ->
-        (* Constructive sampling: run the SUT live under the generated
-           detector and take the history it produced.  The engine's online
-           check guards against a generator straying off its predicate. *)
-        let detector = gen rng ~n:config.n in
-        let obs =
-          Sut.run sut ~n:config.n ~max_rounds:config.rounds ~check:predicate
-            ~detector
-        in
-        if obs.Property.violation <> None then None
-        else Some obs.Property.history
-    in
-    match raw with
-    | None -> None
-    | Some h ->
-      if snd (test_history ~sut ~predicate ~properties h) <> None then
+      with
+      | Some h when snd (test_history ~sut ~predicate ~properties h) <> None ->
         Some (trial, h)
-      else None
+      | _ -> None)
+    | Some gen -> (
+      (* Constructive sampling: run the SUT live under the generated
+         detector and judge that run; the engine's online check guards
+         against a generator straying off its predicate. *)
+      match
+        live_trial ~sut ~predicate ~properties ~n:config.n
+          ~rounds:config.rounds (gen rng ~n:config.n)
+      with
+      | drawn, _, Some _ -> Some (trial, drawn)
+      | _, _, None -> None)
   in
   Runtime.Campaign.search ?jobs:config.jobs ~seed:config.seed
     ~trials:config.trials candidate

@@ -48,7 +48,27 @@ val test_history :
 (** Replay one pinned history and evaluate the properties.  A history whose
     replay trips the engine's online predicate check is never counted as a
     property failure (that would blame the algorithm for an illegal
-    adversary). *)
+    adversary).  This is the judge wherever there is no live run to judge:
+    rejection-sampled and enumerated histories, shrink candidates, and the
+    final replay of a counterexample.  Constructive trials are judged on
+    their own run instead ({!live_trial}). *)
+
+val live_trial :
+  sut:Sut.t ->
+  predicate:Rrfd.Predicate.t ->
+  properties:Property.t list ->
+  n:int ->
+  rounds:int ->
+  Rrfd.Detector.t ->
+  Rrfd.Fault_history.t * Property.obs * (Property.t * string) option
+(** One constructive trial: run the SUT live under the drawn detector for
+    [rounds] rounds, failure-free after that up to the SUT's horizon
+    ({!Sut.run_padded}), and judge the properties on that run by the rule
+    {!test_history} uses.  Returns the drawn history (the run's first
+    [rounds] rounds — the candidate {!fuzz} shrinks), the live observation
+    and the verdict.  Because the tail is exactly the replay's padding,
+    both equal what [test_history] of the drawn history returns, so the
+    trial runs the SUT once instead of twice. *)
 
 val fuzz :
   fuzz_config ->
@@ -59,11 +79,15 @@ val fuzz :
   unit ->
   counterexample option
 (** Monte-Carlo search.  Without [generator], histories are
-    rejection-sampled against the predicate; with it, each trial runs the
-    SUT live under [generator rng ~n] (constructive sampling) and the
-    produced history is the candidate ({!Rrfd.Detector_gen} generators
-    match their predicates by construction).  Returns the shrunk counterexample
-    of the lowest failing trial, or [None] if no trial failed. *)
+    rejection-sampled against the predicate and each is judged by
+    {!test_history}.  With it, each trial is a {!live_trial} under
+    [generator rng ~n] (constructive sampling): the SUT runs once, the
+    properties are judged on that run, and the drawn history is the
+    candidate ({!Rrfd.Detector_gen} generators match their predicates by
+    construction).  A failing candidate is shrunk and replayed by
+    {!test_history}, so the counterexample describes exactly what its
+    artifact replays.  Returns the shrunk counterexample of the lowest
+    failing trial, or [None] if no trial failed. *)
 
 val exhaustive :
   ?jobs:int ->
@@ -77,4 +101,5 @@ val exhaustive :
 (** Exhaustive small-scope search over every [rounds]-round [n]-process
     history satisfying the predicate.  The space is
     [((2^n − 1)^n)^rounds] before pruning — keep [n ≤ 4] and
-    [rounds ≤ 2], like E13/E14 do. *)
+    [rounds ≤ 2], like E13/E14 do ([check --exhaustive] refuses
+    [n > 4]). *)

@@ -32,24 +32,30 @@ let run sut ~n ~max_rounds ~check ~detector =
     violation = ex.Rrfd.Substrate.violation;
   }
 
-(* Replay a pinned history, padded with failure-free rounds up to the
-   protocol's horizon.  Without the padding, shrinking away a round of a
-   multi-round protocol would starve it of rounds and every candidate would
-   "fail" by trivial non-termination; with it, a shortened history means
-   "the adversary goes quiet", and the online predicate check rejects
-   paddings the model forbids (e.g. crash-closure never lets the adversary
-   unsuspect anyone). *)
-let max_rounds sut history = max (Rrfd.Fault_history.rounds history) sut.rounds
+(* A run of [rounds] chosen rounds is padded with failure-free rounds up
+   to the protocol's horizon.  Without the padding, shrinking away a round
+   of a multi-round protocol would starve it of rounds and every candidate
+   would "fail" by trivial non-termination; with it, a shortened history
+   means "the adversary goes quiet", and the online predicate check
+   rejects paddings the model forbids (e.g. crash-closure never lets the
+   adversary unsuspect anyone). *)
+let horizon sut ~rounds = max rounds sut.rounds
 
+let run_padded sut ~n ~rounds ~check ~detector =
+  run sut ~n ~max_rounds:(horizon sut ~rounds) ~check
+    ~detector:(Rrfd.Detector.quiet_after ~n ~rounds detector)
+
+(* [of_history] already goes quiet past the history's last round. *)
 let run_history sut ~check history =
-  run sut ~n:(Rrfd.Fault_history.n history) ~max_rounds:(max_rounds sut history)
+  run sut ~n:(Rrfd.Fault_history.n history)
+    ~max_rounds:(horizon sut ~rounds:(Rrfd.Fault_history.rounds history))
     ~check ~detector:(Rrfd.Detector.of_history history)
 
 let transcript sut ~check history =
   let n = Rrfd.Fault_history.n history in
   fst
     (Catalog.transcript sut.entry ~check ~n ~f:(Catalog.default_f sut.entry ~n)
-       ~max_rounds:(max_rounds sut history)
+       ~max_rounds:(horizon sut ~rounds:(Rrfd.Fault_history.rounds history))
        ~detector:(Rrfd.Detector.of_history history) ())
 
 let kset_one_round = of_protocol (Catalog.find_exn "kset-one-round")

@@ -38,6 +38,21 @@ val run :
     detector straying outside its predicate is reported in
     [obs.violation]. *)
 
+val run_padded :
+  t ->
+  n:int ->
+  rounds:int ->
+  check:Rrfd.Predicate.t ->
+  detector:Rrfd.Detector.t ->
+  Property.obs
+(** {!run} under [detector] for the first [rounds] rounds, then
+    failure-free ({!Rrfd.Detector.quiet_after}) up to
+    [max rounds (rounds sut)] — the padding {!run_history} applies.  The
+    engine is deterministic and rounds are communication-closed, so the
+    observation equals [run_history] of the run's first [rounds] rounds
+    (its [Fault_history.truncate]): a live run padded this way needs no
+    replay to be judged. *)
+
 val run_history :
   t -> check:Rrfd.Predicate.t -> Rrfd.Fault_history.t -> Property.obs
 (** Replay a pinned fault history ({!Rrfd.Detector.of_history}).  A

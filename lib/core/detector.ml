@@ -26,14 +26,18 @@ let of_schedule ?after rounds =
       let r = Fault_history.rounds h in
       if r < Array.length table then table.(r) else fallback h)
 
-(* One shared failure-free row for the tail; the pinned rounds are read
-   off the history on demand, so no schedule list is ever built. *)
+(* One shared failure-free row for the whole tail. *)
+let quiet_after ~n ~rounds d =
+  let quiet = Array.make n Pset.empty in
+  make ~name:d.name (fun sofar ->
+      if Fault_history.rounds sofar < rounds then d.next sofar else quiet)
+
+(* The pinned rounds are read off the history on demand, so no schedule
+   list is ever built. *)
 let of_history h =
-  let pinned = Fault_history.rounds h in
-  let quiet = Array.make (Fault_history.n h) Pset.empty in
-  make ~name:"schedule" (fun sofar ->
-      let r = Fault_history.rounds sofar in
-      if r < pinned then Fault_history.round_sets h ~round:(r + 1) else quiet)
+  quiet_after ~n:(Fault_history.n h) ~rounds:(Fault_history.rounds h)
+    (make ~name:"schedule" (fun sofar ->
+         Fault_history.round_sets h ~round:(Fault_history.rounds sofar + 1)))
 
 let constant ~n:_ d = make ~name:"constant" (fun _ -> d)
 

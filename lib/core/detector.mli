@@ -34,12 +34,19 @@ val of_schedule : ?after:Pset.t array -> Pset.t array list -> t
     (default: the last scheduled round, or all-empty if the schedule is
     empty).  Array lengths must match the engine's [n]. *)
 
+val quiet_after : n:int -> rounds:int -> t -> t
+(** [quiet_after ~n ~rounds d] is [d] for the first [rounds] rounds and
+    failure-free afterwards; [d] is never queried past round [rounds].
+    This is the one padding rule: {!of_history} pads a pinned history
+    with it, and the model checker's live trials pad a drawn detector
+    with it, so both run the same tail. *)
+
 val of_history : Fault_history.t -> t
 (** [of_history h] replays [h] pinned: round [r ≤ Fault_history.rounds h]
-    gets [h]'s round-[r] fault sets, every later round is failure-free.
-    The one way a recorded history becomes a detector — counterexample
-    replay, the pinned differential oracle and trace rendering all use
-    it. *)
+    gets [h]'s round-[r] fault sets, every later round is failure-free
+    ({!quiet_after}).  The one way a recorded history becomes a
+    detector — counterexample replay, the pinned differential oracle and
+    trace rendering all use it. *)
 
 val constant : n:int -> Pset.t array -> t
 (** [constant ~n d] returns the same fault sets every round. *)

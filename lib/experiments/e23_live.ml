@@ -97,6 +97,23 @@ type cell_row = {
   counters : Rrfd.Counters.t array;
 }
 
+(* A record as the execution it recorded.  Live processes run the full
+   horizon, so every process completed every round and is comparable. *)
+let execution_of r =
+  let rounds = Rrfd.Fault_history.rounds r.history in
+  {
+    Rrfd.Substrate.substrate = Live.As_substrate.name;
+    decisions = r.decisions;
+    decision_rounds = Array.make r.n None;
+    rounds_used = rounds;
+    induced = r.history;
+    counters = Rrfd.Counters.of_history r.history;
+    violation = None;
+    crashed = Rrfd.Pset.empty;
+    completed = Array.make r.n rounds;
+    wall_ns = Some r.wall_ns;
+  }
+
 (* Everything below is a pure function of the records: replays, predicate
    classification and work counters all derive from the recorded history
    (and inputs), never from a clock or a domain.  [Pool.map_range] keeps
@@ -124,17 +141,20 @@ let cells_of records =
       let counters =
         List.map
           (fun r ->
+            let ex = execution_of r in
             let replayed =
               Protocols.Catalog.replay proto ~inputs:r.inputs ~f:r.f
                 ~history:r.history ()
             in
-            if replayed.Rrfd.Substrate.decisions = r.decisions then
-              incr matched;
+            if
+              Rrfd.Substrate.agrees ~equal:Int.equal ex
+                ~replayed:replayed.Rrfd.Substrate.decisions
+            then incr matched;
             List.iter
               (fun (name, holds) ->
                 if holds then incr (List.assoc name satisfied))
               (Msgnet.Heard_of.classify ~f:r.f r.history);
-            Rrfd.Counters.of_history r.history)
+            ex.Rrfd.Substrate.counters)
           mine
       in
       {

@@ -165,6 +165,100 @@ let short_history_padded () =
     (fun d -> Alcotest.(check bool) "everyone decided" true (Option.is_some d))
     obs.Check.Property.decisions
 
+(* Constructive trials are judged on their own run.  The live run goes
+   failure-free past the drawn rounds up to the SUT's horizon, so it must
+   be exactly the replay of the drawn history, field by field and verdict
+   by verdict — below the horizon (padded), above it, and when the
+   predicate trips only in the padded tail (crash-closure over a crash
+   generator: the prefix is closed, a quiet tail unsuspects). *)
+type live_case = {
+  sut_spec : string;
+  gen_spec : string;
+  closure : bool;  (** Check crash-closure instead of the generator's own predicate. *)
+  n : int;
+  rounds : int;
+  seed : int;
+}
+
+let live_case_gen =
+  let gens =
+    [ "async:f=1"; "crash:f=1"; "omission:f=1"; "kset:k=2"; "detector-s"; "antisym:f=1" ]
+  in
+  QCheck.Gen.(
+    let* sut_spec = oneofl Protocols.Catalog.names in
+    let* gen_spec = oneofl gens in
+    let* closure = bool in
+    let* n = int_range 3 5 in
+    let horizon = Check.Sut.rounds (ok_spec (Check.Spec.sut sut_spec)) in
+    let* rounds = int_range 1 (horizon + 1) in
+    let+ seed = int_bound 100000 in
+    { sut_spec; gen_spec; closure; n; rounds; seed })
+
+let print_live_case c =
+  Printf.sprintf "%s under %s%s, n=%d, rounds=%d, seed=%d" c.sut_spec
+    c.gen_spec
+    (if c.closure then " checked by crash-closure" else "")
+    c.n c.rounds c.seed
+
+let live_trial c =
+  let sut = ok_spec (Check.Spec.sut c.sut_spec) in
+  let gen, paired = ok_spec (Check.Spec.generator c.gen_spec) in
+  let predicate = if c.closure then Rrfd.Predicate.crash_closure else paired in
+  let properties =
+    List.map (fun s -> ok_spec (Check.Spec.property s))
+      (Check.Spec.default_properties sut)
+  in
+  let drawn, live, verdict =
+    Check.Checker.live_trial ~sut ~predicate ~properties ~n:c.n
+      ~rounds:c.rounds (gen (Test_support.rng_of c.seed) ~n:c.n)
+  in
+  let replay, replay_verdict =
+    Check.Checker.test_history ~sut ~predicate ~properties drawn
+  in
+  (drawn, live, verdict, replay, replay_verdict)
+
+let live_trial_is_its_replay =
+  QCheck.Test.make ~name:"live trial equals the replay of its drawn history"
+    ~count:400
+    (QCheck.make live_case_gen ~print:print_live_case)
+    (fun c ->
+      let drawn, live, verdict, replay, replay_verdict = live_trial c in
+      let field name ok =
+        if not ok then QCheck.Test.fail_reportf "mismatch in %s" name
+      in
+      let open Check.Property in
+      field "n" (live.n = replay.n);
+      field "inputs" (live.inputs = replay.inputs);
+      field "decisions" (live.decisions = replay.decisions);
+      field "decision_rounds" (live.decision_rounds = replay.decision_rounds);
+      field "rounds_used" (live.rounds_used = replay.rounds_used);
+      field "history" (H.equal live.history replay.history);
+      field "violation" (live.violation = replay.violation);
+      let name = Option.map (fun (p, msg) -> (Check.Property.name p, msg)) in
+      field "verdict" (name verdict = name replay_verdict);
+      (* The candidate is the drawn prefix, never the padded tail. *)
+      field "candidate length"
+        (H.rounds drawn = min c.rounds (H.rounds live.history));
+      true)
+
+(* The grid above is not vacuous: it pads runs below the horizon and
+   trips the predicate inside the padded tail. *)
+let live_trial_grid_covers_the_tail () =
+  let padded = ref 0 and tail_trips = ref 0 in
+  for seed = 0 to 199 do
+    let c =
+      { sut_spec = "adopt-commit"; gen_spec = "crash:f=1"; closure = true;
+        n = 4; rounds = 1; seed }
+    in
+    let drawn, live, _, _, _ = live_trial c in
+    if H.rounds live.Check.Property.history > H.rounds drawn then incr padded;
+    if live.Check.Property.violation <> None
+       && live.Check.Property.rounds_used > c.rounds
+    then incr tail_trips
+  done;
+  Alcotest.(check bool) "some runs are padded" true (!padded > 0);
+  Alcotest.(check bool) "some predicates trip in the tail" true (!tail_trips > 0)
+
 (* Sharded enumeration: the union of the per-first-round shards the
    exhaustive checker hands to its domains must be exactly the serial
    fold's set — same count, same multiset of histories. *)
@@ -299,6 +393,8 @@ let tests =
       artifact_roundtrip_and_replay;
     Alcotest.test_case "shard union equals the serial fold" `Quick
       shards_cover_the_fold;
+    Alcotest.test_case "live trial grid reaches the padded tail" `Quick
+      live_trial_grid_covers_the_tail;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
@@ -307,4 +403,5 @@ let tests =
         campaign_search_j_invariant;
         shrink_candidates_well_formed;
         shrink_strictly_smaller;
+        live_trial_is_its_replay;
       ]
