@@ -1,6 +1,7 @@
-(* Allocation smoke gate: proves the engine's steady-state rounds and
-   the simulator's event loop allocate zero minor-heap words, and that a
-   fresh simulator reuses the queue storage of the last drained one.
+(* Allocation smoke gate: proves the engine's steady-state rounds, the
+   simulator's event loop and a constructive detector's queries allocate
+   zero minor-heap words, and that a fresh simulator reuses the queue
+   storage of the last drained one.
 
    Method: run the same fixture twice with identical per-run setup —
    same n, same [max_rounds] (so the history arena is sized identically
@@ -183,6 +184,19 @@ let plan_into plans =
         : int)
   done
 
+(* Steady-state queries of the constructive [async:f=3] generator at
+   n = 8, the model checker's per-round detector: the output array is
+   reused across queries (see Detector.next) and every draw stays
+   unboxed, so a query allocates nothing. *)
+let async_detector = Rrfd.Detector_gen.async (Dsim.Rng.create 3) ~n:8 ~f:3
+
+let async_history = Rrfd.Fault_history.empty ~n:8
+
+let detector_gen_async queries =
+  for _ = 1 to queries do
+    ignore (Rrfd.Detector.next async_detector async_history : Rrfd.Pset.t array)
+  done
+
 (* Derive's candidate vocabulary at n = 5 judged on induced histories of
    a lossy, duplicating network, each call a whole-history verdict.  A
    run of [k] calls walks the (history, candidate) pairs in order, so
@@ -236,6 +250,8 @@ let () =
   check ~unit:"plan" ~short:1000 ~long:4000
     ~label:(Printf.sprintf "adversary-plan-into n=%d" plan_n)
     plan_into;
+  check ~unit:"query" ~short:100 ~long:400 ~label:"detector-gen-async n=8"
+    detector_gen_async;
   check ~unit:"call" ~short:holds_pairs ~long:(4 * holds_pairs)
     ~label:"predicate-holds n=5" predicate_holds;
   if !failures > 0 then begin
@@ -245,4 +261,5 @@ let () =
   end;
   Printf.printf
     "alloc smoke: steady-state rounds, simulator events, queue storage, \
-     adversary plans and predicate verdicts are allocation-free\n"
+     adversary plans, detector queries and predicate verdicts are \
+     allocation-free\n"

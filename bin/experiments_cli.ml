@@ -838,13 +838,14 @@ let scale_cmd =
   let ns_arg =
     let doc =
       "Comma-separated system sizes to run the probes at.  Anything above \
-       62 exercises the multi-word Pset representation; n = 10000 is \
-       feasible for the kset probe but budget minutes for the simulated \
-       network probes."
+       62 exercises the multi-word Pset representation; n = 10000, the \
+       largest size accepted, is feasible for the kset probe but budget \
+       minutes for the simulated network probes."
     in
-    (* E25's kset probe runs k = 2, so every size needs n >= 2. *)
+    (* E25's kset probe runs k = 2, so every size needs n >= 2; 10000 is
+       the largest size E25 documents (a run at 100000 did not finish). *)
     Term.map
-      (List.map (in_range "ns" ~lo:2 ~hi:Rrfd.Pset.max_universe))
+      (List.map (in_range "ns" ~lo:2 ~hi:10000))
       Arg.(
         value & opt (list int) [ 100; 1000 ] & info [ "ns" ] ~docv:"N,N,..." ~doc)
   in

@@ -6,25 +6,45 @@ let value_of = function Commit v | Adopt v -> v
 
 let is_commit = function Commit _ -> true | Adopt _ -> false
 
-let all_equal = function
-  | [] -> None
-  | v :: rest -> if List.for_all (fun w -> w = v) rest then Some v else None
+(* Both rules read what a process saw in one round in one fixed order:
+   its own item first when the detector marks it late (self-inclusion:
+   it knows its own round message through its local state), then every
+   heard message in ascending sender order.  Index −1 of the loops below
+   is that own item.  One pass each; no list is built. *)
+let[@inline] first_index ~me view = if Pset.mem me (View.faulty view) then -1 else 0
 
-let propose ~own ~seen =
-  match all_equal seen with
-  | Some v -> Commit_vote v
-  | None -> Adopt_vote own
+let propose ~equal ~me ~own view value =
+  let seen_any = ref false and first = ref own and agree = ref true in
+  for j = first_index ~me view to View.n view - 1 do
+    if j < 0 || View.mem view j then begin
+      let v = if j < 0 then own else value (View.get view j) in
+      if not !seen_any then begin
+        seen_any := true;
+        first := v
+      end
+      else if !agree && not (equal v !first) then agree := false
+    end
+  done;
+  if !seen_any && !agree then Commit_vote !first else Adopt_vote own
 
-let resolve ~own ~seen =
-  let commits =
-    List.filter_map (function Commit_vote v -> Some v | Adopt_vote _ -> None) seen
-  in
-  match commits with
-  | [] -> Adopt own
-  | v :: _ ->
-    if List.length commits = List.length seen && all_equal commits <> None then
-      Commit v
-    else Adopt v
+let resolve ~equal ~me ~own ~own_vote view vote =
+  (* [first]: the first committed value seen; [unanimous]: every vote seen
+     so far commits [first]. *)
+  let committed = ref false and first = ref own and unanimous = ref true in
+  for j = first_index ~me view to View.n view - 1 do
+    if j < 0 || View.mem view j then
+      match if j < 0 then own_vote else vote (View.get view j) with
+      | Commit_vote v ->
+        if not !committed then begin
+          committed := true;
+          first := v
+        end
+        else if !unanimous && not (equal v !first) then unanimous := false
+      | Adopt_vote _ -> unanimous := false
+  done;
+  if not !committed then Adopt own
+  else if !unanimous then Commit !first
+  else Adopt !first
 
 type 'v message = Value of 'v | Vote of 'v vote
 
@@ -51,26 +71,22 @@ let algorithm ~inputs =
         | _, None -> Value s.input);
     deliver =
       (fun s ~round ~view ->
-        (* Self-inclusion: a process knows its own round message through its
-           local state even when the detector marks it late. *)
-        let seen extract own =
-          let items =
-            List.rev (View.fold (fun _ m acc -> extract m :: acc) view [])
-          in
-          if Pset.mem s.me (View.faulty view) then own :: items else items
-        in
         match round with
         | 1 ->
-          let values =
-            seen (function Value v -> v | Vote _ -> assert false) s.input
+          let vote =
+            propose ~equal:( = ) ~me:s.me ~own:s.input view (function
+              | Value v -> v
+              | Vote _ -> assert false)
           in
-          { s with vote = Some (propose ~own:s.input ~seen:values) }
+          { s with vote = Some vote }
         | 2 ->
           let own_vote = match s.vote with Some v -> v | None -> assert false in
-          let votes =
-            seen (function Vote v -> v | Value _ -> assert false) own_vote
+          let result =
+            resolve ~equal:( = ) ~me:s.me ~own:s.input ~own_vote view (function
+              | Vote v -> v
+              | Value _ -> assert false)
           in
-          { s with result = Some (resolve ~own:s.input ~seen:votes) }
+          { s with result = Some result }
         | _ -> s);
     decide = (fun s -> s.result);
   }

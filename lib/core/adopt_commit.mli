@@ -13,9 +13,10 @@
     what the crash-fault simulation of Theorem 4.3 uses; the register-based
     original is in the [shm] library.
 
-    The pure per-round decision functions are exposed so that
-    {!Sim_crash} can run [n] adopt-commit instances inside two of its
-    rounds without duplicating the logic. *)
+    The two round rules are exposed once, over a delivery {!View.t}, so
+    that {!Phased_consensus}, {!Sim_crash} (which runs [n] adopt-commit
+    instances inside two of its rounds) and the register-based version
+    in the [shm] library all run this one definition. *)
 
 type 'v vote =
   | Commit_vote of 'v  (** "commit v": every first-round value seen was [v] *)
@@ -27,15 +28,33 @@ val value_of : 'v outcome -> 'v
 
 val is_commit : 'v outcome -> bool
 
-val propose : own:'v -> seen:'v list -> 'v vote
-(** First-round transition.  [seen] is every value received (the protocol's
-    self-inclusion means it contains [own]); commit iff all are equal.
-    Values are compared with polymorphic equality. *)
+(** {1 The round rules}
 
-val resolve : own:'v -> seen:'v vote list -> 'v outcome
-(** Second-round transition.  [seen] is every vote received (including the
-    process's own): commit [v] if all votes are [Commit_vote v]; else adopt
-    [v] if some [Commit_vote v] was seen; else adopt [own]. *)
+    Both rules make one pass over what process [me] saw in a round, in
+    this order: its own item first when [me] is in the view's fault set
+    (self-inclusion: a process knows its own round message through its
+    local state), then every heard message in ascending sender order.
+    They build no list and compare values only with [equal]. *)
+
+val propose :
+  equal:('v -> 'v -> bool) -> me:Proc.t -> own:'v -> 'm View.t -> ('m -> 'v) -> 'v vote
+(** First-round transition: [propose ~equal ~me ~own view value] reads
+    each heard message's value with [value].  [Commit_vote v] iff every
+    value seen equals [v], the first one; otherwise (or when nothing was
+    seen) [Adopt_vote own]. *)
+
+val resolve :
+  equal:('v -> 'v -> bool) ->
+  me:Proc.t ->
+  own:'v ->
+  own_vote:'v vote ->
+  'm View.t ->
+  ('m -> 'v vote) ->
+  'v outcome
+(** Second-round transition: [own_vote] is [me]'s own vote and [vote]
+    reads each heard message's.  [Commit v] if every vote seen is
+    [Commit_vote v]; else [Adopt v] for the first [Commit_vote v] seen;
+    else [Adopt own]. *)
 
 type 'v state
 (** Per-process state of the two-round RRFD protocol. *)

@@ -23,7 +23,15 @@ val make : name:string -> (Fault_history.t -> Pset.t array) -> t
 
 val next : t -> Fault_history.t -> Pset.t array
 (** Produce the next round's fault sets.  The engine validates the result's
-    shape; predicate conformance is checked separately. *)
+    shape; predicate conformance is checked separately.
+
+    {b Buffer contract.}  The returned array is valid until the next
+    query of the same detector and must not be mutated: generators reuse
+    one output array across rounds ({!Detector_gen.async},
+    {!Detector_gen.k_set}), and {!constant} and the quiet tail of
+    {!quiet_after} hand out one shared array.  A caller that keeps a
+    round past the next query must copy it ([Fault_history.append]
+    does; {!recording} does). *)
 
 val none : t
 (** The failure-free detector: [D(i,r) = ∅] always (perfect synchrony). *)

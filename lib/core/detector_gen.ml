@@ -44,10 +44,24 @@ let crash ?(crash_probability = 0.3) rng ~n ~f =
           let missed_new = Pset.random_subset rng newly in
           Pset.remove i (Pset.union previously missed_new)))
 
+(* A generator is built once per trial, so its name is formatted once
+   per budget, not once per build. *)
+let async_name =
+  let names = Array.init 32 (Printf.sprintf "gen-async(f=%d)") in
+  fun f ->
+    if f < Array.length names then names.(f)
+    else Printf.sprintf "gen-async(f=%d)" f
+
 let async rng ~n ~f =
   check_nf ~n ~f;
-  Detector.make ~name:(Printf.sprintf "gen-async(f=%d)" f) (fun _h ->
-      Array.init n (fun _ -> random_set_of_max_size rng (Pset.full n) f))
+  let full = Pset.full n in
+  (* Output scratch reused across rounds, as in [k_set] below. *)
+  let out = Array.make n Pset.empty in
+  Detector.make ~name:(async_name f) (fun _h ->
+      for i = 0 to n - 1 do
+        out.(i) <- random_set_of_max_size rng full f
+      done;
+      out)
 
 let async_mixed rng ~n ~f ~t =
   check_nf ~n ~f;
@@ -91,9 +105,8 @@ let k_set rng ~n ~k =
   if n < 1 || n > Pset.max_universe then invalid_arg "Detector_gen.k_set: bad n";
   if k < 1 || k > n then invalid_arg "Detector_gen.k_set: need 1 ≤ k ≤ n";
   let full = Pset.full n in
-  (* Output scratch, reused across rounds: the executor copies fault sets
-     into the history before the next query, and recording detectors copy
-     (see Detector.recording), so nothing retains this array. *)
+  (* Output scratch, reused across rounds: a query's output is only valid
+     until the next query (see Detector.next), so nothing retains it. *)
   let out = Array.make n Pset.empty in
   Detector.make ~name:(Printf.sprintf "gen-kset(k=%d)" k) (fun _h ->
       let u_size = Rng.int_in_range rng ~min:0 ~max:(k - 1) in

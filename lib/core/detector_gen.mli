@@ -20,7 +20,8 @@ val crash : ?crash_probability:float -> Dsim.Rng.t -> n:int -> f:int -> Detector
 
 val async : Dsim.Rng.t -> n:int -> f:int -> Detector.t
 (** Satisfies [Predicate.async_resilient ~f]: independent uniform fault sets
-    of size at most [f]. *)
+    of size at most [f].  Reuses one output array across rounds (see
+    {!Detector.next}), so a steady-state query allocates nothing. *)
 
 val async_mixed : Dsim.Rng.t -> n:int -> f:int -> t:int -> Detector.t
 (** Satisfies [Predicate.async_mixed ~f ~t]: each round a witness set [Q] of
@@ -42,7 +43,8 @@ val k_set : Dsim.Rng.t -> n:int -> k:int -> Detector.t
 (** Satisfies [Predicate.k_set ~k]: per round a common set [C] and an
     uncertainty set [U] with [|U| < k] are drawn; process [i]'s fault set is
     [C ∪ Uᵢ] for a private [Uᵢ ⊆ U], so the union minus the intersection is
-    inside [U]. *)
+    inside [U].  Reuses one output array across rounds (see
+    {!Detector.next}). *)
 
 val antisymmetric : Dsim.Rng.t -> n:int -> f:int -> Detector.t
 (** Satisfies [Predicate.async_resilient ~f] ∧

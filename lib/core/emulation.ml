@@ -6,7 +6,9 @@ type closure_result = {
 let heard n fault_sets i = Pset.add i (Pset.diff (Pset.full n) fault_sets.(i))
 
 let closure_from ~n ~detector history =
-  let d1 = Detector.next detector history in
+  (* Copied: [d1] is read after the second query, which may reuse the
+     detector's output array (see Detector.next). *)
+  let d1 = Array.copy (Detector.next detector history) in
   let history = Fault_history.append history d1 in
   let d2 = Detector.next detector history in
   let history = Fault_history.append history d2 in

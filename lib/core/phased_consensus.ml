@@ -91,9 +91,10 @@ type state = {
   decision : int option;
 }
 
-let seen extract ~own ~me ~view =
-  let items = List.rev (View.fold (fun _ m acc -> extract m :: acc) view []) in
-  if Pset.mem me (View.faulty view) then own :: items else items
+let value_of = function Value v | Estimate v -> v | Vote _ -> assert false
+
+(* A vote round's non-vote message counts as an adopt vote. *)
+let vote_of = function Vote v -> v | Value v | Estimate v -> Ac.Adopt_vote v
 
 let algorithm ~inputs =
   {
@@ -125,36 +126,27 @@ let algorithm ~inputs =
         | 1 ->
           (* Theorem 3.1 choice: the estimate of the lowest-id unsuspected
              process. *)
+          let j = Pset.lowest (View.heard view) in
           let candidate =
-            match Pset.min_elt (View.heard view) with
-            | Some j -> (
+            if j < 0 then s.estimate
+            else
               match View.get view j with
               | Estimate v -> v
-              | Value _ | Vote _ -> assert false)
-            | None -> s.estimate
+              | Value _ | Vote _ -> assert false
           in
           { s with candidate = Some candidate }
         | 2 ->
           let own = Option.value s.candidate ~default:s.estimate in
-          let values =
-            seen
-              (function Value v | Estimate v -> v | Vote _ -> assert false)
-              ~own ~me:s.me ~view
-          in
-          { s with vote = Some (Ac.propose ~own ~seen:values) }
+          let vote = Ac.propose ~equal:Int.equal ~me:s.me ~own view value_of in
+          { s with vote = Some vote }
         | _ ->
-          let own_candidate = Option.value s.candidate ~default:s.estimate in
+          let own = Option.value s.candidate ~default:s.estimate in
           let own_vote =
-            match s.vote with Some v -> v | None -> Ac.Adopt_vote own_candidate
+            match s.vote with Some v -> v | None -> Ac.Adopt_vote own
           in
-          let votes =
-            seen
-              (function
-                | Vote v -> v
-                | Value v | Estimate v -> Ac.Adopt_vote v)
-              ~own:own_vote ~me:s.me ~view
+          let outcome =
+            Ac.resolve ~equal:Int.equal ~me:s.me ~own ~own_vote view vote_of
           in
-          let outcome = Ac.resolve ~own:own_candidate ~seen:votes in
           let estimate = Ac.value_of outcome in
           let decision =
             if Option.is_some s.decision then s.decision

@@ -41,11 +41,19 @@ let missing_witnesses s = s.missing_witness_count
 
 let dummy_vote = { vote = Adopt_commit.Adopt_vote Faulty; witness = None }
 
-(* Messages actually received this round, plus the process's own (known
-   through local state even when it is told it was late). *)
-let seen_messages ~me ~own view =
-  let items = List.rev (View.fold (fun _ m acc -> m :: acc) view []) in
-  if Pset.mem me (View.faulty view) then own :: items else items
+(* The first [Some] of [f] in the order the adopt-commit rules read a
+   round: the process's own message when it is marked late, then every
+   heard message in ascending sender order. *)
+let find_seen ~me ~own view f =
+  let found = ref (if Pset.mem me (View.faulty view) then f own else None) in
+  for j = 0 to View.n view - 1 do
+    if Option.is_none !found && View.mem view j then found := f (View.get view j)
+  done;
+  !found
+
+let proposals = function Proposals a -> a | Write _ | Votes _ -> assert false
+
+let votes = function Votes a -> a | Write _ | Proposals _ -> assert false
 
 let alive_value = function Alive v -> Some v | Faulty -> None
 
@@ -71,33 +79,30 @@ let algorithm ~sync =
     { s with failed; phase1_values = values; my_proposals }
   in
   let deliver_phase2 s ~view =
-    let arrays =
-      seen_messages ~me:s.me ~own:(Proposals s.my_proposals) view
-      |> List.map (function Proposals a -> a | Write _ | Votes _ -> assert false)
-    in
+    let own = Proposals s.my_proposals in
     let my_votes =
       Array.init s.n (fun j ->
-          let seen = List.map (fun a -> a.(j)) arrays in
-          let vote = Adopt_commit.propose ~own:s.my_proposals.(j) ~seen in
-          let witness = List.find_map alive_value seen in
+          let vote =
+            Adopt_commit.propose ~equal:( = ) ~me:s.me ~own:s.my_proposals.(j)
+              view (fun m -> (proposals m).(j))
+          in
+          let witness =
+            find_seen ~me:s.me ~own view (fun m -> alive_value (proposals m).(j))
+          in
           { vote; witness })
     in
     { s with my_votes }
   in
   let deliver_phase3 s ~view =
-    let arrays =
-      seen_messages ~me:s.me ~own:(Votes s.my_votes) view
-      |> List.map (function Votes a -> a | Write _ | Proposals _ -> assert false)
-    in
+    let own = Votes s.my_votes in
     let committed_now = ref Pset.empty in
     let failed = ref s.failed in
     let missing = ref s.missing_witness_count in
     let round_values =
       Array.init s.n (fun j ->
-          let seen = List.map (fun a -> a.(j)) arrays in
           let outcome =
-            Adopt_commit.resolve ~own:s.my_proposals.(j)
-              ~seen:(List.map (fun vm -> vm.vote) seen)
+            Adopt_commit.resolve ~equal:( = ) ~me:s.me ~own:s.my_proposals.(j)
+              ~own_vote:s.my_votes.(j).vote view (fun m -> (votes m).(j).vote)
           in
           match outcome with
           | Adopt_commit.Commit (Alive v) | Adopt_commit.Adopt (Alive v) -> Some v
@@ -109,7 +114,7 @@ let algorithm ~sync =
             failed := Pset.add j !failed;
             (* The target is suspected but not crashed this round: deliver
                its value from an alive witness. *)
-            match List.find_map (fun vm -> vm.witness) seen with
+            match find_seen ~me:s.me ~own view (fun m -> (votes m).(j).witness) with
             | Some v -> Some v
             | None ->
               incr missing;

@@ -1,42 +1,14 @@
 module Pset = Rrfd.Pset
 
-module S = Snapshot.Make (struct
-  type t = int (* a process's current level *)
-end)
-
 type result = { views : Rrfd.Pset.t array; steps : int }
 
-(* Reference implementation: the generic fiber executor running the
-   textbook body — one effect per register operation, Afek-style embedded
-   snapshots underneath.  Kept as the semantic oracle for the specialized
-   engine below (see the differential test in test_shm). *)
-let run_once_reference ~n ~schedule =
-  if n < 1 || n > Pset.max_universe then invalid_arg "Immediate_snapshot: bad n";
-  let views = Array.make n Pset.empty in
-  let body ~proc =
-    let rec descend level =
-      S.update ~proc level;
-      let levels = S.scan () in
-      let at_or_below = ref Pset.empty in
-      Array.iteri
-        (fun q l ->
-          match l with
-          | Some lq when lq <= level -> at_or_below := Pset.add q !at_or_below
-          | Some _ | None -> ())
-        levels;
-      if Pset.cardinal !at_or_below >= level then views.(proc) <- !at_or_below
-      else descend (level - 1)
-    in
-    descend n
-  in
-  let outcome = S.run ~n ~schedule body in
-  { views; steps = outcome.S.steps }
-
-(* Specialized engine: the same algorithm unrolled into an explicit
-   per-process state machine driven one register operation per scheduler
-   step — no fibers, no continuation capture, no option boxing.  The
-   operation sequence of every process and the scheduler's RNG draw
-   sequence are identical to the reference above (one draw below the
+(* Specialized engine: the textbook algorithm (descend from level n,
+   write the level, scan, stop once at least [level] processes are at
+   or below it) unrolled into an explicit per-process state machine
+   driven one register operation per scheduler step — no fibers, no
+   continuation capture, no option boxing.  The operation sequence of
+   every process and the scheduler's RNG draw sequence are identical to
+   the fiber-executor reference in the test suite (one draw below the
    ready-count per step, ascending pick), so seeded runs produce
    bit-identical views and step counts; the differential test enforces
    this.  Registers are three flat arrays (seq 0 = never written); views

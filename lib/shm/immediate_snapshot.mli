@@ -24,13 +24,10 @@ val run_once : n:int -> schedule:Exec.strategy -> result
 (** Execute the protocol once among [n] processes under the given
     interleaving.  Runs on a specialized per-process state machine (one
     register operation per scheduler step, no fibers) whose operation and
-    RNG-draw sequences are identical to {!run_once_reference}: seeded
-    schedules yield bit-identical views and step counts on either path. *)
-
-val run_once_reference : n:int -> schedule:Exec.strategy -> result
-(** The textbook implementation on the generic fiber executor ({!Exec}
-    effects, Afek-style embedded snapshots underneath).  Semantic oracle
-    for {!run_once}; the differential test keeps the two in lockstep. *)
+    RNG-draw sequences are identical to the textbook body on the generic
+    fiber executor ({!Snapshot.Make}); the test suite keeps that
+    reference as an oracle and checks that seeded schedules yield
+    bit-identical views and step counts on either path. *)
 
 val check_views : Rrfd.Pset.t array -> string option
 (** [None] iff the views satisfy self-inclusion, comparability and

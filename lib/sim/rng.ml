@@ -49,22 +49,36 @@ let split t = of_state (mix64 (int64 t))
 
 let[@inline] bits30 t = Int64.to_int (Int64.shift_right_logical (int64 t) 34)
 
+(* Exact division-free reduction of a 30-bit draw by a small bound
+   (Granlund & Montgomery 1994, Theorem 4.2 with N = 30): with
+   l = ceil(log2 d) and m = ceil(2^(30+l) / d), [r / d] equals
+   [(r * m) lsr (30 + l)] for every r < 2^30.  Since m ≤ 2^31 the
+   product stays below 2^61, inside a native int.  Entry [d] packs m
+   above the six-bit shift 30 + l. *)
+let small_bound = 256
+
+let magic =
+  Array.init (small_bound + 1) (fun d ->
+      if d = 0 then 0
+      else begin
+        let l = ref 0 in
+        while 1 lsl !l < d do incr l done;
+        let shift = 30 + !l in
+        ((((1 lsl shift) + d - 1) / d) lsl 6) lor shift
+      end)
+
+(* One draw per call, no rejection loop: the value is [bits30 t mod
+   bound] (the stream contract in rng.mli), and for small bounds the
+   multiply-shift above computes exactly that remainder. *)
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  if bound <= 1 lsl 30 then begin
-    (* Rejection sampling over 30 random bits avoids modulo bias.  A
-       while loop rather than a local rec function: the latter costs a
-       closure allocation per call on the non-flambda compiler. *)
-    let v = ref (-1) in
-    while !v < 0 do
-      let r = bits30 t in
-      let m = r mod bound in
-      if r - m + (bound - 1) >= 0 then v := m
-    done;
-    !v
-  end else
-    let r = Int64.to_int (Int64.shift_right_logical (int64 t) 2) in
-    r mod bound
+  if bound <= small_bound then begin
+    let r = bits30 t in
+    let k = Array.unsafe_get magic bound in
+    r - (((r * (k lsr 6)) lsr (k land 63)) * bound)
+  end
+  else if bound <= 1 lsl 30 then bits30 t mod bound
+  else Int64.to_int (Int64.shift_right_logical (int64 t) 2) mod bound
 
 let int_in_range t ~min ~max =
   if max < min then invalid_arg "Rng.int_in_range: max < min";

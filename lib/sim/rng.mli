@@ -39,7 +39,10 @@ val bits30 : t -> int
 (** [bits30 t] is a uniform integer in [\[0, 2^30)]. *)
 
 val int : t -> int -> int
-(** [int t bound] is a uniform integer in [\[0, bound)].
+(** [int t bound] is a uniform integer in [\[0, bound)], from exactly one
+    draw: [bits30 t mod bound] when [bound ≤ 2^30], the top 62 bits of
+    {!int64} mod [bound] above that.  Small bounds reduce by an exact
+    multiply-shift instead of dividing; the value is the same.
     @raise Invalid_argument if [bound <= 0]. *)
 
 val int_in_range : t -> min:int -> max:int -> int

@@ -84,3 +84,5 @@ module Compat_fixture = Compat_fixture
 module Round_layer_fixture = Round_layer_fixture
 
 module Transcript_fixture = Transcript_fixture
+
+module Oracle = Oracle

@@ -89,3 +89,43 @@ module Transcript_fixture : sig
       compared byte-for-byte against [test/fixtures/transcripts.expected].
       See [transcript_fixture.ml] for the grid. *)
 end
+
+(** {1 Reference oracles}
+
+    The plain implementations that lean library code replaced, kept for
+    the differential properties.  See [oracle.ml]. *)
+
+module Oracle : sig
+  val rng_int : Dsim.Rng.t -> int -> int
+  (** {!Dsim.Rng.int} as the remainder of one draw: [bits30 t mod bound]
+      up to [2^30], the top 62 bits of [int64 t] mod [bound] above. *)
+
+  module Adopt_commit : sig
+    val propose : own:'v -> seen:'v list -> 'v Rrfd.Adopt_commit.vote
+    (** The list-based first-round rule ({!Rrfd.Adopt_commit.propose}). *)
+
+    val resolve :
+      own:'v -> seen:'v Rrfd.Adopt_commit.vote list -> 'v Rrfd.Adopt_commit.outcome
+    (** The list-based second-round rule ({!Rrfd.Adopt_commit.resolve}). *)
+
+    val seen : me:Rrfd.Proc.t -> own:'a -> 'm Rrfd.View.t -> ('m -> 'a) -> 'a list
+    (** The list those rules read: [own] first when [me] is in the view's
+        fault set, then every heard message, ascending. *)
+  end
+
+  module Property : sig
+    val k_agreement : k:int -> Check.Property.obs -> string option
+
+    val validity : Check.Property.obs -> string option
+
+    val termination : Check.Property.obs -> string option
+    (** The report-based forms of the stock properties: each builds the
+        {!Tasks.Agreement} report first, then decides. *)
+  end
+
+  module Immediate_snapshot : sig
+    val run_once : n:int -> schedule:Shm.Exec.strategy -> Shm.Immediate_snapshot.result
+    (** The textbook immediate snapshot on the generic fiber executor —
+        the oracle for {!Shm.Immediate_snapshot.run_once}. *)
+  end
+end

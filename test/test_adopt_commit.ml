@@ -3,24 +3,98 @@
 
 module Ac = Rrfd.Adopt_commit
 
+(* A round's view from an all-heard slot array, minus [late]. *)
+let view ?(late = []) slots =
+  let faulty = Rrfd.Pset.of_list late in
+  Rrfd.View.of_option_array ~faulty
+    (Array.mapi
+       (fun j m -> if Rrfd.Pset.mem j faulty then None else Some m)
+       slots)
+
+let propose ?late ~own slots =
+  Ac.propose ~equal:Int.equal ~me:0 ~own (view ?late slots) Fun.id
+
+let resolve ?late ~own ~own_vote slots =
+  Ac.resolve ~equal:Int.equal ~me:0 ~own ~own_vote (view ?late slots) Fun.id
+
 let propose_commit_on_unanimity () =
-  (match Ac.propose ~own:5 ~seen:[ 5; 5; 5 ] with
+  (match propose ~own:5 [| 5; 5; 5 |] with
   | Ac.Commit_vote 5 -> ()
   | _ -> Alcotest.fail "expected commit vote 5");
-  match Ac.propose ~own:5 ~seen:[ 5; 6 ] with
+  (match propose ~own:5 [| 5; 6 |] with
   | Ac.Adopt_vote 5 -> ()
-  | _ -> Alcotest.fail "expected adopt vote of own value"
+  | _ -> Alcotest.fail "expected adopt vote of own value");
+  (* Marked late, p0 still counts its own value. *)
+  match propose ~late:[ 0 ] ~own:5 [| 5; 6; 6 |] with
+  | Ac.Adopt_vote 5 -> ()
+  | _ -> Alcotest.fail "a late process still sees its own value"
 
 let resolve_cases () =
-  (match Ac.resolve ~own:1 ~seen:[ Ac.Commit_vote 9; Ac.Commit_vote 9 ] with
+  let c9 = Ac.Commit_vote 9 in
+  (match resolve ~own:1 ~own_vote:c9 [| c9; c9 |] with
   | Ac.Commit 9 -> ()
   | _ -> Alcotest.fail "unanimous commits commit");
-  (match Ac.resolve ~own:1 ~seen:[ Ac.Commit_vote 9; Ac.Adopt_vote 2 ] with
+  (match resolve ~own:1 ~own_vote:c9 [| c9; Ac.Adopt_vote 2 |] with
   | Ac.Adopt 9 -> ()
   | _ -> Alcotest.fail "mixed with a commit adopts the committed value");
-  match Ac.resolve ~own:1 ~seen:[ Ac.Adopt_vote 2; Ac.Adopt_vote 3 ] with
+  (match
+     resolve ~own:1 ~own_vote:(Ac.Adopt_vote 2)
+       [| Ac.Adopt_vote 2; Ac.Adopt_vote 3 |]
+   with
   | Ac.Adopt 1 -> ()
-  | _ -> Alcotest.fail "no commit adopts own"
+  | _ -> Alcotest.fail "no commit adopts own");
+  (* The own vote is read first when late: its commit is the one adopted. *)
+  match
+    resolve ~late:[ 0 ] ~own:1 ~own_vote:(Ac.Commit_vote 4)
+      [| Ac.Adopt_vote 0; Ac.Commit_vote 7 |]
+  with
+  | Ac.Adopt 4 -> ()
+  | _ -> Alcotest.fail "a late process reads its own vote first"
+
+(* The single-pass rules against the list-based ones they replaced, over
+   random views with and without self-suspicion: the same vote and the
+   same outcome, values and commit/adopt alike. *)
+let rules_match_list_oracle =
+  let module O = Test_support.Oracle.Adopt_commit in
+  QCheck.Test.make ~name:"single-pass adopt-commit rules equal the list-based rules"
+    ~count:2000
+    QCheck.(pair (int_range 1 9) (int_bound 1_000_000))
+    (fun (n, seed) ->
+      let rng = Dsim.Rng.create seed in
+      let me = Dsim.Rng.int rng n in
+      let value () = Dsim.Rng.int rng 3 in
+      let vote () =
+        if Dsim.Rng.bool rng then Ac.Commit_vote (value ()) else Ac.Adopt_vote (value ())
+      in
+      (* Any proper fault set, the receiver's own slot included half the time. *)
+      let faulty =
+        let d = Rrfd.Pset.random_subset rng (Rrfd.Pset.full n) in
+        let d = if Dsim.Rng.bool rng then Rrfd.Pset.remove me d else d in
+        if Rrfd.Pset.cardinal d = n then Rrfd.Pset.remove me d else d
+      in
+      let view_of slots =
+        Rrfd.View.of_option_array ~faulty
+          (Array.mapi
+             (fun j m -> if Rrfd.Pset.mem j faulty then None else Some m)
+             slots)
+      in
+      let values = Array.init n (fun _ -> value ()) in
+      let votes = Array.init n (fun _ -> vote ()) in
+      let own = value () and own_vote = vote () in
+      let vview = view_of values and wview = view_of votes in
+      let proposed = Ac.propose ~equal:Int.equal ~me ~own vview Fun.id in
+      let expected_vote = O.propose ~own ~seen:(O.seen ~me ~own vview Fun.id) in
+      let resolved = Ac.resolve ~equal:Int.equal ~me ~own ~own_vote wview Fun.id in
+      let expected =
+        O.resolve ~own ~seen:(O.seen ~me ~own:own_vote wview Fun.id)
+      in
+      if proposed <> expected_vote then
+        QCheck.Test.fail_reportf "n=%d me=%d faulty=%s: propose differs" n me
+          (Rrfd.Pset.to_string faulty)
+      else if resolved <> expected then
+        QCheck.Test.fail_reportf "n=%d me=%d faulty=%s: resolve differs" n me
+          (Rrfd.Pset.to_string faulty)
+      else true)
 
 let run_rrfd ~n ~seed ~inputs =
   let rng = Dsim.Rng.create seed in
@@ -112,4 +186,5 @@ let tests =
     Alcotest.test_case "register version, solo run" `Quick
       register_version_solo_first;
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ rrfd_property; register_property ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ rules_match_list_oracle; rrfd_property; register_property ]

@@ -375,6 +375,48 @@ let byz_shrink_minimal_and_idempotent () =
       | _ -> ())
     minimal.Byz.strategies
 
+(* The stock properties decide with a scan and build their report only
+   on failure; each must give exactly the report-based verdict and
+   message, including the rejection of a length mismatch. *)
+let properties_match_report_oracle =
+  let module O = Test_support.Oracle.Property in
+  let verdict f o = try Ok (f o) with Invalid_argument m -> Error m in
+  QCheck.Test.make ~name:"scan-first properties equal their report-based forms"
+    ~count:2000
+    QCheck.(pair (int_range 1 9) (int_bound 1_000_000))
+    (fun (n, seed) ->
+      let rng = Dsim.Rng.create seed in
+      let inputs = Array.init n (fun _ -> Dsim.Rng.int rng 6) in
+      (* Now and then one slot too many or too few. *)
+      let len = match Dsim.Rng.int rng 20 with 0 -> n + 1 | 1 -> n - 1 | _ -> n in
+      let decisions =
+        Array.init len (fun _ ->
+            if Dsim.Rng.int rng 4 = 0 then None else Some (Dsim.Rng.int rng 8))
+      in
+      let o =
+        {
+          Check.Property.n;
+          inputs;
+          decisions;
+          decision_rounds = Array.map (Option.map (fun _ -> 1)) decisions;
+          rounds_used = Dsim.Rng.int rng 5;
+          history = Rrfd.Fault_history.empty ~n;
+          violation = None;
+        }
+      in
+      let same what lean oracle =
+        if verdict (Check.Property.check lean) o <> verdict oracle o then
+          QCheck.Test.fail_reportf "n=%d seed=%d: %s differs from its report form" n
+            seed what
+      in
+      same "validity" Check.Property.validity O.validity;
+      same "termination" Check.Property.termination O.termination;
+      same "agreement" Check.Property.agreement (O.k_agreement ~k:1);
+      for k = 0 to 4 do
+        same "k-agreement" (Check.Property.k_agreement ~k) (O.k_agreement ~k)
+      done;
+      true)
+
 let tests =
   [
     Alcotest.test_case "Pool.search first hit is -j invariant" `Quick
@@ -404,4 +446,5 @@ let tests =
         shrink_candidates_well_formed;
         shrink_strictly_smaller;
         live_trial_is_its_replay;
+        properties_match_report_oracle;
       ]

@@ -327,6 +327,34 @@ let interleaved_simulators () =
   in_model_order "b" b;
   in_model_order "c" c
 
+(* [Rng.int] reduces small bounds by multiply-shift instead of dividing;
+   it must still return exactly one draw's remainder and advance the
+   stream by exactly one draw.  Checked on copied streams for every
+   bound from 1 to 300, a random bound up to 2^30, and the edges around
+   the multiply-shift table and the 30-bit path. *)
+let rng_int_matches_remainder =
+  let edges = [ 255; 256; 257; (1 lsl 30) - 1; 1 lsl 30; (1 lsl 30) + 1; max_int ] in
+  QCheck.Test.make ~name:"Rng.int is one draw's remainder" ~count:200
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 (1 lsl 30)))
+    (fun (seed, random_bound) ->
+      let a = Rng.create seed in
+      let check bound =
+        for _ = 1 to 4 do
+          let b = Rng.copy a in
+          let got = Rng.int a bound and want = Test_support.Oracle.rng_int b bound in
+          if got <> want then
+            QCheck.Test.fail_reportf "seed %d bound %d: %d, want %d" seed bound got want;
+          if Rng.int64 (Rng.copy a) <> Rng.int64 b then
+            QCheck.Test.fail_reportf "seed %d bound %d: stream advanced differently"
+              seed bound
+        done
+      in
+      for bound = 1 to 300 do
+        check bound
+      done;
+      List.iter check (random_bound :: edges);
+      true)
+
 let tests =
   [
     Alcotest.test_case "rng determinism" `Quick rng_deterministic;
@@ -348,6 +376,7 @@ let tests =
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
+        rng_int_matches_remainder;
         rng_split_streams_independent;
         rng_derived_streams_independent;
         rng_sample_invariants;

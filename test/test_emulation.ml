@@ -54,6 +54,36 @@ let iterated_closure_stays_legal =
       && Rrfd.Predicate.holds (P.shared_memory ~f) simulated
       && Rrfd.Predicate.holds (P.async_resilient ~f) underlying)
 
+(* A detector's output is only valid until its next query, and the
+   generators reuse one output array.  The closure must not depend on
+   that: under a wrapper that hands out a fresh copy of every round it
+   must be identical, for a reusing [async] and a reusing [k_set]. *)
+let closure_survives_buffer_reuse =
+  QCheck.Test.make ~name:"closure is unchanged when every round is copied"
+    ~count:300
+    QCheck.(triple (int_range 2 9) (int_bound 100000) bool)
+    (fun (n, seed, kset) ->
+      let make rng =
+        if kset then Rrfd.Detector_gen.k_set rng ~n ~k:(1 + (seed mod n))
+        else Rrfd.Detector_gen.async rng ~n ~f:(if seed mod 2 = 0 then (n - 1) / 2 else n - 1)
+      in
+      let closure detector =
+        let r = Rrfd.Emulation.two_round_closure ~n ~detector in
+        let sim, under = Rrfd.Emulation.simulate_rounds ~n ~rounds:2 ~detector in
+        (r.Rrfd.Emulation.simulated, r.Rrfd.Emulation.underlying, sim, under)
+      in
+      let s1, u1, sim1, under1 = closure (make (Dsim.Rng.create seed)) in
+      let s2, u2, sim2, under2 =
+        closure
+          (Rrfd.Detector.map ~name:"copied"
+             (fun _ round -> Array.copy round)
+             (make (Dsim.Rng.create seed)))
+      in
+      Array.for_all2 Pset.equal s1 s2
+      && Rrfd.Fault_history.equal u1 u2
+      && Rrfd.Fault_history.equal sim1 sim2
+      && Rrfd.Fault_history.equal under1 under2)
+
 (* Item 4's alternative predicate: under P3 ∧ antisymmetry, somebody's
    round-1 value is known to all within n rounds (the cycle-length
    argument). *)
@@ -112,5 +142,6 @@ let tests =
         closure_gives_shm_predicate;
         closure_b_implements_a;
         iterated_closure_stays_legal;
+        closure_survives_buffer_reuse;
         known_by_all_within_n;
       ]

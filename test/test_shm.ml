@@ -99,14 +99,14 @@ let immediate_snapshot_properties =
       (* Differential: the fiber-executor oracle under an identically
          seeded schedule must produce the same views and step count. *)
       (if n <= 8 then
-         let o = run Shm.Immediate_snapshot.run_once_reference in
+         let o = run Test_support.Oracle.Immediate_snapshot.run_once in
          if o.Shm.Immediate_snapshot.steps <> r.Shm.Immediate_snapshot.steps
             || not
                  (Array.for_all2 Pset.equal o.Shm.Immediate_snapshot.views
                     r.Shm.Immediate_snapshot.views)
          then
            QCheck.Test.fail_reportf
-             "n=%d seed=%d: run_once diverges from run_once_reference" n seed);
+             "n=%d seed=%d: run_once diverges from the fiber-executor reference" n seed);
       match Shm.Immediate_snapshot.check_views r.Shm.Immediate_snapshot.views with
       | None -> true
       | Some reason -> QCheck.Test.fail_reportf "n=%d: %s" n reason)
