@@ -81,16 +81,15 @@ let engine_kernel n rounds =
     (Rrfd.Engine.run ~n ~max_rounds:4 ~check:(stop_after rounds)
        ~stop_when_decided:false ~algorithm ~detector ())
 
+(* The same run through the protocol catalog, the path every
+   substrate-uniform caller (SUTs, E22, the CLI) takes. *)
+let kset_entry = Protocols.Catalog.find_exn "kset-one-round"
+
 let substrate_dispatch n rounds =
-  let detector, algorithm = fixture n in
-  let config =
-    {
-      Rrfd.Engine.As_substrate.detector;
-      check = Some (stop_after rounds);
-      stop_when_decided = false;
-    }
-  in
-  ignore (Rrfd.Engine.As_substrate.execute config ~n ~rounds:4 ~algorithm)
+  let detector, _ = fixture n in
+  ignore
+    (Protocols.Catalog.run_engine kset_entry ~check:(stop_after rounds)
+       ~stop_when_decided:false ~max_rounds:4 ~n ~f:1 ~detector ())
 
 (* The simulator's event loop at the queue depth of a Chandra-Toueg
    instance at n = 64 (n(n-1) = 4032 pending events).  Every event

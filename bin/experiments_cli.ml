@@ -306,10 +306,10 @@ let trace_cmd =
       in
       print_endline transcript;
       Printf.printf "history: %s\n"
-        (Rrfd.Fault_history.to_string_compact outcome.Rrfd.Engine.history);
+        (Rrfd.Fault_history.to_string_compact outcome.Rrfd.Substrate.induced);
       if is_kset then (
         match
-          Tasks.Agreement.check ~k ~inputs outcome.Rrfd.Engine.decisions
+          Tasks.Agreement.check ~k ~inputs outcome.Rrfd.Substrate.decisions
         with
         | None ->
           Printf.printf "%d-set agreement: OK\n" k;
@@ -325,7 +325,7 @@ let trace_cmd =
                match d with
                | None -> Format.pp_print_string fmt "-"
                | Some v -> Protocols.Catalog.pp_out proto fmt v))
-          outcome.Rrfd.Engine.decisions;
+          outcome.Rrfd.Substrate.decisions;
         0
       end
   in
@@ -587,7 +587,7 @@ let faultnet_cmd =
         | o -> Ok o
         | exception Invalid_argument msg -> Error ("faultnet: " ^ msg))
     in
-    let ex = Msgnet.Round_layer.As_substrate.of_result o in
+    let ex = Msgnet.Round_layer.execution o in
     let matched =
       Rrfd.Substrate.agrees ~equal:Rrfd.Full_info.equal ex
         ~replayed:(Msgnet.Heard_of.replay_decisions ~algorithm ex.induced)

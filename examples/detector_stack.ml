@@ -54,7 +54,7 @@ let () =
   Printf.printf "2-set agreement: %s\n"
     (match
        Tasks.Agreement.check ~k:2 ~inputs
-         trace.Rrfd.Trace.outcome.Rrfd.Engine.decisions
+         trace.Rrfd.Trace.outcome.Rrfd.Substrate.decisions
      with
     | None -> "OK"
     | Some reason -> "VIOLATED: " ^ reason)

@@ -105,15 +105,13 @@ let termination =
             (Printf.sprintf "undecided after %d round(s): %s" o.rounds_used
                (String.concat "," (List.map (Printf.sprintf "p%d") ps))))
 
-(* The packing itself lives in core ({!Rrfd.Adopt_commit.encode}) so the
-   protocol catalog, which check depends on, shares the single definition. *)
-let decode_outcome = Rrfd.Adopt_commit.decode
-
 let adopt_commit_coherence =
   make ~name:"adopt-commit"
     ~doc:
       "decisions, decoded as adopt-commit outcomes, satisfy convergence, \
        agreement and validity"
     (fun o ->
-      let outcomes = Array.map (Option.map decode_outcome) o.decisions in
+      let outcomes =
+        Array.map (Option.map Rrfd.Adopt_commit.decode) o.decisions
+      in
       Rrfd.Adopt_commit.check_outcomes ~inputs:o.inputs outcomes)

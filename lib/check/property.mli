@@ -60,8 +60,3 @@ val adopt_commit_coherence : t
 (** Decisions are {!Rrfd.Adopt_commit.encode}-packed adopt-commit outcomes and they
     satisfy the full adopt-commit specification (termination, convergence,
     agreement, validity) via {!Rrfd.Adopt_commit.check_outcomes}. *)
-
-(** {1 Adopt-commit packing} *)
-
-val decode_outcome : int -> int Rrfd.Adopt_commit.outcome
-(** {!Rrfd.Adopt_commit.decode}. *)

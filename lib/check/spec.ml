@@ -1,25 +1,6 @@
-(* Spec strings: [name] or [name:k1=v1,k2=v2].  Parameters are small
-   non-negative ints. *)
-
-let parse spec =
-  match String.index_opt spec ':' with
-  | None -> Ok (spec, [])
-  | Some i ->
-    let name = String.sub spec 0 i in
-    let rest = String.sub spec (i + 1) (String.length spec - i - 1) in
-    let parse_pair acc pair =
-      match acc with
-      | Error _ as e -> e
-      | Ok params -> (
-        match String.split_on_char '=' pair with
-        | [ key; value ] -> (
-          match int_of_string_opt value with
-          | Some v when v >= 0 -> Ok ((key, v) :: params)
-          | _ -> Error (Printf.sprintf "%S: %S is not a non-negative int" spec value))
-        | _ -> Error (Printf.sprintf "%S: expected key=value, got %S" spec pair))
-    in
-    List.fold_left parse_pair (Ok []) (String.split_on_char ',' rest)
-    |> Result.map (fun params -> (name, params))
+(* Spec strings: [name] or [name:k1=v1,k2=v2] ({!Rrfd.Spec_syntax}).
+   Parameters are small non-negative ints. *)
+let parse spec = Rrfd.Spec_syntax.(parse Int spec)
 
 let param params key ~default =
   match List.assoc_opt key params with Some v -> v | None -> default
@@ -129,9 +110,9 @@ let property spec =
           (Printf.sprintf "unknown property %S, expected one of: %s" spec
              property_names))
 
-(* Adversary policies share the same [name:k=v,...] grammar; the parser
-   lives in Msgnet.Adversary (msgnet cannot depend on check) and this is
-   the vocabulary's front door for the CLI and artifacts. *)
+(* Adversary policies share the same [name:k=v,...] grammar; their
+   vocabulary lives in Msgnet.Adversary (msgnet cannot depend on check)
+   and this is its front door for the CLI and artifacts. *)
 let adversary_names = Msgnet.Adversary.spec_names
 
 let adversary spec = Msgnet.Adversary.of_spec spec

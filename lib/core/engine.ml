@@ -1,12 +1,3 @@
-type 'out outcome = {
-  decisions : 'out option array;
-  decision_rounds : int option array;
-  rounds_used : int;
-  history : Fault_history.t;
-  violation : string option;
-  counters : Counters.t;
-}
-
 (* Per-round detector validation against the hoisted universe set: subset
    and D ≠ S per process, allocation-free ([subset]/[equal] on the
    immediate representation touch no heap). *)
@@ -34,10 +25,10 @@ let validate_round ~n ~full sets =
 let exec ~n ~max_rounds ?check ~stop_when_decided ~algorithm ~detector () =
   let open Algorithm in
   (* [create] validates n.  Short runs (the common case: most algorithms
-     decide in a few rounds) get a small arena; long runs amortise growth
-     by doubling.  Callers that need a growth-free run for allocation
-     measurements pass max_rounds ≤ 4. *)
-  let history = Fault_history.create ~n ~capacity:(min max_rounds 4) in
+     decide in a few rounds) get an arena sized for their whole horizon,
+     so a run with max_rounds ≤ 8 never regrows it; longer runs start at
+     eight rounds and amortise growth by doubling. *)
+  let history = Fault_history.create ~n ~capacity:(min max_rounds 8) in
   let full = Pset.full n in
   let states = Array.init n (fun i -> algorithm.init ~n i) in
   let decisions = Array.make n None in
@@ -122,49 +113,24 @@ let exec ~n ~max_rounds ?check ~stop_when_decided ~algorithm ~detector () =
   in
   ( states,
     {
+      Substrate.substrate = "engine";
       decisions;
       decision_rounds;
       rounds_used;
-      history;
-      violation = !violation;
+      induced = history;
       counters;
+      violation = !violation;
+      crashed = Pset.empty;
+      completed = Array.make n rounds_used;
+      wall_ns = None;
     } )
 
 let run ~n ?(max_rounds = 64) ?check ?(stop_when_decided = true) ~algorithm
     ~detector () =
   snd (exec ~n ~max_rounds ?check ~stop_when_decided ~algorithm ~detector ())
 
-module As_substrate = struct
-  type config = {
-    detector : Detector.t;
-    check : Predicate.t option;
-    stop_when_decided : bool;
-  }
-
-  let name = "engine"
-
-  let execute config ~n ~rounds ~algorithm =
-    let outcome =
-      run ~n ~max_rounds:rounds ?check:config.check
-        ~stop_when_decided:config.stop_when_decided ~algorithm
-        ~detector:config.detector ()
-    in
-    {
-      Substrate.substrate = name;
-      decisions = outcome.decisions;
-      decision_rounds = outcome.decision_rounds;
-      rounds_used = outcome.rounds_used;
-      induced = outcome.history;
-      counters = outcome.counters;
-      violation = outcome.violation;
-      crashed = Pset.empty;
-      completed = Array.make n outcome.rounds_used;
-      wall_ns = None;
-    }
-end
-
 let states_after ~n ~rounds ~algorithm ~detector () =
-  let states, outcome =
+  let states, ex =
     exec ~n ~max_rounds:rounds ~stop_when_decided:false ~algorithm ~detector ()
   in
-  (states, outcome.history)
+  (states, ex.Substrate.induced)

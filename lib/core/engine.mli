@@ -7,22 +7,6 @@
     re-checked after every round, so a misbehaving detector is caught at the
     earliest offending round. *)
 
-type 'out outcome = {
-  decisions : 'out option array;
-      (** First decision of each process ([None] if it never decided). *)
-  decision_rounds : int option array;
-      (** Round at which each process first decided. *)
-  rounds_used : int;  (** Number of rounds executed. *)
-  history : Fault_history.t;  (** The fault history of the execution. *)
-  violation : string option;
-      (** Earliest predicate violation, when a check was requested.  The run
-          stops at the violating round. *)
-  counters : Counters.t;
-      (** Exact work accounting for the execution: rounds executed,
-          messages delivered, detector queries, predicate checks.  See
-          {!Counters}. *)
-}
-
 val run :
   n:int ->
   ?max_rounds:int ->
@@ -31,34 +15,23 @@ val run :
   algorithm:('s, 'm, 'out) Algorithm.t ->
   detector:Detector.t ->
   unit ->
-  'out outcome
+  'out Substrate.execution
 (** [run ~n ~algorithm ~detector ()] executes rounds until every process has
     decided (when [stop_when_decided], the default) or [max_rounds] (default
     64) have run.  With [stop_when_decided:false] it always runs exactly
     [max_rounds] rounds, which is how fixed-horizon protocols such as the
     full-information algorithm are driven.
 
+    The execution is the ["engine"] substrate's: [induced] is the
+    detector's output, [violation] the earliest [check] report (the run
+    stops at the violating round), no process ever crashes
+    ([crashed = Pset.empty]) and every process completes every executed
+    round ([completed.(i) = rounds_used]).
+
     @raise Invalid_argument if [n] is out of range, if the detector returns a
     malformed round (wrong length or ids out of range), or if a detector
     marks every process faulty to some process ([D(i,r) = S] — the paper
     notes this can never happen, as not all processes can be late). *)
-
-(** {1 The engine as a substrate} *)
-
-module As_substrate : sig
-  type config = {
-    detector : Detector.t;  (** The environment being simulated. *)
-    check : Predicate.t option;
-        (** Optional per-round predicate check, as in {!run}. *)
-    stop_when_decided : bool;
-  }
-
-  include Substrate.S with type config := config
-end
-(** {!Substrate.S} view of {!run}: [rounds] maps to [max_rounds], the
-    induced history is the detector's output, no process ever crashes
-    ([crashed = Pset.empty]) and every process completes every executed
-    round. *)
 
 val states_after :
   n:int ->

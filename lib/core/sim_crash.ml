@@ -33,8 +33,6 @@ let async_rounds ~sync_rounds = 3 * sync_rounds
 
 let sync_rounds_completed s = s.sync_round - 1
 
-let sync_state s = s.sync_state
-
 let self_crashed s = s.self_crashed
 
 let missing_witnesses s = s.missing_witness_count

@@ -48,9 +48,6 @@ val async_rounds : sync_rounds:int -> int
 
 val sync_rounds_completed : ('s, 'm) state -> int
 
-val sync_state : ('s, 'm) state -> 's
-(** The simulated process's synchronous state. *)
-
 val self_crashed : ('s, 'm) state -> bool
 (** Whether this process committed itself faulty at some simulated round. *)
 

@@ -3,7 +3,7 @@ let budget ~f ~k =
   f / k
 
 type 'out result = {
-  outcome : 'out Engine.outcome;
+  outcome : 'out Substrate.execution;
   omission_violation : string option;
 }
 
@@ -14,8 +14,8 @@ let simulate ~n ~f ~k ~algorithm ~detector () =
       ~stop_when_decided:false ~algorithm ~detector ()
   in
   let omission_violation =
-    match outcome.Engine.violation with
+    match outcome.Substrate.violation with
     | Some v -> Some ("asynchronous side broke its own predicate: " ^ v)
-    | None -> Predicate.explain (Predicate.omission ~f) outcome.Engine.history
+    | None -> Predicate.explain (Predicate.omission ~f) outcome.Substrate.induced
   in
   { outcome; omission_violation }

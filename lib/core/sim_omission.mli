@@ -20,7 +20,7 @@ val budget : f:int -> k:int -> int
     @raise Invalid_argument unless [f ≥ k > 0]. *)
 
 type 'out result = {
-  outcome : 'out Engine.outcome;
+  outcome : 'out Substrate.execution;
       (** The run of the synchronous algorithm in the asynchronous system
           ([budget ~f ~k] rounds, detector checked online against the
           snapshot predicate with [k] failures). *)

@@ -55,9 +55,6 @@ val lattice : n:int -> rounds:int -> (string * Predicate.t) list -> lattice
     included).  Names are the query keys and must be distinct.
     @raise Invalid_argument on an empty or duplicate-named vocabulary. *)
 
-val lattice_names : lattice -> string list
-(** The vocabulary, in construction order. *)
-
 val mem : lattice -> string -> bool
 
 val implies : lattice -> string -> string -> bool

@@ -1,4 +1,4 @@
-(** The execution-substrate abstraction.
+(** The one execution record every substrate returns.
 
     The paper's central claim is that one algorithm text runs unchanged
     over synchrony, asynchrony and shared memory once the environment is
@@ -6,30 +6,31 @@
     environments — the abstract detector-driven {!Engine}, the lock-step
     synchronous network ([Syncnet.Sync_net]), the event-driven
     asynchronous round layer ([Msgnet.Round_layer]), and the
-    real-concurrency domain-per-process runner ([Live.Live]) — and each
-    of them is a {e substrate}: something that drives an {!Algorithm} and
-    yields the same uniform observation, an {!execution}.
+    real-concurrency domain-per-process runner ([Live]) — and each of
+    them is a {e substrate}: a runner that drives an {!Algorithm} and
+    returns the same uniform observation, an {!execution}.
 
-    A substrate implements {!S}: a name, a substrate-specific [config]
-    (the detector, the fault pattern, the network adversary, the patience
-    policy …) and an [execute] function polymorphic in the algorithm's
-    state, message and output types.  Everything downstream — the
-    protocol catalog, the cross-substrate differential matrix (E22), the
-    live-vs-model matrix (E23), the model checker's SUTs, the experiment
-    tables — consumes executions and never needs to know which substrate
-    produced them.  This is the executable form of the
-    "communication-closed" correspondence (Damian et al.) and the
-    heard-of characterisation (Shimi et al.): whatever the wall clock did,
-    the observable content of a run is its decisions plus the fault
+    {!Engine.run}, [Syncnet.Sync_net.run] and [Live.run] return an
+    [execution] directly; the round layer keeps its own result record for
+    the wire statistics and converts it with [Msgnet.Round_layer.execution].
+    Everything downstream — the protocol catalog, the cross-substrate
+    differential matrix (E22), the live-vs-model matrix (E23), the model
+    checker's SUTs, the experiment tables — consumes executions and never
+    needs to know which substrate produced them.  This is the executable
+    form of the "communication-closed" correspondence (Damian et al.) and
+    the heard-of characterisation (Shimi et al.): whatever the wall clock
+    did, the observable content of a run is its decisions plus the fault
     history it induced. *)
 
 type 'out execution = {
-  substrate : string;  (** Name of the substrate that ran the algorithm. *)
+  substrate : string;
+      (** Name of the substrate that ran the algorithm: ["engine"],
+          ["sync"], ["msgnet"] or ["live"]. *)
   decisions : 'out option array;
       (** First decision of each process ([None] if it never decided). *)
   decision_rounds : int option array;
-      (** Round at which each process first decided, when the substrate
-          tracks it.  The asynchronous round layer reports the last
+      (** Round at which each process first decided.  The asynchronous
+          round layer has no global round clock and reports the last
           completed round of a decided process; the live substrate
           reports the (real-time) round whose delivery first made
           [decide] answer [Some _] at that process. *)
@@ -48,7 +49,7 @@ type 'out execution = {
           predicate checks.  See {!Counters}. *)
   violation : string option;
       (** Earliest violation of the optional online predicate check, when
-          the substrate's config requested one. *)
+          the runner was given one. *)
   crashed : Pset.t;
       (** Processes the substrate actually crashed ([Pset.empty] for the
           abstract engine, whose processes all keep executing). *)
@@ -65,28 +66,6 @@ type 'out execution = {
           simulations, whose "time" is virtual and whose outputs must not
           depend on the wall clock. *)
 }
-
-module type S = sig
-  type config
-  (** Everything the substrate needs besides the algorithm: the
-      detector/check for the engine, the fault pattern for the
-      synchronous network, the seed/adversary/crash schedule for the
-      asynchronous one, the resilience/patience policy for the live
-      one. *)
-
-  val name : string
-
-  val execute :
-    config ->
-    n:int ->
-    rounds:int ->
-    algorithm:('s, 'm, 'out) Algorithm.t ->
-    'out execution
-  (** Drive [algorithm] for up to [rounds] rounds over [n] processes.
-      Implementations preserve their substrate's native semantics (early
-      stop on decision, crash schedules, repair protocols, patience
-      deadlines …); the record is the common observable. *)
-end
 
 (** {1 The pinned-replay verdict}
 

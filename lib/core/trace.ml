@@ -8,7 +8,7 @@ type 'out round = {
 type 'out t = {
   n : int;
   rounds : 'out round list;
-  outcome : 'out Engine.outcome;
+  outcome : 'out Substrate.execution;
 }
 
 (* Watch the engine's own run: each state carries its process id, so the
@@ -37,7 +37,9 @@ let record ~n ?max_rounds ?check ?stop_when_decided ~pp_msg ~algorithm
     Engine.run ~n ?max_rounds ?check ?stop_when_decided ~algorithm:watched
       ~detector ()
   in
-  let { Engine.history; decisions; decision_rounds; _ } = outcome in
+  let { Substrate.induced = history; decisions; decision_rounds; _ } =
+    outcome
+  in
   let rounds =
     List.init (Fault_history.rounds history) (fun r ->
         let number = r + 1 in

@@ -1,10 +1,10 @@
 (** Readable execution transcripts.
 
-    The engine's {!Engine.outcome} carries the fault history and decisions;
-    this module runs an algorithm on the engine while also recording what
-    every process emitted each round, and renders the transcript — the
-    debugging view for algorithm authors and the pretty output used by the
-    examples. *)
+    An engine run's {!Substrate.execution} carries the fault history and
+    decisions; this module runs an algorithm on the engine while also
+    recording what every process emitted each round, and renders the
+    transcript — the debugging view for algorithm authors and the pretty
+    output used by the examples. *)
 
 type 'out round = {
   number : int;
@@ -17,7 +17,7 @@ type 'out round = {
 type 'out t = {
   n : int;
   rounds : 'out round list;  (** First round first. *)
-  outcome : 'out Engine.outcome;
+  outcome : 'out Substrate.execution;  (** The engine run itself. *)
 }
 
 val record :

@@ -29,7 +29,7 @@ let run ?(seed = 1) ?(trials = 200) () =
           in
           if
             not
-              (Rrfd.Predicate.holds predicate result.Syncnet.Sync_net.induced)
+              (Rrfd.Predicate.holds predicate result.Rrfd.Substrate.induced)
           then incr bad
         done;
         !bad

@@ -83,7 +83,7 @@ let run_trial ~adversary ~n ~f ~rounds ~rng =
   let s_abd = Dsim.Rng.bits30 rng in
   let algorithm = Rrfd.Full_info.algorithm ~inputs:(Tasks.Inputs.distinct n) in
   let ex =
-    Msgnet.Round_layer.As_substrate.of_result
+    Msgnet.Round_layer.execution
       (Msgnet.Round_layer.run ~seed:s_rl ~adversary ~n ~f ~rounds ~algorithm ())
   in
   let induced = ex.Rrfd.Substrate.induced in

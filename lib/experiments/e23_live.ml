@@ -102,7 +102,7 @@ type cell_row = {
 let execution_of r =
   let rounds = Rrfd.Fault_history.rounds r.history in
   {
-    Rrfd.Substrate.substrate = Live.As_substrate.name;
+    Rrfd.Substrate.substrate = "live";
     decisions = r.decisions;
     decision_rounds = Array.make r.n None;
     rounds_used = rounds;

@@ -36,25 +36,6 @@ val max_processes : int
     per process and the runtime caps domains at ~128.  Simulated
     substrates scale far wider — see {!Rrfd.Pset.max_universe}. *)
 
-type 'out result = {
-  decisions : 'out option array;
-      (** First decision per process ([None] if it never decided). *)
-  decision_rounds : int option array;
-      (** Round whose delivery first made [decide] answer [Some _]. *)
-  induced : Rrfd.Fault_history.t;
-      (** The extracted heard-of fault history: [D(i,r)] is the
-          complement of what [i] had heard when its patience for round
-          [r] ran out. *)
-  completed : int array;
-      (** Rounds completed per process — always the full horizon. *)
-  counters : Rrfd.Counters.t;
-      (** [messages] counts accepted deliveries (a slot filed into a
-          live round buffer, self included), which equals
-          [Σ_{i,r} (n − |D(i,r)|)] — the engine's vocabulary.  No
-          detector is ever queried. *)
-  wall_ns : int64;  (** Real elapsed wall-clock time of the whole run. *)
-}
-
 val run :
   ?patience:Patience.t ->
   n:int ->
@@ -62,12 +43,27 @@ val run :
   rounds:int ->
   algorithm:('s, 'm, 'out) Rrfd.Algorithm.t ->
   unit ->
-  'out result
+  'out Rrfd.Substrate.execution
 (** Spawn [n − 1] domains (the calling domain runs process 0), drive
     [algorithm] for exactly [rounds] rounds under [patience] (default
     {!Patience.Wait_quorum} with the given [f]) and collect the uniform
-    observation.  Re-raises the first exception any process's algorithm
-    raised, after every domain has been joined.
+    observation, the ["live"] substrate's execution:
+    - [decision_rounds] holds the round whose delivery first made
+      [decide] answer [Some _].
+    - [induced] is the extracted heard-of fault history: [D(i,r)] is
+      the complement of what [i] had heard when its patience for round
+      [r] ran out.
+    - [rounds_used] and every [completed.(i)] are the full horizon
+      [rounds]: live processes never stop early, so [crashed] is empty.
+    - [counters.messages] counts accepted deliveries (a slot filed into
+      a live round buffer, self included), which equals
+      [Σ_{i,r} (n − |D(i,r)|)] — the engine's vocabulary.  No detector
+      is ever queried and no predicate checked ([violation = None]).
+    - [wall_ns] is [Some] of the real elapsed time of the whole run —
+      the only substrate whose executions carry one.
+
+    Re-raises the first exception any process's algorithm raised, after
+    every domain has been joined.
     @raise Invalid_argument if [n] is outside [1..max_processes],
     [f < 0], [f ≥ n] or [rounds < 0]. *)
 
@@ -77,21 +73,3 @@ val effective_jobs : ?jobs:int -> n_procs:int -> unit -> int
     floored at 1.  Without the cap a live campaign oversubscribes the
     machine quadratically (pool workers × process domains), which both
     distorts deadline-patience runs and slows everything down. *)
-
-module As_substrate : sig
-  type config = { patience : Patience.t; f : int }
-
-  val name : string
-  (** ["live"]. *)
-
-  val execute :
-    config ->
-    n:int ->
-    rounds:int ->
-    algorithm:('s, 'm, 'out) Rrfd.Algorithm.t ->
-    'out Rrfd.Substrate.execution
-  (** {!run} packaged as the fourth {!Rrfd.Substrate.S} implementation.
-      [rounds_used] is always the requested horizon, [crashed] is empty
-      (live processes never stop early) and [wall_ns] is [Some _] — the
-      only substrate whose executions carry real elapsed time. *)
-end

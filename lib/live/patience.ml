@@ -2,34 +2,10 @@ type t = Wait_all | Wait_quorum | Deadline of int64
 
 let names = "all, quorum, deadline:ns=_ (or us=_/ms=_)"
 
-(* Same [name] / [name:k=v,...] grammar as Check.Spec, inlined because
-   live sits below check in the dependency order. *)
+(* The [name] / [name:k=v,...] grammar of {!Rrfd.Spec_syntax}, values
+   read as [int64] nanosecond counts. *)
 let of_spec spec =
-  let parse_params rest =
-    List.fold_left
-      (fun acc pair ->
-        Result.bind acc (fun params ->
-            match String.split_on_char '=' pair with
-            | [ key; value ] -> (
-              match Int64.of_string_opt value with
-              | Some v when v >= 0L -> Ok ((key, v) :: params)
-              | _ ->
-                Error
-                  (Printf.sprintf "%S: %S is not a non-negative int" spec value)
-              )
-            | _ ->
-              Error (Printf.sprintf "%S: expected key=value, got %S" spec pair)))
-      (Ok [])
-      (String.split_on_char ',' rest)
-  in
-  let name, params =
-    match String.index_opt spec ':' with
-    | None -> (spec, Ok [])
-    | Some i ->
-      ( String.sub spec 0 i,
-        parse_params (String.sub spec (i + 1) (String.length spec - i - 1)) )
-  in
-  Result.bind params (fun params ->
+  Result.bind Rrfd.Spec_syntax.(parse Int64 spec) (fun (name, params) ->
       let bare t =
         if params = [] then Ok t
         else Error (Printf.sprintf "%S: %s takes no parameters" spec name)

@@ -53,36 +53,16 @@ let spec_names =
   ^ "reorder:p=<pct>,window=<w>, partition:at=<t0>,heal=<t1>,left=<k>, "
   ^ "byz:m=<k>,equiv=<0|1>,corrupt=<0|1>,forge=<0|1>"
 
-(* [name:k1=v1,k2=v2] with small non-negative integer values; probabilities
-   are percentages so spec strings stay integer-only like Check.Spec's. *)
+(* [name:k1=v1,k2=v2] ({!Rrfd.Spec_syntax}, read leniently: blanks
+   around names, keys and values are trimmed) with small non-negative
+   integer values; probabilities are percentages so spec strings stay
+   integer-only like Check.Spec's. *)
 let parse_atom s =
   let ( let* ) = Result.bind in
-  let name, args =
-    match String.index_opt s ':' with
-    | None -> (s, "")
-    | Some i ->
-        (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
-  in
-  let name = String.trim name in
-  let* params =
-    if args = "" then Ok []
-    else
-      String.split_on_char ',' args
-      |> List.fold_left
-           (fun acc kv ->
-             let* acc = acc in
-             match String.split_on_char '=' kv with
-             | [ k; v ] -> (
-                 match int_of_string_opt (String.trim v) with
-                 | Some i when i >= 0 -> Ok ((String.trim k, i) :: acc)
-                 | _ ->
-                     Error
-                       (Printf.sprintf
-                          "adversary %S: parameter %s must be a non-negative \
-                           integer"
-                          s (String.trim k)))
-             | _ -> Error (Printf.sprintf "adversary %S: malformed %S" s kv))
-           (Ok [])
+  let* name, params =
+    Result.map_error
+      (fun e -> "adversary " ^ e)
+      Rrfd.Spec_syntax.(parse ~lenient:true Int s)
   in
   let param key default = Option.value ~default (List.assoc_opt key params) in
   let known allowed =

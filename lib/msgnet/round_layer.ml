@@ -249,41 +249,19 @@ let run ?(seed = 0) ?min_delay ?max_delay ?(crashes = []) ?adversary
     counters;
   }
 
-module As_substrate = struct
-  type config = {
-    seed : int;
-    f : int;
-    min_delay : float option;
-    max_delay : float option;
-    crashes : (Rrfd.Proc.t * float) list;
-    adversary : Adversary.t option;
-    retransmit_every : float option;
-    horizon : float option;
+let execution result =
+  {
+    Rrfd.Substrate.substrate = "msgnet";
+    decisions = result.decisions;
+    decision_rounds =
+      Array.mapi
+        (fun i d -> Option.map (fun _ -> result.completed.(i)) d)
+        result.decisions;
+    rounds_used = Rrfd.Fault_history.rounds result.induced;
+    induced = result.induced;
+    counters = result.counters;
+    violation = None;
+    crashed = result.crashed;
+    completed = result.completed;
+    wall_ns = None;
   }
-
-  let name = "msgnet"
-
-  let of_result result =
-    {
-      Rrfd.Substrate.substrate = name;
-      decisions = result.decisions;
-      decision_rounds =
-        Array.mapi
-          (fun i d -> Option.map (fun _ -> result.completed.(i)) d)
-          result.decisions;
-      rounds_used = Rrfd.Fault_history.rounds result.induced;
-      induced = result.induced;
-      counters = result.counters;
-      violation = None;
-      crashed = result.crashed;
-      completed = result.completed;
-      wall_ns = None;
-    }
-
-  let execute config ~n ~rounds ~algorithm =
-    of_result
-      (run ~seed:config.seed ?min_delay:config.min_delay
-         ?max_delay:config.max_delay ~crashes:config.crashes
-         ?adversary:config.adversary ?retransmit_every:config.retransmit_every
-         ?horizon:config.horizon ~n ~f:config.f ~rounds ~algorithm ())
-end

@@ -78,27 +78,9 @@ val run :
     [\[0, n)], if more than [f] crashes are requested or if
     [retransmit_every <= 0]. *)
 
-(** {1 The asynchronous network as a substrate} *)
-
-module As_substrate : sig
-  type config = {
-    seed : int;  (** Delay/adversary randomness; part of the experiment key. *)
-    f : int;  (** Resilience: rounds complete on [n - f] messages. *)
-    min_delay : float option;
-    max_delay : float option;
-    crashes : (Rrfd.Proc.t * float) list;
-    adversary : Adversary.t option;
-    retransmit_every : float option;
-    horizon : float option;
-  }
-
-  include Rrfd.Substrate.S with type config := config
-
-  val of_result : 'out result -> 'out Rrfd.Substrate.execution
-  (** The uniform view of one {!run} result: [execute] is [of_result]
-      of [run]. *)
-end
-(** {!Rrfd.Substrate.S} view of {!run}.  [decision_rounds] reports the
-    last completed round of each decided process (the layer has no global
-    round clock); [completed] may be ragged when crashes or loss starve a
-    process. *)
+val execution : 'out result -> 'out Rrfd.Substrate.execution
+(** The ["msgnet"] substrate's uniform view of one {!run} result.
+    [decision_rounds] reports the last completed round of each decided
+    process (the layer has no global round clock), [rounds_used] is the
+    length of [induced], [completed] may be ragged when crashes or loss
+    starve a process, and [violation] and [wall_ns] are [None]. *)

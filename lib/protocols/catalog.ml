@@ -237,59 +237,40 @@ let find_exn name_ =
 
    The algorithm's state and message types are existential, so the only way
    out of the catalog is to run: each runner instantiates the algorithm
-   once and drives it through the corresponding {!Rrfd.Substrate.S}
-   implementation. *)
+   once and hands it to its substrate's runner. *)
 
-let run_engine t ?inputs ?check ?(stop_when_decided = true) ?max_rounds ~n ~f
+let inputs_or ~n = function Some i -> i | None -> default_inputs ~n
+
+let rounds_or t ~n ~f = function Some r -> r | None -> t.horizon ~n ~f
+
+let run_engine t ?inputs ?check ?stop_when_decided ?max_rounds ~n ~f
     ~detector () =
   let (Packed p) = t.packed in
-  let inputs = match inputs with Some i -> i | None -> default_inputs ~n in
-  let rounds = match max_rounds with Some r -> r | None -> 64 in
-  Rrfd.Engine.As_substrate.execute
-    { Rrfd.Engine.As_substrate.detector; check; stop_when_decided }
-    ~n ~rounds
-    ~algorithm:(p.algorithm ~inputs ~f)
+  Rrfd.Engine.run ~n ?max_rounds ?check ?stop_when_decided
+    ~algorithm:(p.algorithm ~inputs:(inputs_or ~n inputs) ~f)
+    ~detector ()
 
-let run_sync t ?inputs ?check ?(stop_when_decided = true) ?rounds ~n ~f
-    ~pattern () =
+let run_sync t ?inputs ?check ?stop_when_decided ?rounds ~n ~f ~pattern () =
   let (Packed p) = t.packed in
-  let inputs = match inputs with Some i -> i | None -> default_inputs ~n in
-  let rounds = match rounds with Some r -> r | None -> t.horizon ~n ~f in
-  Syncnet.Sync_net.As_substrate.execute
-    { Syncnet.Sync_net.As_substrate.pattern; check; stop_when_decided }
-    ~n ~rounds
-    ~algorithm:(p.algorithm ~inputs ~f)
+  Syncnet.Sync_net.run ~n ~rounds:(rounds_or t ~n ~f rounds) ~pattern
+    ~algorithm:(p.algorithm ~inputs:(inputs_or ~n inputs) ~f)
+    ?check ?stop_when_decided ()
 
-let run_msgnet t ?inputs ?(crashes = []) ?adversary ?min_delay ?max_delay
+let run_msgnet t ?inputs ?crashes ?adversary ?min_delay ?max_delay
     ?retransmit_every ?time_horizon ?rounds ~seed ~n ~f () =
   let (Packed p) = t.packed in
-  let inputs = match inputs with Some i -> i | None -> default_inputs ~n in
-  let rounds = match rounds with Some r -> r | None -> t.horizon ~n ~f in
-  Msgnet.Round_layer.As_substrate.execute
-    {
-      Msgnet.Round_layer.As_substrate.seed;
-      f;
-      min_delay;
-      max_delay;
-      crashes;
-      adversary;
-      retransmit_every;
-      horizon = time_horizon;
-    }
-    ~n ~rounds
-    ~algorithm:(p.algorithm ~inputs ~f)
+  Msgnet.Round_layer.execution
+    (Msgnet.Round_layer.run ~seed ?min_delay ?max_delay ?crashes ?adversary
+       ?retransmit_every ?horizon:time_horizon ~n ~f
+       ~rounds:(rounds_or t ~n ~f rounds)
+       ~algorithm:(p.algorithm ~inputs:(inputs_or ~n inputs) ~f)
+       ())
 
 let run_live t ?inputs ?patience ?rounds ~n ~f () =
   let (Packed p) = t.packed in
-  let inputs = match inputs with Some i -> i | None -> default_inputs ~n in
-  let rounds = match rounds with Some r -> r | None -> t.horizon ~n ~f in
-  let patience =
-    match patience with Some p -> p | None -> Live.Patience.Wait_quorum
-  in
-  Live.As_substrate.execute
-    { Live.As_substrate.patience; f }
-    ~n ~rounds
-    ~algorithm:(p.algorithm ~inputs ~f)
+  Live.run ?patience ~n ~f ~rounds:(rounds_or t ~n ~f rounds)
+    ~algorithm:(p.algorithm ~inputs:(inputs_or ~n inputs) ~f)
+    ()
 
 (* Pinned replay: the differential oracle.  The engine runs the history's
    detector ({!Rrfd.Detector.of_history}) for exactly the history's length
@@ -304,10 +285,10 @@ let replay t ?inputs ?check ~f ~history () =
 
 let transcript t ?inputs ?check ~n ~f ~max_rounds ~detector () =
   let (Packed p) = t.packed in
-  let inputs = match inputs with Some i -> i | None -> default_inputs ~n in
   let trace =
     Rrfd.Trace.record ~n ~max_rounds ?check ~pp_msg:p.pp_msg
-      ~algorithm:(p.algorithm ~inputs ~f) ~detector ()
+      ~algorithm:(p.algorithm ~inputs:(inputs_or ~n inputs) ~f)
+      ~detector ()
   in
   ( Format.asprintf "@[<v>%a@]" (Rrfd.Trace.pp t.pp_out) trace,
     trace.Rrfd.Trace.outcome )

@@ -75,9 +75,9 @@ val default_inputs : n:int -> int array
 (** {1 Substrate runners}
 
     Each runner instantiates the entry's algorithm (default inputs
-    {!default_inputs} unless given) and drives it through one
-    {!Rrfd.Substrate.S} implementation, returning the uniform
-    [int Rrfd.Substrate.execution] record. *)
+    {!default_inputs} unless given) and hands it to one substrate's
+    runner, returning the uniform [int Rrfd.Substrate.execution]
+    record. *)
 
 val run_engine :
   t ->
@@ -90,8 +90,8 @@ val run_engine :
   detector:Rrfd.Detector.t ->
   unit ->
   int Rrfd.Substrate.execution
-(** The abstract engine ({!Rrfd.Engine.As_substrate}).  [max_rounds]
-    defaults to 64, matching {!Rrfd.Engine.run}. *)
+(** The abstract engine ({!Rrfd.Engine.run}, whose defaults apply:
+    [max_rounds] 64, [stop_when_decided] true). *)
 
 val run_sync :
   t ->
@@ -104,7 +104,7 @@ val run_sync :
   pattern:Syncnet.Faults.t ->
   unit ->
   int Rrfd.Substrate.execution
-(** The lock-step synchronous network ({!Syncnet.Sync_net.As_substrate}).
+(** The lock-step synchronous network ({!Syncnet.Sync_net.run}).
     [rounds] defaults to the protocol's horizon at ([n], [f]). *)
 
 val run_live :
@@ -116,7 +116,7 @@ val run_live :
   f:int ->
   unit ->
   int Rrfd.Substrate.execution
-(** The live substrate ({!Live.As_substrate}): one OCaml domain per
+(** The live substrate ({!Live.run}): one OCaml domain per
     process, real scheduling, omission observed rather than injected.
     [patience] defaults to {!Live.Patience.Wait_quorum} (at the given
     [f]); [rounds] defaults to the protocol's horizon at ([n], [f]).
@@ -138,10 +138,10 @@ val run_msgnet :
   f:int ->
   unit ->
   int Rrfd.Substrate.execution
-(** The event-driven asynchronous network
-    ({!Msgnet.Round_layer.As_substrate}).  [rounds] defaults to the
-    protocol's horizon; [time_horizon] is the simulated-time repair cutoff
-    ({!Msgnet.Round_layer.run}'s [horizon]). *)
+(** The event-driven asynchronous network ({!Msgnet.Round_layer.run},
+    viewed through {!Msgnet.Round_layer.execution}).  [rounds] defaults
+    to the protocol's horizon; [time_horizon] is the simulated-time
+    repair cutoff ({!Msgnet.Round_layer.run}'s [horizon]). *)
 
 val replay :
   t ->
@@ -166,6 +166,6 @@ val transcript :
   max_rounds:int ->
   detector:Rrfd.Detector.t ->
   unit ->
-  string * int Rrfd.Engine.outcome
+  string * int Rrfd.Substrate.execution
 (** Rendered {!Rrfd.Trace} of one engine execution — what [check --replay]
-    and [trace] print — with the outcome of that same execution. *)
+    and [trace] print — with that same execution. *)

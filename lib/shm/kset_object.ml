@@ -10,8 +10,6 @@ let create ?rng ~k () =
 
 let k t = t.k
 
-let anchors t = t.anchors
-
 let propose t v =
   let adversary_says_adopt =
     match t.rng with None -> false | Some rng -> Dsim.Rng.bool rng

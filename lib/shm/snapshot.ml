@@ -13,13 +13,8 @@ struct
   (* One run at a time; [run] installs the segment count. *)
   let current_n = ref 0
 
-  let collects = ref 0
-
-  let collects_performed () = !collects
-
   let collect () =
     let n = !current_n in
-    incr collects;
     Array.init n (fun q -> E.read q)
 
   let same_seq a b =
@@ -68,7 +63,6 @@ struct
 
   let run ~n ~schedule body =
     current_n := n;
-    collects := 0;
     Fun.protect
       ~finally:(fun () -> current_n := 0)
       (fun () ->

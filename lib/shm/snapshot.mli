@@ -29,8 +29,4 @@ end) : sig
   val scan : unit -> V.t option array
   (** A linearizable snapshot of all segments ([None] = never written).
       Only valid inside a {!run} body. *)
-
-  val collects_performed : unit -> int
-  (** Total low-level collects executed so far in the current run
-      (instrumentation for the benchmarks). *)
 end

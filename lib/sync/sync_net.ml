@@ -1,16 +1,5 @@
 module Pset = Rrfd.Pset
 
-type 'out result = {
-  decisions : 'out option array;
-  decision_rounds : int option array;
-  rounds_used : int;
-  induced : Rrfd.Fault_history.t;
-  crashed : Rrfd.Pset.t;
-  completed : int array;
-  counters : Rrfd.Counters.t;
-  violation : string option;
-}
-
 let run ~n ~rounds ~pattern ~algorithm ?check ?(stop_when_decided = true) () =
   if Faults.n pattern <> n then invalid_arg "Sync_net.run: pattern size mismatch";
   let open Rrfd.Algorithm in
@@ -43,14 +32,16 @@ let run ~n ~rounds ~pattern ~algorithm ?check ?(stop_when_decided = true) () =
     in
     if done_ then
       {
+        Rrfd.Substrate.substrate = "sync";
         decisions;
         decision_rounds;
         rounds_used = round - 1;
         induced = history;
-        crashed = Pset.diff all alive;
-        completed;
         counters;
         violation;
+        crashed = Pset.diff all alive;
+        completed;
+        wall_ns = None;
       }
     else begin
       (* Emissions go into a reusable buffer; slots of crashed processes
@@ -121,31 +112,3 @@ let run ~n ~rounds ~pattern ~algorithm ?check ?(stop_when_decided = true) () =
     end
   in
   loop 1 (Rrfd.Fault_history.empty ~n) Rrfd.Counters.zero None
-
-module As_substrate = struct
-  type config = {
-    pattern : Faults.t;
-    check : Rrfd.Predicate.t option;
-    stop_when_decided : bool;
-  }
-
-  let name = "sync"
-
-  let execute config ~n ~rounds ~algorithm =
-    let result =
-      run ~n ~rounds ~pattern:config.pattern ~algorithm ?check:config.check
-        ~stop_when_decided:config.stop_when_decided ()
-    in
-    {
-      Rrfd.Substrate.substrate = name;
-      decisions = result.decisions;
-      decision_rounds = result.decision_rounds;
-      rounds_used = result.rounds_used;
-      induced = result.induced;
-      counters = result.counters;
-      violation = result.violation;
-      crashed = result.crashed;
-      completed = result.completed;
-      wall_ns = None;
-    }
-end

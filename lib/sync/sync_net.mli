@@ -9,30 +9,6 @@
     the model-correspondence experiments can check the derived history
     against the item-1/item-2 predicates. *)
 
-type 'out result = {
-  decisions : 'out option array;
-  decision_rounds : int option array;
-  rounds_used : int;
-  induced : Rrfd.Fault_history.t;
-      (** The derived fault history.  For a process that crashed, later
-          rounds record what it {e would} have missed — consistent with the
-          RRFD reading in which every process keeps executing. *)
-  crashed : Rrfd.Pset.t;  (** Processes that crashed during the run. *)
-  completed : int array;
-      (** Rounds each process ran to their end: [rounds_used], or [c − 1]
-          for a process crashed in round [c] (its round-[c] messages
-          reached only part of the system). *)
-  counters : Rrfd.Counters.t;
-      (** Work accounting in the engine's vocabulary: rounds executed,
-          messages delivered to live processes, zero detector queries
-          (the environment {e is} the detector here), predicate checks
-          when a [?check] was requested. *)
-  violation : string option;
-      (** Earliest [?check] violation of the induced history.  Purely an
-          observation: the lock-step run continues regardless, so the
-          result is otherwise identical with and without a check. *)
-}
-
 val run :
   n:int ->
   rounds:int ->
@@ -41,24 +17,28 @@ val run :
   ?check:Rrfd.Predicate.t ->
   ?stop_when_decided:bool ->
   unit ->
-  'out result
+  'out Rrfd.Substrate.execution
 (** [run ~n ~rounds ~pattern ~algorithm ()] executes up to [rounds]
     synchronous rounds.  A process crashed by [pattern] stops emitting and
     stops updating its state (its pre-crash decision, if any, stands).
     With [stop_when_decided] (default true) the run ends once every
-    non-crashed process has decided. *)
+    non-crashed process has decided.
 
-(** {1 The synchronous network as a substrate} *)
-
-module As_substrate : sig
-  type config = {
-    pattern : Faults.t;  (** The injected fault pattern. *)
-    check : Rrfd.Predicate.t option;
-    stop_when_decided : bool;
-  }
-
-  include Rrfd.Substrate.S with type config := config
-end
-(** {!Rrfd.Substrate.S} view of {!run}.  The induced history keeps the
-    RRFD reading in which every process executes every round; [completed]
-    and [crashed] say who actually stopped, and when. *)
+    The execution is the ["sync"] substrate's:
+    - [induced] is the derived fault history.  For a process that
+      crashed, later rounds record what it {e would} have missed —
+      consistent with the RRFD reading in which every process keeps
+      executing.
+    - [crashed] holds the processes that crashed during the run, and
+      [completed] the rounds each process ran to their end:
+      [rounds_used], or [c − 1] for a process crashed in round [c] (its
+      round-[c] messages reached only part of the system).
+    - [counters] uses the engine's vocabulary: rounds executed, messages
+      delivered to live processes, zero detector queries (the
+      environment {e is} the detector here), predicate checks when a
+      [check] was given.
+    - [violation] is the earliest [check] violation of the induced
+      history.  It is purely an observation: the lock-step run continues
+      regardless, so the execution is otherwise identical with and
+      without a check.
+    - [wall_ns] is [None]. *)

@@ -64,7 +64,7 @@ let iis_simulation_flooding =
       match result.Rrfd.Sim_omission.omission_violation with
       | Some reason -> QCheck.Test.fail_reportf "predicate: %s" reason
       | None ->
-        let decisions = result.Rrfd.Sim_omission.outcome.Rrfd.Engine.decisions in
+        let decisions = result.Rrfd.Sim_omission.outcome.Rrfd.Substrate.decisions in
         Array.for_all
           (function
             | Some v -> Array.exists (Int.equal v) inputs
@@ -90,7 +90,7 @@ let thm33_feeds_thm31 =
           ~detector:(Rrfd.Detector.of_schedule [ r.Shm.Thm33.fault_sets ])
           ()
       in
-      Tasks.Agreement.check ~k ~inputs outcome.Rrfd.Engine.decisions = None)
+      Tasks.Agreement.check ~k ~inputs outcome.Rrfd.Substrate.decisions = None)
 
 let omission_chain_matches_crash_chain () =
   (* Both readings of the chain adversary force the same decision pattern
@@ -108,8 +108,8 @@ let omission_chain_matches_crash_chain () =
     in
     Array.mapi
       (fun i d ->
-        if Pset.mem i result.Syncnet.Sync_net.crashed then None else d)
-      result.Syncnet.Sync_net.decisions
+        if Pset.mem i result.Rrfd.Substrate.crashed then None else d)
+      result.Rrfd.Substrate.decisions
   in
   let crash_decisions =
     run (Syncnet.Faults.crash ~n adv.Adversary.Lower_bound.crash_specs)

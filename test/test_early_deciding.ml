@@ -8,8 +8,8 @@ let s = Pset.of_list
 let mask_crashed result =
   Array.mapi
     (fun i d ->
-      if Pset.mem i result.Syncnet.Sync_net.crashed then None else d)
-    result.Syncnet.Sync_net.decisions
+      if Pset.mem i result.Rrfd.Substrate.crashed then None else d)
+    result.Rrfd.Substrate.decisions
 
 let failure_free_decides_in_two_rounds () =
   let n = 6 and f = 4 in
@@ -21,9 +21,9 @@ let failure_free_decides_in_two_rounds () =
   in
   Array.iter
     (fun r -> Alcotest.(check (option int)) "round 2" (Some 2) r)
-    result.Syncnet.Sync_net.decision_rounds;
+    result.Rrfd.Substrate.decision_rounds;
   Alcotest.(check (option string)) "consensus" None
-    (Agreement_check.kset ~k:1 ~inputs result.Syncnet.Sync_net.decisions)
+    (Agreement_check.kset ~k:1 ~inputs result.Rrfd.Substrate.decisions)
 
 let one_crash_decides_by_round_three () =
   let n = 6 and f = 4 in
@@ -36,17 +36,17 @@ let one_crash_decides_by_round_three () =
   in
   Array.iteri
     (fun i r ->
-      if not (Pset.mem i result.Syncnet.Sync_net.crashed) then
+      if not (Pset.mem i result.Rrfd.Substrate.crashed) then
         match r with
         | Some round ->
           Alcotest.(check bool)
             (Printf.sprintf "p%d decides by f'+2 = 3" i)
             true (round <= 3)
         | None -> Alcotest.failf "p%d undecided" i)
-    result.Syncnet.Sync_net.decision_rounds;
+    result.Rrfd.Substrate.decision_rounds;
   Alcotest.(check (option string)) "consensus among live" None
     (Agreement_check.kset
-       ~allow_undecided:result.Syncnet.Sync_net.crashed ~k:1 ~inputs
+       ~allow_undecided:result.Rrfd.Substrate.crashed ~k:1 ~inputs
        (mask_crashed result))
 
 let early_deciding_correct_under_random_crashes =
@@ -72,10 +72,10 @@ let early_deciding_correct_under_random_crashes =
         Array.for_all Fun.id
           (Array.mapi
              (fun i r ->
-               Pset.mem i result.Syncnet.Sync_net.crashed
+               Pset.mem i result.Rrfd.Substrate.crashed
                ||
                match r with Some round -> round <= bound | None -> false)
-             result.Syncnet.Sync_net.decision_rounds)
+             result.Rrfd.Substrate.decision_rounds)
       in
       if not rounds_ok then
         QCheck.Test.fail_reportf "n=%d f=%d f'=%d: decision after round %d" n f
@@ -83,7 +83,7 @@ let early_deciding_correct_under_random_crashes =
       else
         match
           Agreement_check.kset
-            ~allow_undecided:result.Syncnet.Sync_net.crashed ~k:1 ~inputs
+            ~allow_undecided:result.Rrfd.Substrate.crashed ~k:1 ~inputs
             (mask_crashed result)
         with
         | None -> true
@@ -106,12 +106,12 @@ let chain_adversary_forces_late_decisions () =
   let latest =
     Array.fold_left
       (fun acc r -> match r with Some round -> max acc round | None -> acc)
-      0 result.Syncnet.Sync_net.decision_rounds
+      0 result.Rrfd.Substrate.decision_rounds
   in
   Alcotest.(check bool) "some process decides late" true (latest >= chain_rounds + 1);
   Alcotest.(check (option string)) "still consensus" None
     (Agreement_check.kset
-       ~allow_undecided:result.Syncnet.Sync_net.crashed ~k:1
+       ~allow_undecided:result.Rrfd.Substrate.crashed ~k:1
        ~inputs:adv.Adversary.Lower_bound.inputs (mask_crashed result))
 
 let tests =

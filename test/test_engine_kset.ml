@@ -46,13 +46,13 @@ let engine_stops_on_decision () =
   let outcome =
     Engine.run ~n:3 ~algorithm:probe_algorithm ~detector:Rrfd.Detector.none ()
   in
-  Alcotest.(check int) "stops at round 2" 2 outcome.Engine.rounds_used;
+  Alcotest.(check int) "stops at round 2" 2 outcome.Rrfd.Substrate.rounds_used;
   Array.iteri
     (fun i d -> Alcotest.(check (option int)) "decided self" (Some i) d)
-    outcome.Engine.decisions;
+    outcome.Rrfd.Substrate.decisions;
   Alcotest.(check (array (option int))) "decision rounds"
     [| Some 2; Some 2; Some 2 |]
-    outcome.Engine.decision_rounds
+    outcome.Rrfd.Substrate.decision_rounds
 
 let engine_rejects_full_fault_set () =
   let detector = Rrfd.Detector.constant ~n:2 [| s [ 0; 1 ]; s [] |] in
@@ -69,8 +69,8 @@ let engine_online_check_stops () =
       ~detector:bad ()
   in
   Alcotest.(check bool) "violation reported" true
-    (Option.is_some outcome.Engine.violation);
-  Alcotest.(check int) "stopped at first bad round" 1 outcome.Engine.rounds_used
+    (Option.is_some outcome.Rrfd.Substrate.violation);
+  Alcotest.(check int) "stopped at first bad round" 1 outcome.Rrfd.Substrate.rounds_used
 
 (* Theorem 3.1: under the k-set detector, one round suffices. *)
 let kset_one_round_example () =
@@ -83,12 +83,12 @@ let kset_one_round_example () =
     Engine.run ~n:4 ~check:(Rrfd.Predicate.k_set ~k:2)
       ~algorithm:(Rrfd.Kset.one_round ~inputs) ~detector ()
   in
-  Alcotest.(check (option string)) "detector legal" None outcome.Engine.violation;
+  Alcotest.(check (option string)) "detector legal" None outcome.Rrfd.Substrate.violation;
   Alcotest.(check (array (option int))) "decisions"
     [| Some 10; Some 20; Some 10; Some 20 |]
-    outcome.Engine.decisions;
+    outcome.Rrfd.Substrate.decisions;
   Alcotest.(check (option string)) "2-set agreement" None
-    (Agreement_check.kset ~k:2 ~inputs outcome.Engine.decisions)
+    (Agreement_check.kset ~k:2 ~inputs outcome.Rrfd.Substrate.decisions)
 
 let kset_property =
   QCheck.Test.make ~name:"Thm 3.1: ≤ k distinct decisions in one round"
@@ -103,13 +103,13 @@ let kset_property =
         Engine.run ~n ~check:(Rrfd.Predicate.k_set ~k)
           ~algorithm:(Rrfd.Kset.one_round ~inputs) ~detector ()
       in
-      match outcome.Engine.violation with
+      match outcome.Rrfd.Substrate.violation with
       | Some v -> QCheck.Test.fail_reportf "detector broke predicate: %s" v
       | None -> (
-        if outcome.Engine.rounds_used <> 1 then
-          QCheck.Test.fail_reportf "took %d rounds" outcome.Engine.rounds_used
+        if outcome.Rrfd.Substrate.rounds_used <> 1 then
+          QCheck.Test.fail_reportf "took %d rounds" outcome.Rrfd.Substrate.rounds_used
         else
-          match Agreement_check.kset ~k ~inputs outcome.Engine.decisions with
+          match Agreement_check.kset ~k ~inputs outcome.Rrfd.Substrate.decisions with
           | None -> true
           | Some reason -> QCheck.Test.fail_reportf "n=%d k=%d: %s" n k reason))
 
@@ -123,7 +123,7 @@ let consensus_under_identical_views =
       let outcome =
         Engine.run ~n ~algorithm:(Rrfd.Kset.consensus ~inputs) ~detector ()
       in
-      Agreement_check.kset ~k:1 ~inputs outcome.Engine.decisions = None)
+      Agreement_check.kset ~k:1 ~inputs outcome.Rrfd.Substrate.decisions = None)
 
 let tests =
   [

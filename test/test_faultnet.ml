@@ -126,18 +126,9 @@ let differential_matrix () =
           Rrfd.Full_info.algorithm ~inputs:(Tasks.Inputs.distinct n)
         in
         let ex =
-          Msgnet.Round_layer.As_substrate.execute
-            {
-              Msgnet.Round_layer.As_substrate.seed = 100 + (17 * idx) + n;
-              f;
-              min_delay = None;
-              max_delay = None;
-              crashes = [];
-              adversary = Some (adversary spec);
-              retransmit_every = None;
-              horizon = None;
-            }
-            ~n ~rounds:4 ~algorithm
+          Msgnet.Round_layer.execution
+            (Msgnet.Round_layer.run ~seed:(100 + (17 * idx) + n)
+               ~adversary:(adversary spec) ~n ~f ~rounds:4 ~algorithm ())
         in
         let induced = ex.Rrfd.Substrate.induced in
         Alcotest.(check bool)
@@ -272,6 +263,30 @@ let crash_accounting () =
   Alcotest.(check bool) "adversary actually dropped" true (dropped > 0);
   Alcotest.(check bool) "adversary actually duplicated" true (duplicated > 0)
 
+(* The round layer has no global round clock, so its uniform view reports
+   a decided process's last completed round as its decision round.  A
+   crash makes [completed] ragged, so the crashed process's decision
+   round differs from the survivors'. *)
+let execution_decision_rounds () =
+  let n = 5 and f = 2 in
+  let r =
+    Msgnet.Round_layer.run ~seed:9 ~crashes:[ (4, 12.0) ]
+      ~adversary:(adversary "drop:p=20") ~n ~f ~rounds:4
+      ~algorithm:(Rrfd.Kset.one_round ~inputs:(Tasks.Inputs.distinct n))
+      ()
+  in
+  let ex = Msgnet.Round_layer.execution r in
+  Alcotest.(check (array (option int)))
+    "decision round = completed, for decided processes"
+    (Array.mapi
+       (fun i d -> Option.map (fun _ -> ex.Rrfd.Substrate.completed.(i)) d)
+       ex.Rrfd.Substrate.decisions)
+    ex.Rrfd.Substrate.decision_rounds;
+  Alcotest.(check bool) "everyone decided" true
+    (Array.for_all Option.is_some ex.Rrfd.Substrate.decisions);
+  Alcotest.(check bool) "the crash left completed ragged" true
+    (ex.Rrfd.Substrate.completed.(4) < ex.Rrfd.Substrate.completed.(0))
+
 let tests =
   [
     Alcotest.test_case "adversary spec parsing" `Quick spec_parsing;
@@ -291,6 +306,8 @@ let tests =
     Alcotest.test_case "duplication cannot inflate quorums" `Quick
       duplication_safety;
     Alcotest.test_case "crash accounting identity" `Quick crash_accounting;
+    Alcotest.test_case "execution decision rounds = completed" `Quick
+      execution_decision_rounds;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ extraction_well_formed; seed_determinism ]

@@ -121,7 +121,23 @@ let catalog_invariants () =
           true
           (Rrfd.Fault_history.n ex.Rrfd.Substrate.induced = n
           && Rrfd.Fault_history.rounds ex.Rrfd.Substrate.induced
-             = ex.Rrfd.Substrate.rounds_used)
+             = ex.Rrfd.Substrate.rounds_used);
+        Alcotest.(check string)
+          (Printf.sprintf "%s/%s: substrate name" name label)
+          label ex.Rrfd.Substrate.substrate;
+        Alcotest.(check int)
+          (Printf.sprintf "%s/%s: one completed count per process" name label)
+          n
+          (Array.length ex.Rrfd.Substrate.completed);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s/%s: wall clock only on live" name label)
+          (label = "live")
+          (Option.is_some ex.Rrfd.Substrate.wall_ns);
+        if label = "engine" || label = "live" then
+          Alcotest.(check bool)
+            (Printf.sprintf "%s/%s: nobody crashed" name label)
+            true
+            (Rrfd.Pset.is_empty ex.Rrfd.Substrate.crashed)
       in
       sane "engine"
         (Catalog.run_engine proto ~max_rounds:1 ~n ~f ~detector:quiet ());

@@ -348,14 +348,14 @@ let engine_counters_hand_computed () =
       ~detector:(Rrfd.Detector.of_schedule [ sets ])
       ()
   in
-  let c = outcome.Rrfd.Engine.counters in
+  let c = outcome.Rrfd.Substrate.counters in
   Alcotest.(check int) "one round" 1 c.Rrfd.Counters.rounds;
   (* three processes hear 4−1 = 3 senders, p3 hears all 4: 3·3 + 4 = 13 *)
   Alcotest.(check int) "messages" 13 c.Rrfd.Counters.messages;
   Alcotest.(check int) "one detector query" 1 c.Rrfd.Counters.detector_queries;
   Alcotest.(check int) "one predicate check" 1 c.Rrfd.Counters.predicate_checks;
   Alcotest.(check int) "rounds counter = rounds_used"
-    outcome.Rrfd.Engine.rounds_used c.Rrfd.Counters.rounds;
+    outcome.Rrfd.Substrate.rounds_used c.Rrfd.Counters.rounds;
   (* fixed horizon without a check: 3 of everything, 0 predicate checks *)
   let outcome2 =
     Rrfd.Engine.run ~n ~max_rounds:3 ~stop_when_decided:false
@@ -363,7 +363,7 @@ let engine_counters_hand_computed () =
       ~detector:(Rrfd.Detector.of_schedule [ sets ])
       ()
   in
-  let c2 = outcome2.Rrfd.Engine.counters in
+  let c2 = outcome2.Rrfd.Substrate.counters in
   Alcotest.(check int) "three rounds" 3 c2.Rrfd.Counters.rounds;
   Alcotest.(check int) "messages accumulate" 39 c2.Rrfd.Counters.messages;
   Alcotest.(check int) "three detector queries" 3
