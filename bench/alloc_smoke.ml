@@ -151,10 +151,9 @@ let check_fresh_sim () =
   end
 
 (* One message's delay plan under every delay-touching atom at once.
-   The time, the drawn delay and the redrawn duplicate delay are
-   constants, boxed once, as a caller's would be; every draw, the
-   modified delay and the copies' delays stay unboxed in the caller's
-   buffer. *)
+   The drawn delay comes in the buffer and the redrawn duplicate delay
+   is written there, as the network does; every draw, the modified
+   delay and the copies' delays stay unboxed in the caller's buffer. *)
 let plan_n = 5
 
 let plan_adversary =
@@ -168,7 +167,9 @@ let plan_delay = 4.5
 
 let plan_redraw_delay = 3.25
 
-let plan_redraw () = plan_redraw_delay
+let plan_redraw out k = Float.Array.set out k plan_redraw_delay
+
+let plan_clock () = plan_now
 
 let plan_buf = Float.Array.create (Msgnet.Adversary.max_copies plan_adversary)
 
@@ -176,10 +177,11 @@ let plan_into plans =
   let rng = Dsim.Rng.create 15 in
   for j = 1 to plans do
     ignore
-      (Msgnet.Adversary.plan_into plan_adversary rng ~now:plan_now
+      (Float.Array.set plan_buf 0 plan_delay;
+       Msgnet.Adversary.plan_into plan_adversary rng ~now:plan_clock
          ~from:(j mod plan_n)
          ~to_:((j + 1) mod plan_n)
-         ~delay:plan_delay ~redraw:plan_redraw plan_buf
+         ~redraw:plan_redraw plan_buf
         : int)
   done
 
@@ -195,6 +197,17 @@ let detector_gen_async queries =
   for _ = 1 to queries do
     ignore (Rrfd.Detector.next async_detector async_history : Rrfd.Pset.t array)
   done
+
+(* The same for the constructive [shm:f=3] and [omission:f=3] generators,
+   which fill one output array the same way. *)
+let detector_queries detector queries =
+  for _ = 1 to queries do
+    ignore (Rrfd.Detector.next detector async_history : Rrfd.Pset.t array)
+  done
+
+let shm_detector = Rrfd.Detector_gen.shared_memory (Dsim.Rng.create 3) ~n:8 ~f:3
+
+let omission_detector = Rrfd.Detector_gen.omission (Dsim.Rng.create 3) ~n:8 ~f:3
 
 (* Derive's candidate vocabulary at n = 5 judged on induced histories of
    a lossy, duplicating network, each call a whole-history verdict.  A
@@ -233,6 +246,53 @@ let predicate_holds calls =
     then incr sink
   done
 
+(* Steady-state broadcasts: one network broadcasts [waves] times, each
+   wave one broadcast from the next process, drained before the next.
+   With 8 or more receivers every copy is a run event (a broadcast to
+   fewer is a loop of sends, a closure per copy), so once the payload table, the run storage
+   and the queue have grown to a wave's size, a wave allocates nothing:
+   not its draws, plans and signatures, not its copies' deliveries.
+   Counted per delivery: the long run's words beyond the short one's,
+   over its deliveries beyond the short one's. *)
+let broadcast_payload = "beat"
+
+let broadcast_net ~n ~spec =
+  let adversary =
+    match Msgnet.Adversary.of_spec spec with Ok a -> a | Error e -> failwith e
+  in
+  let sim = Dsim.Sim.create ~seed:5 () in
+  let net =
+    Msgnet.Network.create ~sim ~n ~adversary
+      ~deliver:(fun _ ~to_:_ ~from:_ (_ : string) -> ())
+      ()
+  in
+  (sim, net)
+
+let network_broadcast (sim, net) waves =
+  let n = Msgnet.Network.n net in
+  for w = 1 to waves do
+    Msgnet.Network.broadcast net ~from:(w mod n) broadcast_payload;
+    Dsim.Sim.run sim
+  done
+
+let check_broadcast ~n ~spec =
+  let fixture = broadcast_net ~n ~spec in
+  let delivered () = Msgnet.Network.messages_delivered (snd fixture) in
+  (* Warm up until the tables, the run storage and the queue have seen
+     the longest broadcast the adversary makes. *)
+  network_broadcast fixture 1024;
+  let d0 = delivered () in
+  let s = minor_delta (fun () -> network_broadcast fixture 64) in
+  let d1 = delivered () in
+  let l = minor_delta (fun () -> network_broadcast fixture 256) in
+  let extra = float_of_int (delivered () - d1 - (d1 - d0)) in
+  let label = Printf.sprintf "network-broadcast n=%d %s" n spec in
+  if l = s then Printf.printf "  %-28s 0 words/delivery  OK\n" label
+  else begin
+    incr failures;
+    Printf.printf "  %-28s %+.2f words/delivery  FAIL\n" label ((l -. s) /. extra)
+  end
+
 let () =
   Printf.printf "=== alloc smoke: minor words per steady-state round ===\n";
   List.iter
@@ -246,11 +306,17 @@ let () =
     ~label:(Printf.sprintf "dsim-event-loop depth=%d" depth)
     dsim_event_loop;
   check_fresh_sim ();
+  check_broadcast ~n:64 ~spec:"none";
+  check_broadcast ~n:8 ~spec:"drop:p=15+dup:p=15";
   check ~unit:"plan" ~short:1000 ~long:4000
     ~label:(Printf.sprintf "adversary-plan-into n=%d" plan_n)
     plan_into;
   check ~unit:"query" ~short:100 ~long:400 ~label:"detector-gen-async n=8"
     detector_gen_async;
+  check ~unit:"query" ~short:100 ~long:400 ~label:"detector-gen-shm n=8"
+    (detector_queries shm_detector);
+  check ~unit:"query" ~short:100 ~long:400 ~label:"detector-gen-omission n=8"
+    (detector_queries omission_detector);
   check ~unit:"call" ~short:holds_pairs ~long:(4 * holds_pairs)
     ~label:"predicate-holds n=5" predicate_holds;
   if !failures > 0 then begin
@@ -260,5 +326,5 @@ let () =
   end;
   Printf.printf
     "alloc smoke: steady-state rounds, simulator events, queue storage, \
-     adversary plans, detector queries and predicate verdicts are \
-     allocation-free\n"
+     broadcasts, adversary plans, detector queries and predicate verdicts \
+     are allocation-free\n"

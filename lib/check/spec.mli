@@ -17,7 +17,7 @@ val predicate : string -> (Rrfd.Predicate.t, string) result
     for fused silent∪lied histories
     ({!Msgnet.Heard_of.to_byz_history}).  [f] defaults to 1, [k] to 2,
     [t] to 2.  [Error] names the unknown spec and lists the
-    vocabulary. *)
+    vocabulary, or names a parameter the entry does not take. *)
 
 val generator :
   string ->
@@ -26,7 +26,8 @@ val generator :
     predicate they satisfy by construction (the shrinker re-validates
     against it): [omission:f=_], [crash:f=_], [async:f=_],
     [async-mixed:f=_,t=_], [shm:f=_], [snapshot:f=_], [kset:k=_],
-    [antisym:f=_], [eq5], [detector-s]. *)
+    [antisym:f=_], [eq5], [detector-s].  A parameter the entry does not
+    take is an [Error]. *)
 
 val sut : string -> (Sut.t, string) result
 (** Any {!Protocols.Catalog} name ([kset-one-round], [consensus],
@@ -35,7 +36,8 @@ val sut : string -> (Sut.t, string) result
 
 val property : string -> (Property.t, string) result
 (** [agreement], [k-agreement:k=_], [validity], [termination],
-    [adopt-commit]. *)
+    [adopt-commit].  A parameter the entry does not take is an
+    [Error]. *)
 
 val adversary : string -> (Msgnet.Adversary.t, string) result
 (** Network fault-injection policies in the same grammar, atoms joined

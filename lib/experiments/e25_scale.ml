@@ -82,7 +82,8 @@ let hb_interval = 15.0
 
 let hb_horizon = 30.0
 
-let heartbeat_trial ~seed ~n =
+(* The drained heartbeat exchange: its simulator, network and detector. *)
+let heartbeat_exchange ~seed ~n =
   let sim = Dsim.Sim.create ~seed () in
   let hb = ref None in
   let deliver _ ~to_ ~from () =
@@ -96,7 +97,10 @@ let heartbeat_trial ~seed ~n =
            Msgnet.Network.broadcast net ~from ~self:false ())
          ~interval:hb_interval ~initial_timeout:42.0 ~horizon:hb_horizon ());
   Dsim.Sim.run sim;
-  let hb = Option.get !hb in
+  (sim, net, Option.get !hb)
+
+let heartbeat_trial ~seed ~n =
+  let _, net, hb = heartbeat_exchange ~seed ~n in
   let suspicions =
     List.length (Msgnet.Heartbeat.live_suspicions hb ~among:(Rrfd.Pset.full n))
   in

@@ -14,14 +14,23 @@ let of_spec spec =
       | "all" -> bare Wait_all
       | "quorum" -> bare Wait_quorum
       | "deadline" -> (
+        (* Values are non-negative, so [v * factor] fits in int64 iff
+           [v <= max_int / factor]. *)
         let scaled key factor =
-          Option.map (fun v -> Int64.mul v factor) (List.assoc_opt key params)
+          Option.map
+            (fun v ->
+              if v > Int64.div Int64.max_int factor then
+                Error
+                  (Printf.sprintf "%S: %s=%Ld is more nanoseconds than int64 holds"
+                     spec key v)
+              else Ok (Deadline (Int64.mul v factor)))
+            (List.assoc_opt key params)
         in
         match
           List.find_map Fun.id
             [ scaled "ms" 1_000_000L; scaled "us" 1_000L; scaled "ns" 1L ]
         with
-        | Some ns -> Ok (Deadline ns)
+        | Some result -> result
         | None ->
           Error
             (Printf.sprintf "%S: deadline needs ns=, us= or ms=" spec))

@@ -219,10 +219,13 @@ let dropped t rng =
    duplications, then one [redraw] per extra copy.  [Byz] atoms never
    touch the delay plan — lying is about content, not timing — so
    adding one leaves the benign delay stream bit-identical. *)
-let plan_into t rng ~now ~from ~to_ ~delay ~redraw out =
-  if partitioned t ~now ~from ~to_ || dropped t rng then 0
+let plan_into t rng ~now ~from ~to_ ~redraw out =
+  if
+    (Array.length t.cuts > 0 && partitioned t ~now:(now ()) ~from ~to_)
+    || dropped t rng
+  then 0
   else begin
-    let d = ref delay in
+    let d = ref (Float.Array.get out 0) in
     for k = 0 to Array.length t.shifts - 1 do
       match t.shifts.(k) with
       | Spike { p; factor } -> if unit_draw rng < p then d := !d *. factor
@@ -241,12 +244,13 @@ let plan_into t rng ~now ~from ~to_ ~delay ~redraw out =
     done;
     Float.Array.set out 0 !d;
     for k = 1 to !extras do
-      Float.Array.set out k (redraw ())
+      redraw out k
     done;
     1 + !extras
   end
 
 let plan t rng ~now ~from ~to_ ~delay ~redraw =
-  let out = Float.Array.create (max_copies t) in
-  let copies = plan_into t rng ~now ~from ~to_ ~delay ~redraw out in
+  let out = Float.Array.make (max_copies t) delay in
+  let redraw out k = Float.Array.set out k (redraw ()) in
+  let copies = plan_into t rng ~now:(fun () -> now) ~from ~to_ ~redraw out in
   List.init copies (Float.Array.get out)

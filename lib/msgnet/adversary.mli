@@ -115,19 +115,21 @@ val max_copies : t -> int
 val plan_into :
   t ->
   Dsim.Rng.t ->
-  now:float ->
+  now:(unit -> float) ->
   from:Rrfd.Proc.t ->
   to_:Rrfd.Proc.t ->
-  delay:float ->
-  redraw:(unit -> float) ->
+  redraw:(Float.Array.t -> int -> unit) ->
   Float.Array.t ->
   int
-(** [plan_into t rng ~now ~from ~to_ ~delay ~redraw out] is {!plan}
-    written into the caller's buffer: it makes exactly the same draws in
-    the same order, stores the copies' delays in [out.(0..k-1)] and
-    returns [k] ([0] means the message is lost).  [out] must hold at
-    least {!max_copies}[ t] slots.  Apart from [redraw] it allocates
-    nothing. *)
+(** [plan_into t rng ~now ~from ~to_ ~redraw out] is {!plan} through the
+    caller's buffer: the network-drawn delay comes in [out.(0)],
+    [redraw out k] must store a fresh base delay in [out.(k)], and
+    [now ()] is the send time, read only when a partition atom must
+    decide.  It makes exactly the same draws in the same order as
+    {!plan}, stores the copies' delays in [out.(0..k-1)] and returns [k]
+    ([0] means the message is lost).  [out] must hold at least
+    {!max_copies}[ t] slots.  No float crosses a call, so it allocates
+    nothing beyond what [redraw] and [now] do. *)
 
 val plan :
   t ->

@@ -40,6 +40,10 @@ type result = {
   phases_used : int;
   false_suspicions : int;
   messages_sent : int;
+  messages_delivered : int;
+  messages_dropped : int;
+  messages_duplicated : int;
+  messages_lost_to_crash : int;
   messages_tampered : int;
   accused : Pset.t;
   virtual_time : float;
@@ -282,6 +286,10 @@ let run ?(seed = 0) ?min_delay ?max_delay ?(crashes = []) ?adversary
     phases_used = Array.fold_left (fun acc p -> max acc p.phase) 0 procs;
     false_suspicions = Heartbeat.false_suspicions (fd ());
     messages_sent = Network.messages_sent (net ());
+    messages_delivered = Network.messages_delivered (net ());
+    messages_dropped = Network.messages_dropped (net ());
+    messages_duplicated = Network.messages_duplicated (net ());
+    messages_lost_to_crash = Network.messages_lost_to_crash (net ());
     messages_tampered = Network.messages_tampered (net ());
     accused;
     virtual_time = Dsim.Sim.now sim;

@@ -22,6 +22,11 @@ type result = {
   phases_used : int;  (** Highest phase any process entered. *)
   false_suspicions : int;
   messages_sent : int;
+  messages_delivered : int;
+  messages_dropped : int;
+  messages_duplicated : int;
+  messages_lost_to_crash : int;
+      (** The network's counters ({!Network.messages_sent} and the rest). *)
   messages_tampered : int;
       (** Sends whose content a Byzantine member replaced.  When the
           adversary has [Byz] atoms, members lie about estimate,

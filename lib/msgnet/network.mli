@@ -16,7 +16,24 @@
 
     Delivery is not FIFO unless the delay bounds make it so.  In a drained
     simulation the counters satisfy
-    [sent + duplicated = delivered + dropped + lost_to_crash]. *)
+    [sent + duplicated = delivered + dropped + lost_to_crash].
+
+    A point-to-point {!send} queues each copy as its own simulator event.
+    A {!broadcast} to 8 or more receivers hands all its copies to the
+    simulator at once ({!Dsim.Sim.schedule_run}): one queue entry, and no
+    allocation per copy.  A broadcast to fewer receivers is a loop of
+    {!send}s, which measured cheaper there.  It makes the same draws in the same
+    order and delivers in the same order as the loop of sends it
+    replaces, so the two are interchangeable byte for byte.  Its payload
+    is stored once, in a table the network clears as the last copy is
+    delivered; a copy the tamper hook forged gets an entry of its own.
+
+    {b Hooks must not schedule.}  A broadcast to 8 or more receivers
+    takes its copies' sequence numbers as one block after it has drawn,
+    tampered, signed and planned every copy.  So the tamper hook, the
+    adversary's [redraw] and anything else a broadcast calls must not
+    schedule a simulator event; one that does makes such a {!broadcast}
+    raise [Invalid_argument]. *)
 
 type 'msg t
 (** A network carrying messages of type ['msg] between [n] processes. *)
@@ -45,6 +62,7 @@ type 'msg tamper =
     sender the adversary marks Byzantine ({!Adversary.byz_behaviour}).
     [Some m'] replaces the payload on the wire (counted in
     {!messages_tampered}); [None] lets the canonical payload through.
+    The hook must not schedule simulator events (see above).
     Honest senders never reach the hook, so any tampered message is
     attributable by construction.  Hooks needing randomness must close
     over their own {!Dsim.Rng} stream — the simulator's stream is
@@ -80,7 +98,11 @@ val send : 'msg t -> from:Rrfd.Proc.t -> to_:Rrfd.Proc.t -> ?delay:float -> 'msg
 
 val broadcast : 'msg t -> from:Rrfd.Proc.t -> ?self:bool -> 'msg -> unit
 (** Send to every process, including the sender itself when [self] (default
-    true); each copy gets an independent delay. *)
+    true); each copy gets an independent delay.  Exactly
+    [send t ~from ~to_ msg] for every receiver [to_] in ascending order,
+    handed to the simulator as one batch from 8 receivers up.
+    @raise Invalid_argument if a hook scheduled a simulator event while
+    a broadcast to 8 or more receivers planned its copies. *)
 
 val crash : 'msg t -> Rrfd.Proc.t -> unit
 (** Crash a process: its future sends are no-ops (uncounted), messages in

@@ -16,7 +16,19 @@
     schedule onto an empty queue takes it over instead of allocating.
     Storage is handed over only if it was at least a quarter full at its
     peak, so an outsized run does not stay pinned on the domain.  None of
-    this changes the order in which events run. *)
+    this changes the order in which events run.
+
+    A caller with many events to schedule at once, such as a network
+    broadcast, can hand them over as a run ({!schedule_run}).  The queue
+    then holds one entry for the whole run, keyed on its next event, and
+    moves that entry to the event after it each time one runs.  The
+    queue's depth is then the number of runs and plain events in flight,
+    not the number of events.  A run's events still run in exactly the
+    order their plain counterparts would.  A finished run's storage goes
+    to a pool the next run takes from, and the pool is parked with the
+    queue; a pooled record or sort buffer more than four times the
+    simulator's longest run is dropped then, so an outsized run does not
+    stay pinned. *)
 
 type t
 (** A simulator instance. *)
@@ -42,8 +54,32 @@ val schedule_at : t -> time:float -> (t -> unit) -> unit
     time [time].
     @raise Invalid_argument if [time] is in the past or not finite. *)
 
+val schedule_run :
+  t -> delays:Float.Array.t -> tags:int array -> len:int -> (t -> int -> unit) -> unit
+(** [schedule_run sim ~delays ~tags ~len action] schedules [len] events
+    at once: event [j] runs [action sim tags.(j)] after [delays.(j)].  It
+    behaves exactly like the [len] calls
+    [schedule sim ~delay:delays.(j) (fun sim -> action sim tags.(j))]
+    for [j = 0 .. len - 1], in that order: each event gets the next
+    sequence number, and events run in (time, sequence) order among
+    everything else queued.  The events form one queue entry, and
+    running one allocates nothing.  [action] must be a closure the
+    caller keeps (one per caller, not one per run), or a run allocates
+    it.  The call overwrites [delays.(0 .. len-1)] with the events'
+    times and reads neither array afterwards, so the caller may reuse
+    both at once.  [len = 0] schedules nothing.
+    @raise Invalid_argument if [len] is negative or exceeds either
+    array, or if a delay is negative or NaN or makes a time that is not
+    finite; nothing is scheduled then. *)
+
 val pending : t -> int
-(** [pending sim] is the number of events still queued. *)
+(** [pending sim] is the number of events still queued: plain events plus
+    every run's events that have not run yet. *)
+
+val scheduled : t -> int
+(** [scheduled sim] is the number of events ever scheduled on [sim], plain
+    and run events alike; the next event scheduled gets this sequence
+    number. *)
 
 val step : t -> bool
 (** [step sim] executes the next event.  Returns [false] when the queue is
@@ -55,4 +91,5 @@ val run : ?until:float -> ?max_events:int -> t -> unit
     first.  Events scheduled exactly at [until] still execute. *)
 
 val executed : t -> int
-(** [executed sim] is the total number of events executed so far. *)
+(** [executed sim] is the total number of events executed so far; each
+    event of a run counts once. *)

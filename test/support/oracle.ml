@@ -102,3 +102,130 @@ module Immediate_snapshot = struct
     let outcome = S.run ~n ~schedule body in
     { Shm.Immediate_snapshot.views; steps = outcome.S.steps }
 end
+
+(* The message network before broadcasts became simulator runs: every
+   copy of every send, broadcast copies included, is its own simulator
+   event with its own closure, scheduled the moment it is planned. *)
+module Network = struct
+  module Pset = Rrfd.Pset
+
+  type 'msg t = {
+    sim : Dsim.Sim.t;
+    n : int;
+    min_delay : float;
+    max_delay : float;
+    adversary : Msgnet.Adversary.t;
+    tamper : 'msg Msgnet.Network.tamper option;
+    log_sends : bool;
+    deliver : Dsim.Sim.t -> to_:Rrfd.Proc.t -> from:Rrfd.Proc.t -> 'msg -> unit;
+    plan : Float.Array.t;
+    mutable crashed : Pset.t;
+    mutable log : 'msg Msgnet.Network.signed list;
+    mutable seq : int;
+    mutable sent : int;
+    mutable delivered : int;
+    mutable dropped : int;
+    mutable duplicated : int;
+    mutable tampered : int;
+    mutable lost_to_crash : int;
+  }
+
+  let pick_delay t =
+    t.min_delay
+    +. Dsim.Rng.float (Dsim.Sim.rng t.sim) (t.max_delay -. t.min_delay)
+
+  let create ~sim ~n ?(min_delay = 1.0) ?(max_delay = 10.0)
+      ?(adversary = Msgnet.Adversary.none) ?tamper ?(log_sends = false) ~deliver
+      () =
+    {
+      sim;
+      n;
+      min_delay;
+      max_delay;
+      adversary;
+      tamper;
+      log_sends;
+      deliver;
+      plan = Float.Array.create (Msgnet.Adversary.max_copies adversary);
+      crashed = Pset.empty;
+      log = [];
+      seq = 0;
+      sent = 0;
+      delivered = 0;
+      dropped = 0;
+      duplicated = 0;
+      tampered = 0;
+      lost_to_crash = 0;
+    }
+
+  let schedule_delivery t ~from ~to_ ~delay msg =
+    Dsim.Sim.schedule t.sim ~delay (fun sim ->
+        if Pset.mem to_ t.crashed then t.lost_to_crash <- t.lost_to_crash + 1
+        else begin
+          t.delivered <- t.delivered + 1;
+          t.deliver sim ~to_ ~from msg
+        end)
+
+  let send t ~from ~to_ msg =
+    if not (Pset.mem from t.crashed) then begin
+      let delay = pick_delay t in
+      t.sent <- t.sent + 1;
+      let msg =
+        match (Rrfd.Proc.equal from to_, t.tamper) with
+        | true, _ | _, None -> msg
+        | false, Some tamper -> (
+          match Msgnet.Adversary.byz_behaviour t.adversary from with
+          | None -> msg
+          | Some behaviour -> (
+            match tamper ~behaviour ~now:(Dsim.Sim.now t.sim) ~from ~to_ msg with
+            | Some forged ->
+              t.tampered <- t.tampered + 1;
+              forged
+            | None -> msg))
+      in
+      if t.log_sends then begin
+        t.log <-
+          {
+            Msgnet.Network.seq = t.seq;
+            signer = from;
+            receiver = to_;
+            sent_at = Dsim.Sim.now t.sim;
+            payload = msg;
+          }
+          :: t.log;
+        t.seq <- t.seq + 1
+      end;
+      if Rrfd.Proc.equal from to_ || Msgnet.Adversary.is_noop t.adversary then
+        schedule_delivery t ~from ~to_ ~delay msg
+      else begin
+        Float.Array.set t.plan 0 delay;
+        let now = Dsim.Sim.now t.sim in
+        let copies =
+          Msgnet.Adversary.plan_into t.adversary (Dsim.Sim.rng t.sim)
+            ~now:(fun () -> now)
+            ~from ~to_
+            ~redraw:(fun out k -> Float.Array.set out k (pick_delay t))
+            t.plan
+        in
+        if copies = 0 then t.dropped <- t.dropped + 1
+        else begin
+          t.duplicated <- t.duplicated + copies - 1;
+          for k = 0 to copies - 1 do
+            schedule_delivery t ~from ~to_ ~delay:(Float.Array.get t.plan k) msg
+          done
+        end
+      end
+    end
+
+  let broadcast t ~from ?(self = true) msg =
+    for to_ = 0 to t.n - 1 do
+      if self || not (Rrfd.Proc.equal to_ from) then send t ~from ~to_ msg
+    done
+
+  let crash t p = t.crashed <- Pset.add p t.crashed
+
+  let signed_log t = List.rev t.log
+
+  let counters t =
+    [ t.sent; t.delivered; t.dropped; t.duplicated; t.tampered; t.lost_to_crash ]
+end

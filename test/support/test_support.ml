@@ -82,6 +82,7 @@ let check_fixture ~what ~file actual =
 module Compat_fixture = Compat_fixture
 
 module Round_layer_fixture = Round_layer_fixture
+module Msgnet_timing_fixture = Msgnet_timing_fixture
 
 module Transcript_fixture = Transcript_fixture
 

@@ -81,6 +81,17 @@ module Round_layer_fixture : sig
       [round_layer_fixture.ml] for the grid. *)
 end
 
+(** {1 Message-network timing fixture} *)
+
+module Msgnet_timing_fixture : sig
+  val render : unit -> string
+  (** Chandra-Toueg consensus and E25's heartbeat probe under pinned
+      seeds: decisions, exact decision and drain times, phases and every
+      network counter; compared byte-for-byte against
+      [test/fixtures/msgnet_timing.expected].  See
+      [msgnet_timing_fixture.ml] for the grid. *)
+end
+
 (** {1 Transcript fixture} *)
 
 module Transcript_fixture : sig
@@ -122,6 +133,36 @@ module Oracle : sig
     (** The report-based forms of the stock properties: each builds the
         {!Tasks.Agreement} report first, then decides. *)
   end
+
+  module Network : sig
+    type 'msg t
+
+    val create :
+      sim:Dsim.Sim.t ->
+      n:int ->
+      ?min_delay:float ->
+      ?max_delay:float ->
+      ?adversary:Msgnet.Adversary.t ->
+      ?tamper:'msg Msgnet.Network.tamper ->
+      ?log_sends:bool ->
+      deliver:(Dsim.Sim.t -> to_:Rrfd.Proc.t -> from:Rrfd.Proc.t -> 'msg -> unit) ->
+      unit ->
+      'msg t
+
+    val send : 'msg t -> from:Rrfd.Proc.t -> to_:Rrfd.Proc.t -> 'msg -> unit
+
+    val broadcast : 'msg t -> from:Rrfd.Proc.t -> ?self:bool -> 'msg -> unit
+
+    val crash : 'msg t -> Rrfd.Proc.t -> unit
+
+    val signed_log : 'msg t -> 'msg Msgnet.Network.signed list
+
+    val counters : 'msg t -> int list
+    (** sent, delivered, dropped, duplicated, tampered, lost to crash. *)
+  end
+  (** {!Msgnet.Network} with every copy its own simulator event and
+      closure, scheduled as it is planned, and a broadcast a loop of
+      sends: the per-copy network that broadcast runs replaced. *)
 
   module Immediate_snapshot : sig
     val run_once : n:int -> schedule:Shm.Exec.strategy -> Shm.Immediate_snapshot.result

@@ -276,6 +276,52 @@ let parked_storage_keeps_nothing_alive () =
   Alcotest.(check (list int)) "adopter runs in time order" [ 3; 2; 1 ] (List.rev !log);
   Alcotest.(check int) "first simulator drained" 0 (Sim.pending sim)
 
+(* One simulator with a run of [len] events and a plain event beside it,
+   so its queue is full enough to park when it drains. *)
+let[@inline never] park_after_run len =
+  let sim = Sim.create () in
+  let delays = Float.Array.init len (fun j -> float_of_int (j mod 7)) in
+  Sim.schedule sim ~delay:0.5 ignore;
+  Sim.schedule_run sim ~delays ~tags:(Array.make len 0) ~len (fun _ _ -> ());
+  Sim.run sim
+
+(* Parked run storage follows the runs of the simulators that use it: a
+   100,000-event run's record and sort buffers are parked with its queue,
+   but once a simulator that adopts them runs only short runs and parks
+   again, neither stays live on the domain. *)
+let parked_runs_shrink () =
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).live_words
+  in
+  park_after_run 20;
+  let before = live () in
+  park_after_run 100_000;
+  park_after_run 20;
+  let kept = live () - before in
+  Alcotest.(check bool) (Printf.sprintf "%d words kept" kept) true (kept < 10_000)
+
+(* A run's action is dropped once its last event has run, so neither the
+   simulator nor storage it parks keeps the action, or what it captured,
+   alive. *)
+let[@inline never] schedule_run_with_payload sim weak =
+  let payload = Bytes.make 64 'x' in
+  Weak.set weak 0 (Some payload);
+  let delays = Float.Array.make 3 1.0 in
+  Sim.schedule_run sim ~delays ~tags:[| 0; 1; 2 |] ~len:3 (fun _ _ ->
+      ignore (Sys.opaque_identity (Bytes.length payload)))
+
+let sim_releases_ended_runs () =
+  let sim = Sim.create () in
+  let weak = Weak.create 1 in
+  schedule_run_with_payload sim weak;
+  Alcotest.(check int) "three events pending" 3 (Sim.pending sim);
+  Sim.run sim;
+  Alcotest.(check int) "three events ran" 3 (Sim.executed sim);
+  Gc.full_major ();
+  Alcotest.(check bool) "payload collected" false (Weak.check weak 0);
+  Alcotest.(check int) "drained" 0 (Sim.pending sim)
+
 (* A simulator paired with every event it was given, each run logging
    its clock and id.  Drained, the log must be the events sorted on
    (time, id). *)
@@ -327,6 +373,176 @@ let interleaved_simulators () =
   in_model_order "b" b;
   in_model_order "c" c
 
+(* Merged delivery runs against a list model.  Ops schedule plain
+   events and runs (lengths 1..70, offsets from a few values so that ties
+   are common), step, and run up to a horizon or an event budget; some
+   events schedule a run from inside their handler, and some raise.  The
+   model is a naive simulator that expands every run into its plain
+   events, kept sorted on (time, seq).  Both sides log every event they
+   run, every exception that escapes, and [pending], [executed] and the
+   clock after every op; the logs must be equal. *)
+type qop =
+  | Plain of int
+  | Run of int list
+  | Spawns of int * int list  (* a plain event that schedules a run *)
+  | Raises of int
+  | Raising_run of int list
+  | Step
+  | Until of int
+  | Budget of int
+
+type driver = {
+  now : unit -> float;
+  plain : time:float -> (unit -> unit) -> unit;
+  run_of : delays:float list -> (int -> unit) -> unit;
+  step : unit -> bool;
+  run : until:float option -> max_events:int option -> unit;
+  pending : unit -> int;
+  executed : unit -> int;
+}
+
+let real () =
+  let sim = Sim.create () in
+  {
+    now = (fun () -> Sim.now sim);
+    plain = (fun ~time f -> Sim.schedule_at sim ~time (fun _ -> f ()));
+    run_of =
+      (fun ~delays f ->
+        let len = List.length delays in
+        let d = Float.Array.of_list delays and tags = Array.init len Fun.id in
+        Sim.schedule_run sim ~delays:d ~tags ~len (fun _ j -> f j));
+    step = (fun () -> Sim.step sim);
+    run = (fun ~until ~max_events -> Sim.run ?until ?max_events sim);
+    pending = (fun () -> Sim.pending sim);
+    executed = (fun () -> Sim.executed sim);
+  }
+
+(* The model queues [(time, seq, thunk)] triples; [compare] never
+   reaches a thunk because seqs are distinct. *)
+let model () =
+  let clock = ref 0.0 and seq = ref 0 and queue = ref [] and executed = ref 0 in
+  let add time f =
+    queue := List.merge compare !queue [ (time, !seq, f) ];
+    incr seq
+  in
+  let step () =
+    match !queue with
+    | [] -> false
+    | (time, _, f) :: rest ->
+      queue := rest;
+      clock := time;
+      incr executed;
+      f ();
+      true
+  in
+  {
+    now = (fun () -> !clock);
+    plain = (fun ~time f -> add time (fun () -> f ()));
+    run_of =
+      (fun ~delays f ->
+        let now = !clock in
+        List.iteri (fun j d -> add (now +. d) (fun () -> f j)) delays);
+    step;
+    run =
+      (fun ~until ~max_events ->
+        let horizon = Option.value until ~default:infinity
+        and budget = Option.value max_events ~default:max_int in
+        let start = !executed in
+        let continue () =
+          !executed - start < budget
+          && match !queue with (time, _, _) :: _ -> time <= horizon | [] -> false
+        in
+        while continue () do
+          ignore (step () : bool)
+        done);
+    pending = (fun () -> List.length !queue);
+    executed = (fun () -> !executed);
+  }
+
+let interpret d ops =
+  let log = ref [] and next_id = ref 0 in
+  let note entry = log := entry :: !log in
+  let fresh () =
+    let id = !next_id in
+    incr next_id;
+    id
+  in
+  let delays offsets = List.map float_of_int offsets in
+  let rec schedule = function
+    | Plain o ->
+      let id = fresh () in
+      d.plain ~time:(d.now () +. float_of_int o) (fun () ->
+          note (Printf.sprintf "%h ran %d" (d.now ()) id))
+    | Run offsets | Raising_run offsets as op ->
+      let id = fresh () in
+      let raising = match op with Raising_run _ -> true | _ -> false in
+      d.run_of ~delays:(delays offsets) (fun j ->
+          note (Printf.sprintf "%h ran %d.%d" (d.now ()) id j);
+          if raising && j mod 3 = 1 then raise Exit)
+    | Spawns (o, offsets) ->
+      let id = fresh () in
+      d.plain ~time:(d.now () +. float_of_int o) (fun () ->
+          note (Printf.sprintf "%h ran %d" (d.now ()) id);
+          schedule (Run offsets))
+    | Raises o ->
+      let id = fresh () in
+      d.plain ~time:(d.now () +. float_of_int o) (fun () ->
+          note (Printf.sprintf "%h ran %d" (d.now ()) id);
+          raise Exit)
+    | Step | Until _ | Budget _ -> ()
+  in
+  let guarded f = try f () with Exit -> note "raised" in
+  let apply op =
+    (match op with
+    | Step -> guarded (fun () -> note (string_of_bool (d.step ())))
+    | Until span ->
+      let until = Some (d.now () +. float_of_int span) in
+      guarded (fun () -> d.run ~until ~max_events:None)
+    | Budget k -> guarded (fun () -> d.run ~until:None ~max_events:(Some k))
+    | op -> schedule op);
+    note (Printf.sprintf "pending=%d executed=%d now=%h" (d.pending ()) (d.executed ()) (d.now ()))
+  in
+  List.iter apply ops;
+  (* Drain, resuming after every raise. *)
+  while d.pending () > 0 do
+    guarded (fun () -> d.run ~until:None ~max_events:None)
+  done;
+  note (Printf.sprintf "drained executed=%d now=%h" (d.executed ()) (d.now ()));
+  List.rev !log
+
+let qops =
+  let open QCheck.Gen in
+  let offset = int_range 0 3 in
+  let offsets = int_range 1 70 >>= fun len -> list_repeat len offset in
+  let op =
+    frequency
+      [
+        (4, map (fun o -> Plain o) offset);
+        (3, map (fun l -> Run l) offsets);
+        (1, map2 (fun o l -> Spawns (o, l)) offset offsets);
+        (1, map (fun o -> Raises o) offset);
+        (1, map (fun l -> Raising_run l) offsets);
+        (3, return Step);
+        (1, map (fun s -> Until s) (int_range 0 3));
+        (1, map (fun k -> Budget k) (int_range 0 20));
+      ]
+  in
+  let print = function
+    | Plain o -> Printf.sprintf "plain +%d" o
+    | Run l -> Printf.sprintf "run[%d]" (List.length l)
+    | Spawns (o, l) -> Printf.sprintf "spawns +%d run[%d]" o (List.length l)
+    | Raises o -> Printf.sprintf "raises +%d" o
+    | Raising_run l -> Printf.sprintf "raising run[%d]" (List.length l)
+    | Step -> "step"
+    | Until s -> Printf.sprintf "until +%d" s
+    | Budget k -> Printf.sprintf "budget %d" k
+  in
+  QCheck.make ~print:(QCheck.Print.list print) (list_size (int_range 0 60) op)
+
+let runs_match_list_model =
+  QCheck.Test.make ~name:"runs and plain events run in (time, seq) order"
+    ~count:300 qops (fun ops -> interpret (real ()) ops = interpret (model ()) ops)
+
 (* [Rng.int] reduces small bounds by multiply-shift instead of dividing;
    it must still return exactly one draw's remainder and advance the
    stream by exactly one draw.  Checked on copied streams for every
@@ -371,6 +587,8 @@ let tests =
     Alcotest.test_case "sim releases popped events" `Quick sim_releases_popped_events;
     Alcotest.test_case "parked storage keeps nothing alive" `Quick
       parked_storage_keeps_nothing_alive;
+    Alcotest.test_case "parked run storage shrinks" `Quick parked_runs_shrink;
+    Alcotest.test_case "sim releases ended runs" `Quick sim_releases_ended_runs;
     Alcotest.test_case "interleaved simulators keep model order" `Quick
       interleaved_simulators;
   ]
@@ -382,4 +600,5 @@ let tests =
         rng_sample_invariants;
         sim_matches_sorted_model;
         sim_adopted_matches_sorted_model;
+        runs_match_list_model;
       ]

@@ -38,12 +38,26 @@ let patience_specs () =
   | Ok (Live.Patience.Deadline ns) ->
     Alcotest.(check int64) "ms scales" 2_000_000L ns
   | _ -> Alcotest.fail "deadline:ms=2 should parse");
+  (* The largest millisecond count whose nanoseconds fit in int64. *)
+  (match Live.Patience.of_spec "deadline:ms=9223372036854" with
+  | Ok (Live.Patience.Deadline ns) ->
+    Alcotest.(check int64) "largest ms" 9_223_372_036_854_000_000L ns
+  | _ -> Alcotest.fail "deadline:ms=9223372036854 should parse");
   List.iter
     (fun bad ->
       match Live.Patience.of_spec bad with
       | Ok _ -> Alcotest.failf "spec %S should not parse" bad
       | Error _ -> ())
-    [ "eventually"; "deadline"; "deadline:s=1"; "deadline:ns=-5"; "quorum:n=2" ]
+    [
+      "eventually";
+      "deadline";
+      "deadline:s=1";
+      "deadline:ns=-5";
+      "quorum:n=2";
+      "deadline:ms=9223372036855";
+      "deadline:ms=10000000000000";
+      "deadline:us=9223372036854776";
+    ]
 
 (* Mailbox semantics, single-threaded: arrival order, drain-on-receive,
    deadline expiry. *)

@@ -26,6 +26,44 @@ let network_respects_crashes () =
   (* p1's copies to p0 are dropped at delivery time (p0 crashed). *)
   Alcotest.(check int) "only live receivers of live sender" 2 !got
 
+(* A delivered broadcast's payload leaves the network's payload table:
+   only the table's filler, the first payload ever broadcast, stays. *)
+let[@inline never] broadcast_fresh net weak =
+  let payload = Bytes.make 64 'y' in
+  Weak.set weak 0 (Some payload);
+  Msgnet.Network.broadcast net ~from:1 payload
+
+let network_releases_payloads () =
+  let sim = Dsim.Sim.create ~seed:1 () in
+  let net =
+    Msgnet.Network.create ~sim ~n:8 ~deliver:(fun _ ~to_:_ ~from:_ _ -> ()) ()
+  in
+  Msgnet.Network.broadcast net ~from:0 (Bytes.make 8 'f');
+  let weak = Weak.create 1 in
+  broadcast_fresh net weak;
+  Dsim.Sim.run sim;
+  Gc.full_major ();
+  Alcotest.(check bool) "payload collected" false (Weak.check weak 0);
+  Alcotest.(check int) "all delivered" 16 (Msgnet.Network.messages_delivered net)
+
+(* No hook may schedule an event while a broadcast plans its copies: the
+   copies' sequence numbers are taken as one block afterwards. *)
+let network_rejects_scheduling_hooks () =
+  let sim = Dsim.Sim.create ~seed:1 () in
+  let adversary = Test_support.ok_exn (Msgnet.Adversary.of_spec "byz:m=1") in
+  let tamper ~behaviour:_ ~now:_ ~from:_ ~to_:_ _ =
+    Dsim.Sim.schedule sim ~delay:1.0 ignore;
+    None
+  in
+  let net =
+    Msgnet.Network.create ~sim ~n:8 ~adversary ~tamper
+      ~deliver:(fun _ ~to_:_ ~from:_ () -> ())
+      ()
+  in
+  Alcotest.check_raises "hook scheduled"
+    (Invalid_argument "Network.broadcast: a hook scheduled an event mid-broadcast")
+    (fun () -> Msgnet.Network.broadcast net ~from:0 ())
+
 let network_delay_order_can_invert () =
   (* With a wide delay window, a later send may arrive earlier. *)
   let sim = Dsim.Sim.create ~seed:3 () in
@@ -117,6 +155,14 @@ let round_layer_schedule_pin () =
   Test_support.check_fixture ~what:"round-layer schedule"
     ~file:"round_layer.expected"
     (Test_support.Round_layer_fixture.render ())
+
+(* Chandra-Toueg and heartbeat event order, byte-identical to the
+   per-copy network the fixture was generated from: exact decision and
+   drain times and every network counter. *)
+let msgnet_timing_pin () =
+  Test_support.check_fixture ~what:"msgnet timing"
+    ~file:"msgnet_timing.expected"
+    (Test_support.Msgnet_timing_fixture.render ())
 
 let round_layer_rejects_empty_runs () =
   let run rounds () =
@@ -237,7 +283,12 @@ let plan_into_matches_reference =
               ~redraw:model_redraw
           in
           let k =
-            Msgnet.Adversary.plan_into t rng ~now ~from ~to_ ~delay ~redraw out
+            Float.Array.set out 0 delay;
+            Msgnet.Adversary.plan_into t rng
+              ~now:(fun () -> now)
+              ~from ~to_
+              ~redraw:(fun out k -> Float.Array.set out k (redraw ()))
+              out
           in
           expected = List.init k (Float.Array.get out)
           && Msgnet.Adversary.plan t (Dsim.Rng.copy rng) ~now ~from ~to_ ~delay
@@ -287,13 +338,134 @@ let heard_of_grows () =
   Alcotest.check Test_support.history_t "to_history" expected
     (Msgnet.Heard_of.to_history ho)
 
+(* Broadcast runs against the per-copy reference network: the same
+   seeded workload drives both on simulators of the same seed, and every
+   delivery (exact time, sender, receiver, payload), every counter and
+   the signed log must agree.  Deliveries spawn further broadcasts and
+   sends until a budget runs out, processes crash while copies are in
+   flight, and Byzantine members tamper through a hook with its own
+   stream. *)
+let policies =
+  [|
+    "none";
+    "drop:p=20";
+    "dup:p=30,copies=3";
+    "spike:p=20,factor=8";
+    "reorder:p=40,window=12";
+    "partition:at=5,heal=30,left=2";
+    "byz:m=2,equiv=1";
+    "drop:p=15+dup:p=15,copies=2+spike:p=10+reorder:p=25";
+    "byz:m=1,equiv=1+dup:p=20+drop:p=10";
+  |]
+
+type 'net side = {
+  net : 'net;
+  mutable budget : int;
+  mutable deliveries : (float * int * int * int) list;
+}
+
+let drive ~n ~seed ~policy ~self ~crashes ~create ~send ~broadcast ~crash =
+  let sim = Dsim.Sim.create ~seed () in
+  let adversary = Test_support.ok_exn (Msgnet.Adversary.of_spec policy) in
+  let lies = Dsim.Rng.create (seed + 1) in
+  let tamper ~behaviour:_ ~now:_ ~from:_ ~to_ msg =
+    if Dsim.Rng.bool lies then Some (msg + 1000 + to_) else None
+  in
+  let side = ref None in
+  let get () = Option.get !side in
+  let deliver sim ~to_ ~from msg =
+    let s = get () in
+    s.deliveries <- (Dsim.Sim.now sim, from, to_, msg) :: s.deliveries;
+    if s.budget > 0 then begin
+      s.budget <- s.budget - 1;
+      match (msg + to_) mod 4 with
+      | 0 -> broadcast s.net ~from:to_ ~self (msg + 1)
+      | 1 -> send s.net ~from:to_ ~to_:from (msg + 2)
+      | _ -> ()
+    end
+  in
+  let net = create ~sim ~n ~adversary ~tamper ~deliver in
+  side := Some { net; budget = 3 * n; deliveries = [] };
+  List.iter
+    (fun (p, time) -> Dsim.Sim.schedule_at sim ~time (fun _ -> crash net p))
+    crashes;
+  for p = 0 to Int.min 2 (n - 1) do
+    Dsim.Sim.schedule_at sim ~time:(float_of_int p) (fun _ ->
+        broadcast net ~from:p ~self (10 * p))
+  done;
+  Dsim.Sim.run sim;
+  ((get ()).deliveries, Dsim.Sim.now sim)
+
+let broadcast_runs_match_per_copy_network =
+  QCheck.Test.make ~name:"broadcast runs deliver exactly as per-copy sends"
+    ~count:150
+    QCheck.(
+      quad (int_range 1 70) (int_bound 100000)
+        (int_bound (Array.length policies - 1))
+        (pair bool (small_list (pair small_nat (int_bound 30)))))
+    (fun (n, seed, which, (self, crashes)) ->
+      let policy = policies.(which) in
+      let crashes = List.map (fun (p, t) -> (p mod n, float_of_int t)) crashes in
+      let module N = Msgnet.Network in
+      let module R = Test_support.Oracle.Network in
+      let runs, runs_end =
+        let net = ref None in
+        let got, t =
+          drive ~n ~seed ~policy ~self ~crashes
+            ~create:(fun ~sim ~n ~adversary ~tamper ~deliver ->
+              let t =
+                N.create ~sim ~n ~adversary ~tamper ~log_sends:true ~deliver ()
+              in
+              net := Some t;
+              t)
+            ~send:(fun t ~from ~to_ m -> N.send t ~from ~to_ m)
+            ~broadcast:(fun t ~from ~self m -> N.broadcast t ~from ~self m)
+            ~crash:N.crash
+        in
+        let t' = Option.get !net in
+        ( ( got,
+            [
+              N.messages_sent t';
+              N.messages_delivered t';
+              N.messages_dropped t';
+              N.messages_duplicated t';
+              N.messages_tampered t';
+              N.messages_lost_to_crash t';
+            ],
+            N.signed_log t' ),
+          t )
+      in
+      let copies, copies_end =
+        let net = ref None in
+        let got, t =
+          drive ~n ~seed ~policy ~self ~crashes
+            ~create:(fun ~sim ~n ~adversary ~tamper ~deliver ->
+              let t =
+                R.create ~sim ~n ~adversary ~tamper ~log_sends:true ~deliver ()
+              in
+              net := Some t;
+              t)
+            ~send:(fun t ~from ~to_ m -> R.send t ~from ~to_ m)
+            ~broadcast:(fun t ~from ~self m -> R.broadcast t ~from ~self m)
+            ~crash:R.crash
+        in
+        let t' = Option.get !net in
+        ((got, R.counters t', R.signed_log t'), t)
+      in
+      runs = copies && Float.equal runs_end copies_end)
+
 let tests =
   [
     Alcotest.test_case "network delivers" `Quick network_delivers_everything;
     Alcotest.test_case "network crashes" `Quick network_respects_crashes;
     Alcotest.test_case "network reorders" `Quick network_delay_order_can_invert;
+    Alcotest.test_case "network releases payloads" `Quick
+      network_releases_payloads;
+    Alcotest.test_case "network rejects scheduling hooks" `Quick
+      network_rejects_scheduling_hooks;
     Alcotest.test_case "round-layer schedule pin" `Quick
       round_layer_schedule_pin;
+    Alcotest.test_case "msgnet timing pin" `Quick msgnet_timing_pin;
     Alcotest.test_case "round layer rejects rounds < 1" `Quick
       round_layer_rejects_empty_runs;
     Alcotest.test_case "heard-of rows grow" `Quick heard_of_grows;
@@ -303,4 +475,5 @@ let tests =
         round_layer_completes_and_satisfies_p3;
         round_layer_full_information_recreates_missed_rounds;
         plan_into_matches_reference;
+        broadcast_runs_match_per_copy_network;
       ]
