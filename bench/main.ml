@@ -371,8 +371,9 @@ let run_tables () =
   let tables =
     List.map
       (fun e ->
-        e.Experiments.Registry.run ~seed ~trials:(Some !table_trials)
-          ~jobs:None)
+        fst
+          (e.Experiments.Registry.run ~seed ~trials:(Some !table_trials)
+             ~jobs:None))
       Experiments.Registry.all
   in
   List.iter Experiments.Table.print tables;

@@ -2,9 +2,9 @@
 
    `rrfd-experiments list`            enumerate experiments
    `rrfd-experiments run E6 E9`       run selected experiments
+   `rrfd-experiments run E22 --json F` run one, write its table artifact
    `rrfd-experiments all`             run everything
    `rrfd-experiments faultnet`        fault-injection + heard-of replay
-   `rrfd-experiments xsub`            cross-substrate differential matrix
    `rrfd-experiments live`            real domains + live heard-of replay
    `rrfd-experiments scale`           large-n grid / throughput gate
    `rrfd-experiments byz`             Byzantine fork accountability (E24)
@@ -70,8 +70,6 @@ let trials_arg =
 let n_arg ?(doc = "System size.") ?(hi = Rrfd.Pset.max_universe) n =
   int_arg "n" ~doc ~lo:1 ~hi n
 
-let f_arg ~doc f = int_arg "f" ~doc f
-
 let rounds_arg ~doc rounds = int_arg "rounds" ~doc rounds
 
 let rounds_opt_arg ~doc = int_opt_arg "rounds" ~doc ()
@@ -86,8 +84,6 @@ let n_minority_f_arg ?hi n =
     const (fun n f ->
         (n, in_range "f" ~lo:0 ~hi:(n - 1) (Option.value f ~default:((n - 1) / 2))))
     $ n_arg ?hi n $ f)
-
-let grid_arg doc = Arg.(value & flag & info [ "grid" ] ~doc)
 
 let file_arg ?(docv = "FILE") name doc =
   opt_arg name ~docv ~doc Arg.(some string) None
@@ -133,11 +129,6 @@ let print_induced ~f induced =
           held));
   held
 
-(* A grid whose artifact is the shared envelope plus one extra field. *)
-let finish_envelope ~seed ~json (table, details) field =
-  finish_grid ~json table (fun () ->
-      Experiments.Table.to_json ~seed ~extra:(field details) table)
-
 let list_cmd =
   let run () =
     List.iter
@@ -171,81 +162,77 @@ let run_cmd =
     let doc = "Experiment ids to run (e.g. E6 e9)." in
     Arg.(non_empty & pos_all string [] & info [] ~docv:"ID" ~doc)
   in
-  let run seed trials jobs ids =
+  let json_arg =
+    json_arg ~prefix:"TABLE"
+      "Also write the table to $(docv) as compact JSON (id, seed, header, \
+       rows, ok), with E21, E22, E24 and E26 adding every trial's or row's \
+       detail.  Takes exactly one ID.  The output depends only on --seed \
+       and --trials — never on -j — which is what the smoke gates compare."
+  in
+  let run seed trials jobs json ids =
+    if json <> None && List.length ids <> 1 then
+      usage_error "--json takes exactly one experiment id, got %d"
+        (List.length ids);
     let entries =
       List.map
         (fun id ->
           match Experiments.Registry.find id with
           | Some e -> e
-          | None ->
-            Printf.eprintf "unknown experiment %S (try `list`)\n" id;
-            exit 2)
+          | None -> usage_error "unknown experiment %S (try `list`)" id)
         ids
     in
-    run_tables
-      (List.map
-         (fun e -> e.Experiments.Registry.run ~seed ~trials ~jobs)
-         entries)
+    let results =
+      List.map (fun e -> e.Experiments.Registry.run ~seed ~trials ~jobs) entries
+    in
+    let code = run_tables (List.map fst results) in
+    (match (json, results) with
+    | Some path, [ (table, extra) ] ->
+      save_to Report.Codec.json path
+        (Experiments.Table.to_json ~seed ?extra table)
+    | _ -> ());
+    code
   in
-  Cmd.v (Cmd.info "run" ~doc:"Run selected experiments.")
-    Term.(const run $ seed_arg $ trials_arg $ jobs_arg $ ids_arg)
+  Cmd.v
+    (Cmd.info "run"
+       ~doc:"Run selected experiments, optionally writing one's table artifact.")
+    Term.(const run $ seed_arg $ trials_arg $ jobs_arg $ json_arg $ ids_arg)
 
 let all_cmd =
   let run seed trials jobs =
     run_tables
       (List.map
-         (fun e -> e.Experiments.Registry.run ~seed ~trials ~jobs)
+         (fun e -> fst (e.Experiments.Registry.run ~seed ~trials ~jobs))
          Experiments.Registry.all)
   in
   Cmd.v (Cmd.info "all" ~doc:"Run every experiment (E1-E26).")
     Term.(const run $ seed_arg $ trials_arg $ jobs_arg)
 
-(* `lattice` — print the submodel relation between two named predicates at
+(* `lattice` — print the submodel relation between two predicate specs at
    a configurable (small) system size. *)
 let lattice_cmd =
-  let predicate_of_name ~f name =
-    match String.lowercase_ascii name with
-    | "crash" -> Some (Rrfd.Predicate.crash ~f)
-    | "omission" -> Some (Rrfd.Predicate.omission ~f)
-    | "async" -> Some (Rrfd.Predicate.async_resilient ~f)
-    | "shm" -> Some (Rrfd.Predicate.shared_memory ~f)
-    | "snapshot" -> Some (Rrfd.Predicate.snapshot ~f)
-    | "kset" -> Some (Rrfd.Predicate.k_set ~k:(f + 1))
-    | "eq5" -> Some Rrfd.Predicate.identical_views
-    | "dets" | "detector-s" -> Some Rrfd.Predicate.detector_s
-    | _ -> None
+  let pred_arg i docv =
+    let doc = "Predicate spec: " ^ Check.Spec.predicate_names ^ "." in
+    Arg.(required & pos i (some string) None & info [] ~docv ~doc)
   in
-  let names = "crash, omission, async, shm, snapshot, kset, eq5, detector-s" in
-  let a_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"LEFT" ~doc:names)
-  in
-  let b_arg =
-    Arg.(required & pos 1 (some string) None & info [] ~docv:"RIGHT" ~doc:names)
-  in
-  let run a b n f rounds =
-    match (predicate_of_name ~f a, predicate_of_name ~f b) with
-    | Some pa, Some pb -> (
-      match Rrfd.Submodel.check_exhaustive ~n ~rounds pa pb with
-      | Rrfd.Submodel.Implies ->
-        Printf.printf "%s ⇒ %s over every ≤%d-round %d-process history\n"
-          (Rrfd.Predicate.name pa) (Rrfd.Predicate.name pb) rounds n;
-        0
-      | Rrfd.Submodel.Counterexample h ->
-        Printf.printf "%s ⇏ %s; counterexample:\n  %s\n"
-          (Rrfd.Predicate.name pa) (Rrfd.Predicate.name pb)
-          (Rrfd.Fault_history.to_string_compact h);
-        0)
-    | None, _ | _, None ->
-      Printf.eprintf "unknown predicate name, expected one of: %s\n" names;
-      2
+  let run a b n rounds =
+    let pa = or_die (Check.Spec.predicate a)
+    and pb = or_die (Check.Spec.predicate b) in
+    (match Rrfd.Submodel.check_exhaustive ~n ~rounds pa pb with
+    | Rrfd.Submodel.Implies ->
+      Printf.printf "%s ⇒ %s over every ≤%d-round %d-process history\n"
+        (Rrfd.Predicate.name pa) (Rrfd.Predicate.name pb) rounds n
+    | Rrfd.Submodel.Counterexample h ->
+      Printf.printf "%s ⇏ %s; counterexample:\n  %s\n"
+        (Rrfd.Predicate.name pa) (Rrfd.Predicate.name pb)
+        (Rrfd.Fault_history.to_string_compact h));
+    0
   in
   Cmd.v
     (Cmd.info "lattice"
        ~doc:"Check a submodel relation (Sec. 2) exhaustively at a small size.")
     Term.(
-      const run $ a_arg $ b_arg
-      $ n_arg ~doc:"System size (keep ≤ 4)." 3
-      $ f_arg ~doc:"Resilience parameter." 1
+      const run $ pred_arg 0 "LEFT" $ pred_arg 1 "RIGHT"
+      $ n_arg ~doc:"System size (the space is ((2^n-1)^n)^rounds)." ~hi:4 3
       $ rounds_arg ~doc:"History length (keep ≤ 2)." 2)
 
 (* `trace` — run any catalog protocol under a chosen model and print the
@@ -270,9 +257,7 @@ let trace_cmd =
          otherwise)."
   in
   let k_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "k" ] ~doc:"Agreement bound (k-set protocols only).")
+    int_arg "k" ~lo:1 ~doc:"Agreement bound (k-set protocols only)." 2
   in
   let run seed protocol n k =
     match Protocols.Catalog.find protocol with
@@ -376,8 +361,8 @@ let check_cmd =
   in
   let trials_arg = int_arg "trials" ~doc:"Fuzzing trials." 1000 in
   let attempts_arg =
-    let doc = "Per-round rejection budget when sampling histories." in
-    Arg.(value & opt int 64 & info [ "attempts" ] ~doc)
+    int_arg "attempts" ~lo:1
+      ~doc:"Per-round rejection budget when sampling histories." 64
   in
   let exhaustive_arg =
     let doc =
@@ -549,9 +534,8 @@ let check_cmd =
       $ exhaustive_arg $ save_arg $ expect_arg $ replay_arg $ trace_flag)
 
 (* `faultnet` — drive the fault-injection network layer: run one adversary
-   spec through the round layer and the heard-of differential oracle, or
-   reproduce the full E21 grid, optionally writing a deterministic JSON
-   artifact (the -j smoke gate compares those byte-for-byte). *)
+   spec through the round layer and the heard-of differential oracle.  The
+   full E21 grid is `run E21`. *)
 let faultnet_cmd =
   let adversary_arg =
     let doc =
@@ -562,19 +546,7 @@ let faultnet_cmd =
     Arg.(
       value & opt string "drop:p=20" & info [ "adversary" ] ~docv:"SPEC" ~doc)
   in
-  let grid_arg =
-    grid_arg
-      "Run the full E21 adversary grid instead of a single spec \
-       (--adversary/-n/--f/--rounds are ignored)."
-  in
-  let json_arg =
-    json_arg ~prefix:"FAULTNET"
-      "With $(b,--grid): also write the table and every trial's extracted \
-       history to $(docv) as compact JSON.  The output depends only on \
-       --seed and --trials — never on -j — which is what the faultnet smoke \
-       gate compares."
-  in
-  let run_single ~seed ~spec ~n ~f ~rounds =
+  let run seed spec (n, f) rounds =
     let adversary = or_die (Check.Spec.adversary spec) in
     let algorithm = Rrfd.Full_info.algorithm ~inputs:(Tasks.Inputs.distinct n) in
     let o =
@@ -612,53 +584,17 @@ let faultnet_cmd =
          broke.\n";
     exit_code (matched && p3)
   in
-  let run seed trials jobs spec (n, f) rounds grid json =
-    if grid then
-      finish_envelope ~seed ~json
-        (Experiments.E21_faultnet.run_detailed ~seed ?trials ?jobs ())
-        Experiments.E21_faultnet.artifact_field
-    else run_single ~seed ~spec ~n ~f ~rounds
-  in
   Cmd.v
     (Cmd.info "faultnet"
        ~doc:
          "Damage the asynchronous network with a fault-injection adversary, \
           extract the induced heard-of fault history, classify it against \
           the paper's predicate ladder and differentially replay it on the \
-          abstract engine — for one spec, or the whole E21 grid.")
+          abstract engine (the whole E21 grid is `run E21`).")
     Term.(
-      const run $ seed_arg $ trials_arg $ jobs_arg $ adversary_arg
+      const run $ seed_arg $ adversary_arg
       $ n_minority_f_arg 5
-      $ rounds_arg ~doc:"Simulated rounds." 4
-      $ grid_arg $ json_arg)
-
-(* `xsub` — the E22 cross-substrate differential matrix: every catalog
-   protocol over every execution substrate under equivalent fault
-   policies, each induced history replayed pinned on the abstract engine.
-   The --json artifact embeds every trial's induced and replayed compact
-   histories; it depends only on --seed and --trials, never on -j, which
-   is what the xsub smoke gate compares byte-for-byte. *)
-let xsub_cmd =
-  let json_arg =
-    json_arg ~prefix:"XSUB"
-      "Also write the table and every trial's per-substrate induced and \
-       replayed histories to $(docv) as compact JSON.  The output depends \
-       only on --seed and --trials — never on -j."
-  in
-  let run seed trials jobs json =
-    finish_envelope ~seed ~json
-      (Experiments.E22_xsub.run_detailed ~seed ?trials ?jobs ())
-      Experiments.E22_xsub.artifact_field
-  in
-  Cmd.v
-    (Cmd.info "xsub"
-       ~doc:
-         "Run the E22 cross-substrate differential matrix: every catalog \
-          protocol over the abstract engine, the synchronous network and \
-          the asynchronous network under equivalent fault policies, with \
-          every induced fault history replayed pinned on the abstract \
-          engine and checked for bit-for-bit decision and P1-P5 agreement.")
-    Term.(const run $ seed_arg $ trials_arg $ jobs_arg $ json_arg)
+      $ rounds_arg ~doc:"Simulated rounds." 4)
 
 (* `live` — the real-concurrency substrate: run a protocol with one OCaml
    domain per process, extract the heard-of history the scheduler induced,
@@ -695,7 +631,7 @@ let live_cmd =
       "Run $(docv) live executions and require every one's pinned engine \
        replay to reproduce its decisions bit-for-bit."
     in
-    Arg.(value & opt (some int) None & info [ "stress" ] ~docv:"N" ~doc)
+    int_opt_arg "stress" ~lo:1 ~docv:"N" ~doc ()
   in
   let record_arg =
     out_arg ~prefix:"LIVE" "record"
@@ -704,9 +640,11 @@ let live_cmd =
        PATH`."
   in
   let grid_arg =
-    grid_arg
+    let doc =
       "Run the E23 n × patience grid instead of a single configuration \
        (--protocol/-n/--f/--rounds/--patience are ignored)."
+    in
+    Arg.(value & flag & info [ "grid" ] ~doc)
   in
   let json_arg =
     json_arg ~prefix:"LIVE"
@@ -865,8 +803,8 @@ let scale_cmd =
     Arg.(value & flag & info [ "bench" ] ~doc)
   in
   let repeats_arg =
-    let doc = "With $(b,--bench): timed repetitions per (probe, n) cell." in
-    Arg.(value & opt int 2 & info [ "repeats" ] ~doc)
+    int_arg "repeats" ~lo:1
+      ~doc:"With $(b,--bench): timed repetitions per (probe, n) cell." 2
   in
   let check_arg =
     file_arg "check" ~docv:"BASELINE"
@@ -933,11 +871,9 @@ let scale_cmd =
       $ bench_arg $ repeats_arg $ check_arg $ tolerance_arg)
 
 (* `byz` — the E24 Byzantine accountability battery: a single forked
-   execution with its audit transcript, the full grid, the soundness
-   fuzzer, the proof-grade exhaustive enumeration, and e24-byz artifact
-   save/replay.  The --grid --json artifact depends only on --seed and
-   --trials — never on -j — which is what the byz smoke gate compares
-   byte-for-byte. *)
+   execution with its audit transcript, the soundness fuzzer, the
+   proof-grade exhaustive enumeration, and e24-byz artifact save/replay.
+   The full grid is `run E24`. *)
 let byz_cmd =
   let module Acc = Msgnet.Accountability in
   let module Byz = Check.Byz_check in
@@ -950,20 +886,13 @@ let byz_cmd =
       & info [ "forge" ]
           ~doc:"Let fuzzed members fabricate phantom-quorum certificates.")
   in
-  let grid_arg = grid_arg "Run the full E24 grid instead of the single-fork demo." in
-  let json_arg =
-    json_arg ~prefix:"BYZ"
-      "With $(b,--grid): also write the table and per-row digests to \
-       $(docv) as compact JSON.  The output depends only on --seed and \
-       --trials — never on -j — which is what the byz smoke gate compares."
-  in
   let fuzz_arg =
     let doc =
       "Fuzz soundness over $(docv) random lying plans: the audit must \
        never accuse an honest process, and every fork must convict \
        ≥ f+1."
     in
-    int_opt_arg "fuzz" ~docv:"TRIALS" ~doc ()
+    int_opt_arg "fuzz" ~lo:1 ~docv:"TRIALS" ~doc ()
   in
   let exhaustive_arg =
     let doc =
@@ -974,10 +903,8 @@ let byz_cmd =
     Arg.(value & flag & info [ "exhaustive" ] ~doc)
   in
   let seeds_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "exhaustive-seeds" ] ~docv:"K"
-          ~doc:"Delay schedules per enumerated strategy combination.")
+    int_arg "exhaustive-seeds" ~lo:1 ~docv:"K"
+      ~doc:"Delay schedules per enumerated strategy combination." 3
   in
   let save_arg =
     save_arg ~prefix:"BYZ"
@@ -1118,18 +1045,13 @@ let byz_cmd =
       (if r.Byz.accused_match then "reproduced" else "DIVERGED");
     exit_code (Byz.reproduced r)
   in
-  let run seed trials jobs n f byz forge grid json fuzz exhaustive seeds save
-      replay =
+  let run seed jobs n f byz forge fuzz exhaustive seeds save replay =
     let f = in_range "f" ~lo:0 ~hi:(n - 1) f in
     let byz = in_range "byz" ~lo:0 ~hi:n byz in
     match replay with
     | Some path -> run_replay path
     | None ->
-      if grid then
-        finish_envelope ~seed ~json
-          (Experiments.E24_byzantine.run_detailed ~seed ?trials ?jobs ())
-          Experiments.E24_byzantine.artifact_field
-      else if exhaustive then run_exhaustive ~seed ~jobs ~seeds ~n ~f ~byz
+      if exhaustive then run_exhaustive ~seed ~jobs ~seeds ~n ~f ~byz
       else
         match fuzz with
         | Some trials -> run_fuzz ~seed ~jobs ~n ~f ~byz ~forge ~trials
@@ -1142,13 +1064,12 @@ let byz_cmd =
           the accountable quorum vote with equivocating members, replay \
           the signed send log into ≥ f+1 convictions, fuzz the audit's \
           soundness, prove its completeness exhaustively, and save or \
-          replay e24-byz witnesses.")
+          replay e24-byz witnesses (the full grid is `run E24`).")
     Term.(
-      const run $ seed_arg $ trials_arg $ jobs_arg $ n_arg 4
-      $ f_arg ~doc:"Audit resilience bound." 1
-      $ byz_arg
-      $ forge_arg $ grid_arg $ json_arg $ fuzz_arg $ exhaustive_arg
-      $ seeds_arg $ save_arg $ replay_arg)
+      const run $ seed_arg $ jobs_arg $ n_arg 4
+      $ int_arg "f" ~doc:"Audit resilience bound." 1
+      $ byz_arg $ forge_arg $ fuzz_arg $ exhaustive_arg $ seeds_arg $ save_arg
+      $ replay_arg)
 
 let derive_cmd =
   let module Derive = Check.Derive in
@@ -1166,7 +1087,7 @@ let derive_cmd =
        Campaign.search, that must all satisfy the derived predicate \
        (the upward certificate; the verdict is identical at every -j)."
     in
-    Arg.(value & opt int 10_000 & info [ "fuzz" ] ~docv:"TRIALS" ~doc)
+    int_arg "fuzz" ~lo:1 ~docv:"TRIALS" ~doc 10_000
   in
   let exhaustive_arg =
     let doc =
@@ -1175,21 +1096,6 @@ let derive_cmd =
        separating one (requires n ≤ 4; the space is ((2^n-1)^n)^rounds)."
     in
     Arg.(value & flag & info [ "exhaustive" ] ~doc)
-  in
-  let grid_arg =
-    grid_arg
-      "Run the full E26 grid — every E21 policy plus a Byzantine row at \
-       n=5 f=2, and two exhaustively-proven rows at n=3 — instead of a \
-       single policy (--policy/-n/-f/--rounds/--exhaustive ignored; \
-       --trials sets the observation count per row, with certification at \
-       twice that)."
-  in
-  let json_arg =
-    json_arg ~prefix:"DERIVE"
-      "With $(b,--grid): also write the table and every row's full \
-       e26-derive artifact (witnesses and separations included) to $(docv) \
-       as compact JSON.  The output depends only on --seed and --trials — \
-       never on -j — which is what the derive smoke gate compares."
   in
   let save_arg =
     save_arg ~prefix:"DERIVE"
@@ -1238,18 +1144,12 @@ let derive_cmd =
     Option.iter (fun path -> save_to Derive.codec path outcome) save;
     exit_code (Derive.ok outcome)
   in
-  let run seed trials jobs policy (n, f) rounds fuzz exhaustive grid json
-      save replay =
+  let run seed trials jobs policy (n, f) rounds fuzz exhaustive save replay =
     match replay with
     | Some path -> run_replay path
     | None ->
-      if grid then
-        finish_envelope ~seed ~json
-          (Experiments.E26_derive.run_detailed ~seed ?trials ?jobs ())
-          Experiments.E26_derive.artifact_field
-      else
-        run_single ~seed ~trials ~jobs ~policy ~n ~f ~rounds ~fuzz
-          ~exhaustive ~save
+      run_single ~seed ~trials ~jobs ~policy ~n ~f ~rounds ~fuzz ~exhaustive
+        ~save
   in
   Cmd.v
     (Cmd.info "derive"
@@ -1258,13 +1158,13 @@ let derive_cmd =
           executions satisfy (E26), certified two-sidedly: a fresh fuzz \
           campaign proves it sound, a violating execution per stronger \
           candidate proves it tight (at small n by exhaustive \
-          enumeration), with replayable e26-derive artifacts.")
+          enumeration), with replayable e26-derive artifacts (the full grid \
+          is `run E26`).")
     Term.(
       const run $ seed_arg $ trials_arg $ jobs_arg $ policy_arg
       $ n_minority_f_arg 5
       $ rounds_arg ~doc:"Simulated rounds." 4
-      $ fuzz_arg $ exhaustive_arg $ grid_arg $ json_arg
-      $ save_arg $ replay_arg)
+      $ fuzz_arg $ exhaustive_arg $ save_arg $ replay_arg)
 
 let main =
   let doc =
@@ -1274,6 +1174,6 @@ let main =
   Cmd.group
     (Cmd.info "rrfd-experiments" ~version:"1.0.0" ~doc)
     [ list_cmd; run_cmd; all_cmd; lattice_cmd; trace_cmd; check_cmd;
-      faultnet_cmd; xsub_cmd; live_cmd; scale_cmd; byz_cmd; derive_cmd ]
+      faultnet_cmd; live_cmd; scale_cmd; byz_cmd; derive_cmd ]
 
 let () = exit (Cmd.eval' main)

@@ -1,24 +1,8 @@
-module Pset = Rrfd.Pset
-
-let round_assignments ~n =
-  let proper =
-    List.filter
-      (fun s -> not (Pset.equal s (Pset.full n)))
-      (Pset.subsets (Pset.full n))
-  in
-  let rec build i =
-    if i = n then [ [] ]
-    else
-      let rest = build (i + 1) in
-      List.concat_map (fun s -> List.map (fun tail -> s :: tail) rest) proper
-  in
-  List.map Array.of_list (build 0)
-
 let fold_extensions ~prefix ~rounds ~satisfying ~init ~f =
   let n = Rrfd.Fault_history.n prefix in
   if rounds < Rrfd.Fault_history.rounds prefix then
     invalid_arg "Enumerate.fold_extensions: prefix longer than target";
-  let assignments = round_assignments ~n in
+  let assignments = Rrfd.Submodel.round_assignments ~n in
   let rec explore acc history depth =
     if not (Rrfd.Predicate.holds satisfying history) then acc
     else if depth = rounds then f acc history

@@ -6,10 +6,6 @@
     [((2^n − 1)^n)^rounds] before pruning, so callers keep [n ≤ 4] and
     [rounds ≤ 2]. *)
 
-val round_assignments : n:int -> Rrfd.Pset.t array list
-(** Every way to assign one proper subset of the system to each process —
-    all possible single rounds. *)
-
 val fold :
   n:int ->
   rounds:int ->

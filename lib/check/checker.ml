@@ -112,7 +112,7 @@ let exhaustive ?jobs ~n ~rounds ~sut ~predicate ~properties () =
       (* Shard by first-round assignment: each domain owns the subtree under
          one assignment, and Pool.search keeps "first counterexample" equal
          to the serial enumeration order at every -j. *)
-      let tops = Array.of_list (Adversary.Enumerate.round_assignments ~n) in
+      let tops = Array.of_list (Rrfd.Submodel.round_assignments ~n) in
       Runtime.Pool.search ?jobs ~n:(Array.length tops) (fun idx ->
           let prefix = Rrfd.Fault_history.of_rounds ~n [ tops.(idx) ] in
           if not (Rrfd.Predicate.holds predicate prefix) then None

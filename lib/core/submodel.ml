@@ -1,7 +1,6 @@
 type verdict = Implies | Counterexample of Fault_history.t
 
-(* All per-round assignments: one proper subset of S per process. *)
-let all_round_assignments n =
+let round_assignments ~n =
   let proper = List.filter (fun s -> not (Pset.equal s (Pset.full n))) (Pset.subsets (Pset.full n)) in
   let rec build i =
     if i = n then [ [] ]
@@ -12,7 +11,7 @@ let all_round_assignments n =
   List.map Array.of_list (build 0)
 
 let check_exhaustive ~n ~rounds a b =
-  let assignments = all_round_assignments n in
+  let assignments = round_assignments ~n in
   let exception Found of Fault_history.t in
   let rec explore history depth =
     if Predicate.holds a history then begin
@@ -94,7 +93,7 @@ let lattice ~n ~rounds named =
         invalid_arg (Printf.sprintf "Submodel.lattice: duplicate name %S" name);
       Hashtbl.add seen name ())
     names;
-  let assignments = all_round_assignments n in
+  let assignments = round_assignments ~n in
   let per_round = List.length assignments in
   let total =
     let rec sum acc pow d = if d > rounds then acc else sum (acc + pow) (pow * per_round) (d + 1) in

@@ -11,6 +11,11 @@ type verdict =
   | Counterexample of Fault_history.t
       (** A history satisfying the left predicate but not the right. *)
 
+val round_assignments : n:int -> Pset.t array list
+(** Every way to assign one proper subset of the system to each process —
+    all possible single rounds, in the fixed order every exhaustive walk
+    ({!check_exhaustive}, {!lattice}, [Adversary.Enumerate]) follows. *)
+
 val check_exhaustive : n:int -> rounds:int -> Predicate.t -> Predicate.t -> verdict
 (** [check_exhaustive ~n ~rounds a b] enumerates every fault history of at
     most [rounds] rounds over [n] processes (every process's fault set

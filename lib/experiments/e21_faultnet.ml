@@ -10,8 +10,8 @@
 
    Trials run as a Runtime.Campaign: each draws its RNG from
    (seed, policy, trial), so the table — and the per-trial history
-   artifacts run_detailed exposes for the -j smoke gate — are identical
-   at every worker count. *)
+   artifact field run returns beside it — are identical at every worker
+   count. *)
 
 let grid =
   [
@@ -125,7 +125,12 @@ let run_trial ~adversary ~n ~f ~rounds ~rng =
       };
   }
 
-let run_detailed ?(seed = 21) ?(trials = 40) ?jobs () =
+(* The artifact's extra field: every trial's extracted history, by
+   adversary spec. *)
+let artifact_field histories =
+  Report.Codec.("histories", (assoc (list string)).enc histories)
+
+let run ?(seed = 21) ?(trials = 40) ?jobs () =
   let n = 5 and f = 2 and rounds = 4 in
   let work = ref [] in
   let histories = ref [] in
@@ -200,11 +205,4 @@ let run_detailed ?(seed = 21) ?(trials = 40) ?jobs () =
       counters = Table.counter_stats (Array.concat (List.rev !work));
     }
   in
-  (table, List.rev !histories)
-
-let run ?seed ?trials ?jobs () = fst (run_detailed ?seed ?trials ?jobs ())
-
-(* The grid artifact's extra field: every trial's extracted history, by
-   adversary spec. *)
-let artifact_field histories =
-  Report.Codec.("histories", (assoc (list string)).enc histories)
+  (table, artifact_field (List.rev !histories))

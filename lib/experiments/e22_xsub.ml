@@ -11,8 +11,8 @@
    asynchronous layer's fully-completed processes.
 
    Trials run as a Runtime.Campaign with per-(cell, trial) RNG derivation,
-   so the table and the per-trial artifacts run_detailed exposes for the
-   -j smoke gate are identical at every worker count. *)
+   so the table and the per-trial artifact field run returns beside it
+   are identical at every worker count. *)
 
 let n = 5
 
@@ -113,7 +113,36 @@ let run_trial proto ~policy ~rng =
 let sub_ok name o =
   List.for_all (fun s -> s.sub <> name || s.decisions_ok) o.subs
 
-let run_detailed ?(seed = 22) ?(trials = 30) ?jobs () =
+(* The artifact's extra field: every trial's per-substrate induced
+   and replayed histories, by (protocol, policy) cell. *)
+let artifact_field details =
+  let module Json = Report.Json in
+  let sub_json s =
+    Json.Obj
+      [
+        ("sub", Json.String s.sub);
+        ("induced", Json.String s.compact);
+        ("replayed", Json.String s.replay_compact);
+        ("decisions_ok", Json.Bool s.decisions_ok);
+        ("classes_ok", Json.Bool s.classes_ok);
+      ]
+  in
+  ( "cells",
+    Json.List
+      (List.map
+         (fun (protocol, policy, obs) ->
+           Json.Obj
+             [
+               ("protocol", Json.String protocol);
+               ("policy", Json.String policy);
+               ( "trials",
+                 Json.List
+                   (List.map (fun o -> Json.List (List.map sub_json o.subs)) obs)
+               );
+             ])
+         details) )
+
+let run ?(seed = 22) ?(trials = 30) ?jobs () =
   let work = ref [] in
   let details = ref [] in
   let cell_idx = ref 0 in
@@ -187,35 +216,4 @@ let run_detailed ?(seed = 22) ?(trials = 30) ?jobs () =
       counters = Table.counter_stats (Array.concat (List.rev !work));
     }
   in
-  (table, List.rev !details)
-
-let run ?seed ?trials ?jobs () = fst (run_detailed ?seed ?trials ?jobs ())
-
-(* The matrix artifact's extra field: every trial's per-substrate induced
-   and replayed histories, by (protocol, policy) cell. *)
-let artifact_field details =
-  let module Json = Report.Json in
-  let sub_json s =
-    Json.Obj
-      [
-        ("sub", Json.String s.sub);
-        ("induced", Json.String s.compact);
-        ("replayed", Json.String s.replay_compact);
-        ("decisions_ok", Json.Bool s.decisions_ok);
-        ("classes_ok", Json.Bool s.classes_ok);
-      ]
-  in
-  ( "cells",
-    Json.List
-      (List.map
-         (fun (protocol, policy, obs) ->
-           Json.Obj
-             [
-               ("protocol", Json.String protocol);
-               ("policy", Json.String policy);
-               ( "trials",
-                 Json.List
-                   (List.map (fun o -> Json.List (List.map sub_json o.subs)) obs)
-               );
-             ])
-         details) )
+  (table, artifact_field (List.rev !details))

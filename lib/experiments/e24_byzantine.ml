@@ -164,7 +164,31 @@ type row_digest = {
   ct_undecided_total : int;
 }
 
-let run_detailed ?(seed = 24) ?(trials = 50) ?jobs () =
+(* The artifact's extra field: one digest per row. *)
+let artifact_field digests =
+  let module Json = Report.Json in
+  let num i = Json.Number (float_of_int i) in
+  let digest_json d =
+    Json.Obj
+      [
+        ("spec", Json.String d.spec);
+        ("trials", num d.trials);
+        ("vote_forks", num d.vote_forks);
+        ( "min_accused_on_fork",
+          match d.min_accused_on_fork with None -> Json.Null | Some m -> num m );
+        ("vote_sound_all", Json.Bool d.vote_sound_all);
+        ("vote_complete_all", Json.Bool d.vote_complete_all);
+        ("lied_sound_all", Json.Bool d.lied_sound_all);
+        ("kernel_all", Json.Bool d.kernel_all);
+        ("tampered_total", num d.tampered_total);
+        ("ct_violations", num d.ct_violations);
+        ("ct_sound_all", Json.Bool d.ct_sound_all);
+        ("ct_undecided_total", num d.ct_undecided_total);
+      ]
+  in
+  ("digests", Report.Json.List (List.map digest_json digests))
+
+let run ?(seed = 24) ?(trials = 50) ?jobs () =
   let work = ref [] in
   let digests = ref [] in
   let rows =
@@ -282,30 +306,4 @@ let run_detailed ?(seed = 24) ?(trials = 50) ?jobs () =
       counters = Table.counter_stats (Array.concat (List.rev !work));
     }
   in
-  (table, List.rev !digests)
-
-let run ?seed ?trials ?jobs () = fst (run_detailed ?seed ?trials ?jobs ())
-
-(* The grid artifact's extra field: one digest per row. *)
-let artifact_field digests =
-  let module Json = Report.Json in
-  let num i = Json.Number (float_of_int i) in
-  let digest_json d =
-    Json.Obj
-      [
-        ("spec", Json.String d.spec);
-        ("trials", num d.trials);
-        ("vote_forks", num d.vote_forks);
-        ( "min_accused_on_fork",
-          match d.min_accused_on_fork with None -> Json.Null | Some m -> num m );
-        ("vote_sound_all", Json.Bool d.vote_sound_all);
-        ("vote_complete_all", Json.Bool d.vote_complete_all);
-        ("lied_sound_all", Json.Bool d.lied_sound_all);
-        ("kernel_all", Json.Bool d.kernel_all);
-        ("tampered_total", num d.tampered_total);
-        ("ct_violations", num d.ct_violations);
-        ("ct_sound_all", Json.Bool d.ct_sound_all);
-        ("ct_undecided_total", num d.ct_undecided_total);
-      ]
-  in
-  ("digests", Report.Json.List (List.map digest_json digests))
+  (table, artifact_field (List.rev !digests))

@@ -16,7 +16,7 @@
      every frontier member (tight as a theorem, not a sample).
 
    Rows run as derivation campaigns keyed on (seed, row); the table and
-   the per-row artifacts run_detailed exposes are identical at any -j. *)
+   the per-row artifact field run returns are identical at any -j. *)
 
 let fuzz_grid = E21_faultnet.grid @ [ "byz:m=2,corrupt=1" ]
 
@@ -29,7 +29,22 @@ type row = {
   row_ok : bool;
 }
 
-let run_detailed ?(seed = 26) ?(trials = 250) ?jobs () =
+(* The artifact's extra field: every row's full e26-derive artifact. *)
+let artifact_field rows =
+  let module Json = Report.Json in
+  ( "derivations",
+    Json.List
+      (List.map
+         (fun r ->
+           Json.Obj
+             [
+               ("policy", Json.String r.policy);
+               ("mode", Json.String r.mode);
+               ("artifact", Check.Derive.codec.enc r.outcome);
+             ])
+         rows) )
+
+let run ?(seed = 26) ?(trials = 250) ?jobs () =
   let fuzz_cfg =
     {
       Check.Derive.default_config with
@@ -169,21 +184,4 @@ let run_detailed ?(seed = 26) ?(trials = 250) ?jobs () =
              (List.map (fun r -> r.outcome.Check.Derive.counters) rows));
     }
   in
-  (table, rows)
-
-let run ?seed ?trials ?jobs () = fst (run_detailed ?seed ?trials ?jobs ())
-
-(* The grid artifact's extra field: every row's full e26-derive artifact. *)
-let artifact_field rows =
-  let module Json = Report.Json in
-  ( "derivations",
-    Json.List
-      (List.map
-         (fun r ->
-           Json.Obj
-             [
-               ("policy", Json.String r.policy);
-               ("mode", Json.String r.mode);
-               ("artifact", Check.Derive.codec.enc r.outcome);
-             ])
-         rows) )
+  (table, artifact_field rows)

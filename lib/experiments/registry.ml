@@ -1,17 +1,27 @@
 type entry = {
   id : string;
   title : string;
-  run : seed:int -> trials:int option -> jobs:int option -> Table.t;
+  run :
+    seed:int ->
+    trials:int option ->
+    jobs:int option ->
+    Table.t * (string * Report.Json.t) option;
 }
 
 let default_seed = 0
 
 (* Serial experiments ignore [jobs]; campaign-backed ones fan their trials
    out over that many domains (None = all cores) with the table guaranteed
-   identical either way. *)
-let wrap f ~seed ~trials ~jobs:_ = f ?seed:(Some seed) ?trials ()
+   identical either way.  [with_field] experiments also return their
+   artifact's extra field. *)
+let wrap f ~seed ~trials ~jobs:_ = (f ?seed:(Some seed) ?trials (), None)
 
-let wrap_campaign f ~seed ~trials ~jobs = f ?seed:(Some seed) ?trials ?jobs ()
+let wrap_campaign f ~seed ~trials ~jobs =
+  (f ?seed:(Some seed) ?trials ?jobs (), None)
+
+let with_field f ~seed ~trials ~jobs =
+  let table, field = f ?seed:(Some seed) ?trials ?jobs () in
+  (table, Some field)
 
 let all =
   [
@@ -109,12 +119,12 @@ let all =
     {
       id = "E21";
       title = "fault-injection adversaries and the heard-of bridge";
-      run = wrap_campaign E21_faultnet.run;
+      run = with_field E21_faultnet.run;
     };
     {
       id = "E22";
       title = "cross-substrate differential matrix";
-      run = wrap_campaign E22_xsub.run;
+      run = with_field E22_xsub.run;
     };
     {
       id = "E23";
@@ -124,7 +134,7 @@ let all =
     {
       id = "E24";
       title = "Byzantine round-machines and fork accountability";
-      run = wrap_campaign E24_byzantine.run;
+      run = with_field E24_byzantine.run;
     };
     {
       id = "E25";
@@ -134,7 +144,7 @@ let all =
     {
       id = "E26";
       title = "derived heard-of predicates from adversary policies";
-      run = wrap_campaign E26_derive.run;
+      run = with_field E26_derive.run;
     };
   ]
 

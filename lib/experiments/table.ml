@@ -71,14 +71,14 @@ let print t =
 
 let ok t = not (List.exists (List.exists (String.equal "NO")) t.rows)
 
-let to_json ~seed ~extra t =
+let to_json ~seed ?extra t =
   let open Report.Codec in
   Report.Json.Obj
-    [
-      ("id", string.enc t.id);
-      ("seed", int.enc seed);
-      ("header", (list string).enc t.header);
-      ("rows", (list (list string)).enc t.rows);
-      ("ok", bool.enc (ok t));
-      extra;
-    ]
+    ([
+       ("id", string.enc t.id);
+       ("seed", int.enc seed);
+       ("header", (list string).enc t.header);
+       ("rows", (list (list string)).enc t.rows);
+       ("ok", bool.enc (ok t));
+     ]
+    @ Option.to_list extra)

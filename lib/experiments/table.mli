@@ -39,7 +39,7 @@ val ok : t -> bool
 (** True iff no row cell equals ["NO"] — the quick health signal used by
     the harness exit code. *)
 
-val to_json : seed:int -> extra:string * Report.Json.t -> t -> Report.Json.t
-(** The grid-artifact envelope every [--grid --json] writer shares:
-    [{id, seed, header, rows, ok}] followed by the experiment's own
-    [extra] field (its per-trial or per-row detail). *)
+val to_json : seed:int -> ?extra:string * Report.Json.t -> t -> Report.Json.t
+(** The envelope [run ID --json] writes for every table:
+    [{id, seed, header, rows, ok}], followed by the experiment's own
+    [extra] field (its per-trial or per-row detail) when it has one. *)

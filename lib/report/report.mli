@@ -101,8 +101,8 @@ val make : seed:int -> ?tables:table list -> ?speedup:speedup -> subject list ->
 
     Every file this repository writes or reads back — BENCH reports,
     check counterexamples, [e24-byz] and [e26-derive] artifacts, live
-    recordings and the grid artifacts of [faultnet], [xsub], [live],
-    [scale], [byz] and [derive] — goes through {!artifact_path} (for
+    recordings, the table artifacts of [run ID --json] and the grid
+    artifacts of [live] and [scale] — goes through {!artifact_path} (for
     [auto] naming), {!write} and {!read}.  No other module opens an
     artifact file itself. *)
 

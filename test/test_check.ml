@@ -278,7 +278,7 @@ let shards_cover_the_fold () =
                 Adversary.Enumerate.fold_extensions
                   ~prefix:(H.append (H.empty ~n) d)
                   ~rounds ~satisfying:p ~init ~f))
-          (Adversary.Enumerate.round_assignments ~n)
+          (Rrfd.Submodel.round_assignments ~n)
       in
       Alcotest.(check int)
         (name ^ ": shard union has the serial count")

@@ -37,6 +37,31 @@ let cells_format () =
   Alcotest.(check string) "bool true" "yes" (Experiments.Table.cell_bool true);
   Alcotest.(check string) "bool false" "NO" (Experiments.Table.cell_bool false)
 
+(* The envelope `run ID --json` writes: five fields, then the
+   experiment's own extra field when it has one. *)
+let table_envelope () =
+  let t =
+    {
+      Experiments.Table.id = "T";
+      title = "t";
+      claim = "c";
+      header = [ "a"; "ok" ];
+      rows = [ [ "1"; "yes" ] ];
+      notes = [ "dropped" ];
+      counters = [];
+    }
+  in
+  let bytes ?extra () =
+    Report.Json.to_string (Experiments.Table.to_json ~seed:7 ?extra t)
+  in
+  let plain =
+    {|{"id": "T", "seed": 7, "header": ["a", "ok"], "rows": [["1", "yes"]], "ok": true}|}
+  in
+  Alcotest.(check string) "no extra field" plain (bytes ());
+  Alcotest.(check string) "extra field last"
+    (String.sub plain 0 (String.length plain - 1) ^ {|, "cells": []}|})
+    (bytes ~extra:("cells", Report.Json.List []) ())
+
 (* The experiments whose tables must carry per-trial engine-counter
    summaries: everything whose run-loop drives a substrate (the campaign
    experiments and the catalog-driven sync/engine loops). *)
@@ -51,7 +76,13 @@ let every_experiment_runs_tiny () =
      and produces at least one row, with work counters where promised. *)
   List.iter
     (fun e ->
-      let t = e.Experiments.Registry.run ~seed:1 ~trials:(Some 2) ~jobs:(Some 1) in
+      let t, extra =
+        e.Experiments.Registry.run ~seed:1 ~trials:(Some 2) ~jobs:(Some 1)
+      in
+      Alcotest.(check bool)
+        (e.Experiments.Registry.id ^ " has an artifact field iff E21/22/24/26")
+        (List.mem e.Experiments.Registry.id [ "E21"; "E22"; "E24"; "E26" ])
+        (extra <> None);
       Alcotest.(check bool)
         (e.Experiments.Registry.id ^ " has rows")
         true
@@ -78,8 +109,10 @@ let every_experiment_runs_tiny () =
    serial run cell by cell. *)
 let e22_lossy_cells_on_four_domains () =
   let lossy jobs =
-    snd (Experiments.E22_xsub.run_detailed ~seed:3 ~trials:16 ~jobs ())
-    |> List.filter (fun (_, policy, _) -> policy = "lossy")
+    let _, (_, cells) = Experiments.E22_xsub.run ~seed:3 ~trials:16 ~jobs () in
+    List.filter
+      (fun cell -> Report.Json.(str (member "policy" cell)) = "lossy")
+      (Report.Json.list cells)
   in
   let parallel = lossy 4 in
   Alcotest.(check int) "one lossy cell per protocol"
@@ -94,5 +127,6 @@ let tests =
     Alcotest.test_case "find case-insensitive" `Quick find_is_case_insensitive;
     Alcotest.test_case "table ok detection" `Quick table_ok_detects_failures;
     Alcotest.test_case "cell formatting" `Quick cells_format;
+    Alcotest.test_case "table envelope" `Quick table_envelope;
     Alcotest.test_case "every experiment runs" `Slow every_experiment_runs_tiny;
   ]

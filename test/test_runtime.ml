@@ -153,8 +153,9 @@ let registry_deterministic_across_jobs () =
       | None -> Alcotest.failf "%s not registered" id
       | Some e ->
         let run jobs =
-          e.Experiments.Registry.run ~seed:0 ~trials:(Some 40)
-            ~jobs:(Some jobs)
+          fst
+            (e.Experiments.Registry.run ~seed:0 ~trials:(Some 40)
+               ~jobs:(Some jobs))
         in
         Alcotest.check table_testable
           (id ^ ": -j 1 = -j 4")

@@ -73,20 +73,33 @@ let sampled_agrees_with_exhaustive () =
   | S.Implies -> Alcotest.fail "sampling missed an easy counterexample"
 
 let model_generators_match_their_predicates () =
-  (* Every packaged model's canonical generator satisfies its own predicate. *)
+  (* Every Check.Spec generator satisfies the predicate it is paired with,
+     at the spec defaults and, where it takes one, at f = 2. *)
   let rng = Dsim.Rng.create 23 in
+  let check spec (gen, predicate) =
+    match
+      S.check_sampled rng ~samples:100 ~rounds:3
+        ~gen:(fun rng -> gen rng ~n:5)
+        ~n:5 Rrfd.Predicate.always predicate
+    with
+    | S.Implies -> ()
+    | S.Counterexample h ->
+      Alcotest.failf "%s: generator broke its predicate:@ %a" spec
+        Rrfd.Fault_history.pp h
+  in
+  (* generator_names reads "omission:f=_, ..., async-mixed:f=_,t=_, ...". *)
   List.iter
-    (fun m ->
-      match
-        S.check_sampled rng ~samples:100 ~rounds:3
-          ~gen:m.Rrfd.Model.generator ~n:5 Rrfd.Predicate.always
-          m.Rrfd.Model.predicate
-      with
-      | S.Implies -> ()
-      | S.Counterexample h ->
-        Alcotest.failf "%s: generator broke its predicate:@ %a"
-          m.Rrfd.Model.name Rrfd.Fault_history.pp h)
-    (Rrfd.Model.all ~n:5 ~f:2)
+    (fun entry ->
+      let name =
+        List.hd (String.split_on_char ':' (List.hd (String.split_on_char ',' entry)))
+      in
+      match Check.Spec.generator name with
+      | Error msg -> Alcotest.fail msg
+      | Ok g ->
+        check name g;
+        let f2 = name ^ ":f=2" in
+        Result.iter (check f2) (Check.Spec.generator f2))
+    (String.split_on_char ' ' Check.Spec.generator_names)
 
 (* ------------------------------------------------------------------ *)
 (* qcheck properties of the checkers themselves.                       *)

@@ -1,5 +1,4 @@
-(* The Trace transcript recorder, the Model packages, and the predicate
-   combinators. *)
+(* The Trace transcript recorder and the predicate combinators. *)
 
 module Pset = Rrfd.Pset
 
@@ -98,17 +97,6 @@ let predicate_disj () =
   Alcotest.(check bool) "both sides fail" false
     (Rrfd.Predicate.holds p h_both_bad)
 
-let model_metadata () =
-  let models = Rrfd.Model.all ~n:5 ~f:2 in
-  Alcotest.(check int) "nine models" 9 (List.length models);
-  List.iter
-    (fun m ->
-      Alcotest.(check bool)
-        (m.Rrfd.Model.name ^ " has description")
-        true
-        (String.length m.Rrfd.Model.description > 0))
-    models
-
 let tests =
   [
     Alcotest.test_case "trace matches engine" `Quick trace_matches_engine;
@@ -118,5 +106,4 @@ let tests =
     Alcotest.test_case "catalog and SUT transcripts vs fixture" `Quick
       transcript_pin;
     Alcotest.test_case "predicate disj" `Quick predicate_disj;
-    Alcotest.test_case "model metadata" `Quick model_metadata;
   ]
