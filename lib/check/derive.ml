@@ -96,12 +96,13 @@ type outcome = {
   counters : Rrfd.Counters.t array;
 }
 
+(* Heard-of ignores what is said, so the payload-free round-tag driver
+   induces the same history, counts and lies as full information. *)
 let induced_history ~adversary ~n ~f ~rounds ~rng =
   let seed = Dsim.Rng.bits30 rng in
   let r =
     Msgnet.Round_layer.run ~seed ~adversary ~n ~f ~rounds
-      ~algorithm:(Rrfd.Full_info.algorithm ~inputs:(Tasks.Inputs.distinct n))
-      ()
+      ~algorithm:Msgnet.Round_layer.round_tags ()
   in
   (r.Msgnet.Round_layer.induced, r.Msgnet.Round_layer.counters)
 
@@ -168,7 +169,6 @@ let derive ?lattice ~cfg ~policy () =
   let* adversary = Spec.adversary policy in
   let cands = candidates ~n:cfg.n ~f:cfg.f in
   let* named = predicates_of cands in
-  if List.length cands > 62 then invalid_arg "Derive.derive: > 62 candidates";
   if cfg.rounds < 1 then
     Error (Printf.sprintf "derive needs rounds >= 1; got rounds=%d" cfg.rounds)
   else if cfg.f < 0 || cfg.f >= cfg.n then
@@ -179,8 +179,6 @@ let derive ?lattice ~cfg ~policy () =
          "exhaustive tightness needs n <= 4 (the space is ((2^n-1)^n)^rounds); \
           got n=%d" cfg.n)
   else begin
-    let preds = Array.of_list (List.map snd named) in
-    let specs = Array.of_list cands in
     let lat =
       match lattice with
       | Some l -> l
@@ -188,57 +186,39 @@ let derive ?lattice ~cfg ~policy () =
         let n', rounds' = lattice_dims cfg in
         Rrfd.Submodel.lattice ~n:n' ~rounds:rounds' named
     in
-    (* Observation pass: one violation bitmask per execution, kept with
-       the induced history it judged. *)
     let obs =
       Runtime.Campaign.run ?jobs:cfg.jobs ~seed:(observe_seed cfg)
         ~trials:cfg.observe_trials (fun ~trial:_ ~rng ->
-          let h, counters =
-            induced_history ~adversary ~n:cfg.n ~f:cfg.f ~rounds:cfg.rounds
-              ~rng
-          in
-          let mask = ref 0 in
-          Array.iteri
-            (fun i p -> if not (Rrfd.Predicate.holds p h) then
-                mask := !mask lor (1 lsl i))
-            preds;
-          (h, !mask, counters))
+          induced_history ~adversary ~n:cfg.n ~f:cfg.f ~rounds:cfg.rounds ~rng)
     in
-    let violated =
-      Array.fold_left (fun acc (_, mask, _) -> acc lor mask) 0 obs
-    in
-    let sound = ref [] and refuted = ref [] in
-    Array.iteri
-      (fun i spec ->
-        if violated land (1 lsl i) = 0 then sound := spec :: !sound
-        else refuted := spec :: !refuted)
-      specs;
-    let sound = List.rev !sound and refuted = List.rev !refuted in
-    (* One fuzz witness per refuted candidate: its lowest violating
-       trial.  The history is an observed execution, so it satisfies
+    (* Each candidate is judged in trial order up to its first violation,
+       in this domain, so the witness is its lowest violating trial at
+       every [-j].  The history is an observed execution, so it satisfies
        every sound candidate — hence the derived predicate — by
        construction. *)
-    let witnesses =
+    let judged =
       List.map
-        (fun spec ->
-          let i =
-            let rec idx j = if specs.(j) = spec then j else idx (j + 1) in
-            idx 0
-          in
+        (fun (spec, p) ->
           let rec first t =
-            let _, mask, _ = obs.(t) in
-            if mask land (1 lsl i) <> 0 then t else first (t + 1)
+            if t = Array.length obs then None
+            else
+              let history = fst obs.(t) in
+              if Rrfd.Predicate.holds p history then first (t + 1)
+              else
+                match Rrfd.Predicate.explain p history with
+                | Some reason -> Some { spec; source = Fuzz t; history; reason }
+                | None ->
+                  invalid_arg "Derive.derive: verdict and explanation disagree"
           in
-          let trial = first 0 in
-          let history, _, _ = obs.(trial) in
-          let reason =
-            match Rrfd.Predicate.explain preds.(i) history with
-            | Some r -> r
-            | None -> invalid_arg "Derive.derive: verdict and explanation disagree"
-          in
-          { spec; source = Fuzz trial; history; reason })
-        refuted
+          ((spec, p), first 0))
+        named
     in
+    let sound_named =
+      List.filter_map (function c, None -> Some c | _, Some _ -> None) judged
+    in
+    let sound = List.map fst sound_named in
+    let witnesses = List.filter_map snd judged in
+    let refuted = List.map (fun w -> w.spec) witnesses in
     let conjuncts = Rrfd.Submodel.minimal_conjuncts lat sound in
     (* A refuted candidate whose lattice history set equals [true]'s is
        degenerate at the lattice size (e.g. crash-closure in a one-round
@@ -251,7 +231,7 @@ let derive ?lattice ~cfg ~policy () =
         refuted
     in
     let frontier = Rrfd.Submodel.weakest lat orderable @ degenerate in
-    let derived = conj_of (List.filter (fun (s, _) -> List.mem s sound) named) in
+    let derived = conj_of sound_named in
     (* Upward certificate: a fresh sharded campaign must find nothing. *)
     let certify_violation =
       Runtime.Campaign.search ?jobs:cfg.jobs ~seed:(certify_seed cfg)
@@ -295,7 +275,7 @@ let derive ?lattice ~cfg ~policy () =
         separations;
         certified = certify_violation = None;
         certify_violation;
-        counters = Array.map (fun (_, _, k) -> k) obs;
+        counters = Array.map snd obs;
       }
   end
 

@@ -102,11 +102,13 @@ val induced_history :
   rounds:int ->
   rng:Dsim.Rng.t ->
   Rrfd.Fault_history.t * Rrfd.Counters.t
-(** One policy execution: run the full-information algorithm over the
-    damaged asynchronous network and extract the induced fault history
-    (the benign projection — [byz:*] atoms change message {e content}
-    only, never the delay schedule, so their derived predicate provably
-    equals the benign policy's). *)
+(** One policy execution: drive the round layer with the payload-free
+    {!Msgnet.Round_layer.round_tags} over the damaged asynchronous
+    network and extract the induced fault history, the one the
+    full-information algorithm induces on the same draws (the benign
+    projection — [byz:*] atoms change message {e content} only, never
+    the delay schedule, so their derived predicate provably equals the
+    benign policy's). *)
 
 val lattice_for : cfg:config -> (Rrfd.Submodel.lattice, string) result
 (** The {!Rrfd.Submodel.lattice} over {!candidates} for this config —

@@ -82,12 +82,12 @@ let run_trial row ~adversary ~rng =
   let vote_complete =
     match verdict with Acc.Incomplete _ -> false | _ -> true
   in
-  (* Probe 2: the round layer under the row's spec string. *)
+  (* Probe 2: the round layer under the row's spec string.  It reads
+     only the lie history, so the payload-free driver runs it. *)
   let rounds = 3 in
   let rl =
     Msgnet.Round_layer.run ~seed:s_rl ~adversary ~n ~f ~rounds
-      ~algorithm:(Rrfd.Full_info.algorithm ~inputs:(Tasks.Inputs.distinct n))
-      ()
+      ~algorithm:Msgnet.Round_layer.round_tags ()
   in
   let members = Msgnet.Adversary.byzantine adversary ~n in
   let lie_history = Msgnet.Heard_of.to_lie_history rl.Msgnet.Round_layer.heard_of in

@@ -166,14 +166,6 @@ let create ~sim ~n ?(min_delay = 1.0) ?(max_delay = 10.0)
 let n t = t.n
 let adversary t = t.adversary
 
-let schedule_delivery t ~from ~to_ ~delay msg =
-  Dsim.Sim.schedule t.sim ~delay (fun sim ->
-      if Pset.mem to_ t.crashed then t.lost_to_crash <- t.lost_to_crash + 1
-      else begin
-        t.delivered <- t.delivered + 1;
-        t.deliver sim ~to_ ~from msg
-      end)
-
 (* A signature here is an unforgeable stamp of the true origin: the
    network records [signer = from] no matter what the payload claims, so
    tampered content stays attributable.  Entries are appended at send
@@ -242,8 +234,15 @@ let send t ~from ~to_ ?delay msg =
     t.sent <- t.sent + 1;
     let msg = on_wire t ~from ~to_ msg in
     log_signed t ~from ~to_ msg;
+    (* The closure is built here, not in a helper, so the simulator's
+       inlined [schedule] takes each copy's delay unboxed. *)
     for k = 0 to plan t ~from ~to_ - 1 do
-      schedule_delivery t ~from ~to_ ~delay:(Float.Array.get t.plan k) msg
+      Dsim.Sim.schedule t.sim ~delay:(Float.Array.get t.plan k) (fun sim ->
+          if Pset.mem to_ t.crashed then t.lost_to_crash <- t.lost_to_crash + 1
+          else begin
+            t.delivered <- t.delivered + 1;
+            t.deliver sim ~to_ ~from msg
+          end)
     done
   end
 

@@ -52,6 +52,18 @@ let store proc ~n ~round ~from msg =
   else proc.msgs.(r).(from) <- msg;
   proc.got.(r) <- Pset.add from proc.got.(r)
 
+(* The payload-free driver: a process's state is its last completed
+   round and each emission is that state, so one process's emissions
+   differ exactly when their rounds do, as full-information views do. *)
+let round_tags =
+  {
+    Rrfd.Algorithm.name = "round-tags";
+    init = (fun ~n:_ _ -> 0);
+    emit = (fun state ~round:_ -> state);
+    deliver = (fun _ ~round ~view:_ -> round);
+    decide = (fun _ -> None);
+  }
+
 let run ?(seed = 0) ?min_delay ?max_delay ?(crashes = []) ?adversary
     ?retransmit_every ?(horizon = 600.0) ~n ~f ~rounds ~algorithm () =
   if f < 0 || f >= n then invalid_arg "Round_layer.run: need 0 ≤ f < n";
@@ -68,6 +80,7 @@ let run ?(seed = 0) ?min_delay ?max_delay ?(crashes = []) ?adversary
     | Some e -> Some e
     | None -> if Adversary.is_noop adversary then None else Some 10.0
   in
+  let repair = Option.is_some repair_every in
   let open Rrfd.Algorithm in
   let sim = Dsim.Sim.create ~seed () in
   let heard_rec = Heard_of.create ~n in
@@ -86,6 +99,7 @@ let run ?(seed = 0) ?min_delay ?max_delay ?(crashes = []) ?adversary
   let network = ref None in
   let net () = Option.get !network in
   let byz = Adversary.byzantine adversary ~n in
+  let behaviours = Array.init n (Adversary.byz_behaviour adversary) in
   (* Payload-agnostic Byzantine lying: a corrupt or equivocating sender
      replays its own round-[r−1] emission under a round-[r] tag — a
      well-typed payload of the algorithm's own message type, yet (for any
@@ -120,7 +134,7 @@ let run ?(seed = 0) ?min_delay ?max_delay ?(crashes = []) ?adversary
     Network.broadcast (net ()) ~from:i ~self:false (round, msg, `Fresh);
     (* A forging sender also injects round-[r+1] messages it was never
        asked to send — its current payload under a future round tag. *)
-    match Adversary.byz_behaviour adversary i with
+    match behaviours.(i) with
     | Some { Adversary.forge = true; _ } when round < rounds ->
         Network.broadcast (net ()) ~from:i ~self:false (round + 1, msg, `Fresh)
     | _ -> ()
@@ -176,7 +190,7 @@ let run ?(seed = 0) ?min_delay ?max_delay ?(crashes = []) ?adversary
       store proc ~n ~round ~from msg;
       if round = proc.current_round then try_complete to_
     end
-    else if kind = `Retry && repair_every <> None then
+    else if repair && kind = `Retry then
       (* The sender is still collecting a round we have already passed:
          resend it (and everything since) our cached emissions. *)
       help to_ ~to_:from ~round

@@ -49,6 +49,17 @@ type 'out result = {
           included), zero detector queries. *)
 }
 
+val round_tags : (int, int, unit) Rrfd.Algorithm.t
+(** The payload-free driver, for callers that read only the induced
+    history, the heard-of record and the counts.  A process's state is
+    its last completed round and its round-[r] emission is that state,
+    [r − 1]; it never decides.  One process's emissions differ exactly
+    when their rounds differ, as full-information views do, and the
+    layer decides lies by comparing a delivered payload with the
+    sender's own emissions, so the tamper draws, the lied sets and every
+    count equal those of {!Rrfd.Full_info.algorithm} on the same seed
+    and adversary, Byzantine atoms included. *)
+
 val run :
   ?seed:int ->
   ?min_delay:float ->

@@ -354,12 +354,12 @@ let fire sim =
     f sim
   end
 
-let schedule_at sim ~time f =
+let[@inline] schedule_at sim ~time f =
   if not (Float.is_finite time) then invalid_arg "Sim.schedule_at: time must be finite";
   if time < now sim then invalid_arg "Sim.schedule_at: time is in the past";
   push sim time f
 
-let schedule sim ~delay f =
+let[@inline] schedule sim ~delay f =
   let time = now sim +. delay in
   if not (delay >= 0.0 && Float.is_finite time) then
     invalid_arg "Sim.schedule: delay must be finite and non-negative";

@@ -229,3 +229,34 @@ module Network = struct
   let counters t =
     [ t.sent; t.delivered; t.dropped; t.duplicated; t.tampered; t.lost_to_crash ]
 end
+
+(* Derivation's observation verdicts before the first-violation scan:
+   every candidate judged on every trial into one violation bitmask per
+   trial, a candidate's witness the lowest trial whose mask names it. *)
+module Derive = struct
+  let verdicts ~specs ~preds histories =
+    if Array.length preds > 62 then invalid_arg "Oracle.Derive: > 62 candidates";
+    let masks =
+      Array.map
+        (fun h ->
+          let mask = ref 0 in
+          Array.iteri
+            (fun i p ->
+              if not (Rrfd.Predicate.holds p h) then mask := !mask lor (1 lsl i))
+            preds;
+          !mask)
+        histories
+    in
+    let violated = Array.fold_left ( lor ) 0 masks in
+    let sound = ref [] and witnesses = ref [] in
+    Array.iteri
+      (fun i spec ->
+        if violated land (1 lsl i) = 0 then sound := spec :: !sound
+        else
+          let rec first t =
+            if masks.(t) land (1 lsl i) <> 0 then t else first (t + 1)
+          in
+          witnesses := (spec, first 0) :: !witnesses)
+      specs;
+    (List.rev !sound, List.rev !witnesses)
+end

@@ -164,6 +164,18 @@ module Oracle : sig
       closure, scheduled as it is planned, and a broadcast a loop of
       sends: the per-copy network that broadcast runs replaced. *)
 
+  module Derive : sig
+    val verdicts :
+      specs:string array ->
+      preds:Rrfd.Predicate.t array ->
+      Rrfd.Fault_history.t array ->
+      string list * (string * int) list
+    (** The sound specs, and each refuted spec with its lowest violating
+        trial, both in candidate order, from one violation bitmask per
+        observed history: the computation {!Check.Derive.derive}'s
+        first-violation scan replaced. *)
+  end
+
   module Immediate_snapshot : sig
     val run_once : n:int -> schedule:Shm.Exec.strategy -> Shm.Immediate_snapshot.result
     (** The textbook immediate snapshot on the generic fiber executor —

@@ -155,6 +155,135 @@ let unknown_spec_messages () =
   check_err "adversary" (Msgnet.Adversary.of_spec "bogus");
   check_err "generator" (Check.Spec.generator "bogus")
 
+(* The round-tag driver against full information: the same induced
+   history, lies, progress and counts on every E21 policy and on lying,
+   equivocating and forging ones. *)
+let driver_policies =
+  Experiments.E21_faultnet.grid
+  @ [ "byz:m=1,equiv=1"; "byz:m=2,corrupt=1"; "byz:m=1,forge=1" ]
+
+let driver_summary (r : _ Msgnet.Round_layer.result) =
+  ( H.to_string_compact r.induced,
+    H.to_string_compact (Msgnet.Heard_of.to_lie_history r.heard_of),
+    r.completed,
+    Msgnet.Round_layer.
+      [
+        r.messages_sent;
+        r.messages_delivered;
+        r.messages_dropped;
+        r.messages_duplicated;
+        r.messages_tampered;
+      ] )
+
+let round_tags_match_full_info =
+  QCheck.Test.make ~count:150 ~name:"round-tag driver = full information"
+    QCheck.(
+      quad
+        (int_range 0 (List.length driver_policies - 1))
+        (int_range 3 5) small_nat int)
+    (fun (pi, n, fpick, seed) ->
+      let f = fpick mod (((n - 1) / 2) + 1) in
+      let adversary =
+        ok_result (Msgnet.Adversary.of_spec (List.nth driver_policies pi))
+      in
+      let run algorithm =
+        Msgnet.Round_layer.run ~seed ~adversary ~n ~f ~rounds:4 ~algorithm ()
+      in
+      driver_summary (run Msgnet.Round_layer.round_tags)
+      = driver_summary
+          (run (Rrfd.Full_info.algorithm ~inputs:(Tasks.Inputs.distinct n))))
+
+(* The differential above is not vacuous: the Byzantine policies lie. *)
+let round_tags_see_lies () =
+  let adversary = ok_result (Msgnet.Adversary.of_spec "byz:m=2,corrupt=1") in
+  let r =
+    Msgnet.Round_layer.run ~seed:3 ~adversary ~n:5 ~f:2 ~rounds:4
+      ~algorithm:Msgnet.Round_layer.round_tags ()
+  in
+  Alcotest.(check bool)
+    "tampered" true (r.Msgnet.Round_layer.messages_tampered > 0);
+  Alcotest.(check bool)
+    "lies recorded" false
+    (Rrfd.Pset.is_empty
+       (H.cumulative_union (Msgnet.Heard_of.to_lie_history r.heard_of)))
+
+(* The first-violation scan against the full-mask oracle over the same
+   observed histories. *)
+let scan_agrees_with_masks ~lattice ~cfg policy =
+  let o = derive ~lattice ~cfg policy in
+  let adversary = ok_result (Msgnet.Adversary.of_spec policy) in
+  let histories =
+    Runtime.Campaign.run ~jobs:1
+      ~seed:(Dsim.Rng.derive_seed cfg.D.seed 1)
+      ~trials:cfg.D.observe_trials
+      (fun ~trial:_ ~rng ->
+        fst
+          (D.induced_history ~adversary ~n:cfg.D.n ~f:cfg.D.f
+             ~rounds:cfg.D.rounds ~rng))
+  in
+  let specs = Array.of_list o.D.cands in
+  let sound, witnessed =
+    Test_support.Oracle.Derive.verdicts ~specs
+      ~preds:(Array.map spec_predicate specs) histories
+  in
+  Alcotest.(check (list string)) (policy ^ " sound") sound o.D.sound;
+  Alcotest.(check (list (pair string int)))
+    (policy ^ " witness trials") witnessed
+    (List.map
+       (fun w ->
+         match w.D.source with
+         | D.Fuzz t ->
+           Alcotest.check Test_support.history_t
+             (w.D.spec ^ " history") histories.(t) w.D.history;
+           (w.D.spec, t)
+         | D.Exhaustive -> Alcotest.failf "%s: not a fuzz witness" w.D.spec)
+       o.D.witnesses);
+  o
+
+let scan_matches_oracle =
+  let cfg = { fuzz_cfg with D.observe_trials = 60; certify_trials = 1 } in
+  QCheck.Test.make ~count:12 ~name:"first-violation scan = full-mask oracle"
+    QCheck.(pair (int_range 0 (List.length driver_policies - 1)) int)
+    (fun (pi, seed) ->
+      let policy = List.nth driver_policies pi in
+      let cfg = { cfg with D.seed } in
+      ignore (scan_agrees_with_masks ~lattice:fuzz_lat ~cfg policy);
+      true)
+
+(* A late first violation: under this spike policy four candidates first
+   break at observation trial 130. *)
+let scan_late_violation () =
+  let cfg =
+    { fuzz_cfg with
+      D.f = 1; rounds = 1; observe_trials = 200; certify_trials = 1; seed = 9 }
+  in
+  let lattice = lazy (ok_result (D.lattice_for ~cfg)) in
+  let o = scan_agrees_with_masks ~lattice ~cfg "spike:p=20,factor=8" in
+  let w = List.find (fun w -> w.D.spec = "someone-seen") o.D.witnesses in
+  Alcotest.(check bool)
+    "first broken beyond trial 100" true (w.D.source = D.Fuzz 130)
+
+(* The E26 fixtures pin behaviour: the current code re-derives each one
+   byte for byte, the Byzantine one exercising the lie and forge paths. *)
+let golden_rederived () =
+  let fixture =
+    { D.default_config with observe_trials = 150; certify_trials = 300 }
+  in
+  List.iter
+    (fun (file, cfg, policy) ->
+      let o = ok_result (D.derive ~cfg ~policy ()) in
+      Test_support.check_fixture ~what:file ~file
+        (Report.Codec.to_string D.codec o ^ "\n"))
+    [
+      ("golden-e26-derive.json", fixture, "drop:p=30");
+      ( "golden-e26-derive-exhaustive.json",
+        { fixture with D.n = 3; f = 1; rounds = 3; exhaustive = true },
+        "none" );
+      ( "golden-e26-derive-byz.json",
+        fixture,
+        "byz:m=1,equiv=1,corrupt=1,forge=1" );
+    ]
+
 let tests =
   [
     Alcotest.test_case "every E21 policy derives ok" `Slow all_policies_derive;
@@ -169,4 +298,11 @@ let tests =
     Alcotest.test_case "-j invariance of the full artifact" `Quick j_invariant;
     Alcotest.test_case "unknown-spec messages pinned" `Quick
       unknown_spec_messages;
+    Alcotest.test_case "round-tag driver records lies" `Quick
+      round_tags_see_lies;
+    Alcotest.test_case "first violation beyond trial 100" `Quick
+      scan_late_violation;
+    Alcotest.test_case "golden artifacts re-derived" `Slow golden_rederived;
   ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ round_tags_match_full_info; scan_matches_oracle ]

@@ -281,6 +281,7 @@ let golden =
       reencode ~pretty:true Check.Byz_check.codec );
     ("fixtures/golden-e26-derive.json", reencode Check.Derive.codec);
     ("fixtures/golden-e26-derive-exhaustive.json", reencode Check.Derive.codec);
+    ("fixtures/golden-e26-derive-byz.json", reencode Check.Derive.codec);
     ("fixtures/golden-live-grid.json", reencode Experiments.E23_live.codec);
     ("fixtures/golden-bench-v1.json", reencode R.codec);
     ("../bench/baseline.json", reencode R.codec);
