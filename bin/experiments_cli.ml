@@ -20,14 +20,6 @@ let seed_arg =
   let doc = "Random seed; every experiment is reproducible from it." in
   Arg.(value & opt int Experiments.Registry.default_seed & info [ "seed" ] ~doc)
 
-let jobs_arg =
-  let doc =
-    "Worker domains for Monte-Carlo campaigns (default: all cores).  \
-     Tables are bit-identical for every value: trial RNGs derive from \
-     (seed, trial index), so -j only changes wall-clock time."
-  in
-  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~doc)
-
 (* {1 Shared subcommand pieces}
 
    One definition per option several subcommands take; they differ only
@@ -66,6 +58,26 @@ let int_opt_arg name ?docv ~doc ?(lo = 0) ?(hi = max_int) () =
 
 let trials_arg =
   int_opt_arg "trials" ~doc:"Override the per-configuration trial count." ()
+
+(* One domain per worker, the calling one included, and the OCaml runtime
+   allows 128 domains: the same cap as live's one domain per process. *)
+let jobs_arg =
+  let max_jobs = Live.max_processes in
+  let doc =
+    Printf.sprintf
+      "Worker domains for Monte-Carlo campaigns (default: all cores), at \
+       most %d (the OCaml runtime allows 128 domains); values below 2 run \
+       serially.  Tables are bit-identical for every value: trial RNGs \
+       derive from (seed, trial index), so -j only changes wall-clock time."
+      max_jobs
+  in
+  let at_most_max j =
+    if j > max_jobs then
+      usage_error "-j/--jobs must be at most %d, got %d" max_jobs j;
+    j
+  in
+  Term.map (Option.map at_most_max)
+    Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~doc)
 
 let n_arg ?(doc = "System size.") ?(hi = Rrfd.Pset.max_universe) n =
   int_arg "n" ~doc ~lo:1 ~hi n
@@ -908,8 +920,9 @@ let byz_cmd =
   in
   let save_arg =
     save_arg ~prefix:"BYZ"
-      "With the single-fork demo: save the witness and its expected \
-       outcome as a replayable e24-byz JSON artifact at $(docv)."
+      "Save the witness and its expected outcome as a replayable e24-byz \
+       JSON artifact at $(docv): the single-fork demo's, or with --fuzz \
+       the first violation's (nothing is written when there is none)."
   in
   let replay_arg =
     replay_arg
@@ -991,7 +1004,7 @@ let byz_cmd =
         save;
       exit_code (Acc.check ~f outcome = Acc.Accountable)
   in
-  let run_fuzz ~seed ~jobs ~n ~f ~byz ~forge ~trials =
+  let run_fuzz ~seed ~jobs ~n ~f ~byz ~forge ~trials ~save =
     let r = Byz.fuzz ?jobs ~n ~f ~byz ~forge ~seed ~trials () in
     Printf.printf
       "byz fuzz: %d trials (n=%d f=%d byz=%d%s) — %d forked, %d sends \
@@ -1002,11 +1015,13 @@ let byz_cmd =
     (match r.Byz.first_violation with
     | None -> ()
     | Some (idx, w, v) ->
-      Format.printf "  first violation at trial %d: %a@." idx pp_verdict v;
-      let path = Printf.sprintf "BYZ_violation_%d.json" idx in
-      Report.write ~pretty:true Byz.codec path
-        (Byz.of_outcome w (Byz.run_witness w));
-      Printf.printf "  witness saved to %s\n" path);
+      Format.printf "  first violation at trial %d (witness seed %d): %a@." idx
+        w.Byz.seed pp_verdict v;
+      Option.iter
+        (fun path ->
+          save_to ~indent:"  " ~pretty:true Byz.codec path
+            (Byz.of_outcome w (Byz.run_witness w)))
+        save);
     exit_code (r.Byz.violations = 0)
   in
   let run_exhaustive ~seed ~jobs ~seeds ~n ~f ~byz =
@@ -1054,7 +1069,7 @@ let byz_cmd =
       if exhaustive then run_exhaustive ~seed ~jobs ~seeds ~n ~f ~byz
       else
         match fuzz with
-        | Some trials -> run_fuzz ~seed ~jobs ~n ~f ~byz ~forge ~trials
+        | Some trials -> run_fuzz ~seed ~jobs ~n ~f ~byz ~forge ~trials ~save
         | None -> run_demo ~seed ~n ~f ~byz ~forge ~save
   in
   Cmd.v

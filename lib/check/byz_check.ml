@@ -16,51 +16,6 @@ let run_witness w =
 let forks w = (run_witness w).Acc.fork <> None
 
 (* ------------------------------------------------------------------ *)
-(* Shrinking: the same greedy ladder as {!Shrink}, over lying plans.   *)
-(* ------------------------------------------------------------------ *)
-
-(* Every candidate strictly reduces the witness's lie count — Byzantine
-   members, fabricated certs, per-receiver vote cells that differ from
-   the liar's own input — so greedy descent terminates and the fixpoint
-   is 1-minimal by construction. *)
-let candidates w =
-  let with_strategy i s =
-    let strategies = Array.copy w.strategies in
-    strategies.(i) <- s;
-    { w with strategies }
-  in
-  let acc = ref [] in
-  (* Least aggressive first, reversed below: vote-cell honesty, then
-     cert drops, then whole-process demotions — so the emitted list
-     tries the biggest reductions first, like Shrink.candidates. *)
-  Array.iteri
-    (fun i st ->
-      match st with
-      | None -> ()
-      | Some { Acc.votes; cert } ->
-          Array.iteri
-            (fun receiver v ->
-              if v <> w.inputs.(receiver) then begin
-                let votes = Array.copy votes in
-                votes.(receiver) <- w.inputs.(receiver);
-                acc := with_strategy i (Some { Acc.votes; cert }) :: !acc
-              end)
-            votes;
-          if cert <> None then
-            acc := with_strategy i (Some { Acc.votes; cert = None }) :: !acc;
-          acc := with_strategy i None :: !acc)
-    w.strategies;
-  !acc
-
-let minimize ~still_fails w =
-  let rec loop w steps =
-    match List.find_opt still_fails (candidates w) with
-    | Some smaller -> loop smaller (steps + 1)
-    | None -> (w, steps)
-  in
-  loop w 0
-
-(* ------------------------------------------------------------------ *)
 (* Fuzzing: soundness under random lying plans.                        *)
 (* ------------------------------------------------------------------ *)
 

@@ -1,5 +1,5 @@
 (** The E24 adversarial battery: fuzzed soundness, enumerated
-    completeness, greedy witness shrinking, replayable artifacts.
+    completeness, replayable artifacts.
 
     The object under test is {!Msgnet.Accountability}: the two-threshold
     quorum vote over the signed transport plus its post-hoc audit.  The
@@ -29,23 +29,7 @@ type witness = {
 val run_witness : witness -> Msgnet.Accountability.outcome
 
 val forks : witness -> bool
-(** Whether the execution forks two honest deciders — the shrinker's
-    default failure notion. *)
-
-(** {1 Shrinking} *)
-
-val candidates : witness -> witness list
-(** One-step reductions, most aggressive first: demote a Byzantine
-    process to honest, drop a fabricated certificate, make one
-    per-receiver vote cell truthful.  Every candidate strictly reduces
-    the witness's lie count, so greedy descent terminates. *)
-
-val minimize : still_fails:(witness -> bool) -> witness -> witness * int
-(** Greedy fixpoint of {!candidates} under [still_fails] (which must be
-    deterministic), with the accepted-step count.  The result is
-    1-minimal: no single candidate still fails.  Minimizing an already
-    minimal witness returns it unchanged with zero steps — the
-    idempotence the regression test pins. *)
+(** Whether the execution forks two honest deciders. *)
 
 (** {1 Fuzzing} *)
 
@@ -56,7 +40,7 @@ type fuzz = {
   violations : int;  (** Trials whose verdict was not [Accountable]. *)
   first_violation : (int * witness * Msgnet.Accountability.verdict) option;
       (** Lowest failing trial index with its witness — the artifact to
-          save and shrink.  [None] is the expected outcome. *)
+          save.  [None] is the expected outcome. *)
 }
 
 val fuzz :

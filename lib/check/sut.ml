@@ -57,7 +57,3 @@ let transcript sut ~check history =
     (Catalog.transcript sut.entry ~check ~n ~f:(Catalog.default_f sut.entry ~n)
        ~max_rounds:(horizon sut ~rounds:(Rrfd.Fault_history.rounds history))
        ~detector:(Rrfd.Detector.of_history history) ())
-
-let kset_one_round = of_protocol (Catalog.find_exn "kset-one-round")
-
-let adopt_commit = of_protocol (Catalog.find_exn "adopt-commit")

@@ -69,12 +69,3 @@ val transcript :
   t -> check:Rrfd.Predicate.t -> Rrfd.Fault_history.t -> string
 (** The rendered {!Rrfd.Trace} of replaying the history — what
     [check --replay] prints. *)
-
-(** {1 Stock systems} *)
-
-val kset_one_round : t
-(** Theorem 3.1's one-round algorithm ({!Rrfd.Kset.one_round}). *)
-
-val adopt_commit : t
-(** The two-round adopt-commit protocol ({!Rrfd.Adopt_commit.algorithm}),
-    decisions packed through {!Rrfd.Adopt_commit.encode}. *)

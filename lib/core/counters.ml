@@ -15,7 +15,7 @@ let add a b =
     predicate_checks = a.predicate_checks + b.predicate_checks;
   }
 
-let of_history ?(predicate_checks = 0) history =
+let of_history history =
   let n = Fault_history.n history in
   let messages =
     Fault_history.fold_rounds
@@ -24,7 +24,7 @@ let of_history ?(predicate_checks = 0) history =
       history 0
   in
   let rounds = Fault_history.rounds history in
-  { rounds; messages; detector_queries = rounds; predicate_checks }
+  { rounds; messages; detector_queries = rounds; predicate_checks = 0 }
 
 let to_fields t =
   [
@@ -33,10 +33,3 @@ let to_fields t =
     ("detector-queries", t.detector_queries);
     ("predicate-checks", t.predicate_checks);
   ]
-
-let pp ppf t =
-  Format.fprintf ppf "@[<h>%a@]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
-       (fun ppf (k, v) -> Format.fprintf ppf "%s=%d" k v))
-    (to_fields t)

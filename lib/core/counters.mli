@@ -27,19 +27,16 @@ val zero : t
 val add : t -> t -> t
 (** Field-wise sum, for aggregating across runs or trials. *)
 
-val of_history : ?predicate_checks:int -> Fault_history.t -> t
+val of_history : Fault_history.t -> t
 (** [of_history h] is the exact work record of executing history [h] on
     any round-driving substrate: [rounds = Fault_history.rounds h],
     [messages = Σ_{i,r} (n − |D(i,r)|)] (the delivered slots), one
-    detector query per round, and [predicate_checks] as given (default
-    0).  This is what {!Engine.run} would have counted round by round —
-    exposed so substrates and experiments that only keep the history
-    (e.g. {!Engine.states_after} call sites) report identical numbers. *)
+    detector query per round, and no predicate checks.  This is what
+    {!Engine.run} would have counted round by round — exposed so
+    substrates and experiments that only keep the history (e.g.
+    {!Engine.states_after} call sites) report identical numbers. *)
 
 val to_fields : t -> (string * int) list
 (** Stable [(label, value)] view in declaration order; the labels
     ("rounds", "messages", "detector-queries", "predicate-checks") are the
     vocabulary used by experiment tables and the BENCH json schema. *)
-
-val pp : Format.formatter -> t -> unit
-(** ["rounds=…, messages=…, …"]. *)

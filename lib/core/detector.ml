@@ -3,8 +3,6 @@ type t = {
   next : Fault_history.t -> Pset.t array;
 }
 
-let name d = d.name
-
 let make ~name next = { name; next }
 
 let next d history = d.next history
@@ -42,14 +40,3 @@ let of_history h =
 let constant ~n:_ d = make ~name:"constant" (fun _ -> d)
 
 let map ~name f d = make ~name (fun h -> f h (d.next h))
-
-let recording d =
-  let log = ref [] in
-  let wrapped =
-    make ~name:(d.name ^ "+recorded") (fun h ->
-        let round = d.next h in
-        (* Copy: generators may reuse their output array as scratch. *)
-        log := Array.copy round :: !log;
-        round)
-  in
-  (wrapped, fun () -> List.rev !log)

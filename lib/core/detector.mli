@@ -14,8 +14,6 @@
 type t
 (** A fault-detector adversary for a fixed number of processes. *)
 
-val name : t -> string
-
 val make : name:string -> (Fault_history.t -> Pset.t array) -> t
 (** [make ~name next] builds a detector; [next history] must return the
     fault sets for round [Fault_history.rounds history + 1], one per
@@ -30,8 +28,8 @@ val next : t -> Fault_history.t -> Pset.t array
     one output array across rounds ({!Detector_gen.async},
     {!Detector_gen.k_set}), and {!constant} and the quiet tail of
     {!quiet_after} hand out one shared array.  A caller that keeps a
-    round past the next query must copy it ([Fault_history.append]
-    does; {!recording} does). *)
+    round past the next query must copy it (as [Fault_history.append]
+    does). *)
 
 val none : t
 (** The failure-free detector: [D(i,r) = ∅] always (perfect synchrony). *)
@@ -61,10 +59,3 @@ val constant : n:int -> Pset.t array -> t
 
 val map : name:string -> (Fault_history.t -> Pset.t array -> Pset.t array) -> t -> t
 (** [map ~name f d] post-processes [d]'s output each round. *)
-
-val recording : t -> t * (unit -> Pset.t array list)
-(** [recording d] is a detector behaving exactly like [d] that also logs
-    every round it produces; the second component returns the rounds so
-    far (first round first).  Replaying the log through {!of_schedule}
-    lets two algorithms face the {e same} adversary — the fair-comparison
-    harness used by the ablation experiments. *)

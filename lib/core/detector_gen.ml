@@ -44,7 +44,7 @@ let omission rng ~n ~f =
 
 let crash_name = names (Printf.sprintf "gen-crash(f=%d)")
 
-let crash ?(crash_probability = 0.3) rng ~n ~f =
+let crash rng ~n ~f =
   check_nf ~n ~f;
   let crashed = ref Pset.empty and out = Array.make n Pset.empty in
   (* Processes crashing in the round being built: receivers in the partial
@@ -54,7 +54,7 @@ let crash ?(crash_probability = 0.3) rng ~n ~f =
         Pset.filter
           (fun _ ->
             Pset.cardinal !crashed < f
-            && Rng.float rng 1.0 < crash_probability)
+            && Rng.float rng 1.0 < 0.3)
           (Pset.diff (Pset.full n) !crashed)
       in
       (* Respect the global bound even if the filter picked too many. *)

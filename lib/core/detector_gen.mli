@@ -10,13 +10,12 @@ val omission : Dsim.Rng.t -> n:int -> f:int -> Detector.t
     at most [f] is sampled once; every round every process misses an
     arbitrary subset of [F] (never itself). *)
 
-val crash : ?crash_probability:float -> Dsim.Rng.t -> n:int -> f:int -> Detector.t
+val crash : Dsim.Rng.t -> n:int -> f:int -> Detector.t
 (** Satisfies [Predicate.crash ~f]: processes crash at random rounds (at most
-    [f] in total; each not-yet-crashed process crashes with
-    [crash_probability] per round, default [0.3]).  A process crashing at
-    round [r] is missed by a random (possibly empty) subset of receivers at
-    [r] and by everybody afterwards, which is exactly the crash-closure
-    predicate. *)
+    [f] in total; each not-yet-crashed process crashes with probability
+    0.3 per round).  A process crashing at round [r] is missed by a random
+    (possibly empty) subset of receivers at [r] and by everybody
+    afterwards, which is exactly the crash-closure predicate. *)
 
 val async : Dsim.Rng.t -> n:int -> f:int -> Detector.t
 (** Satisfies [Predicate.async_resilient ~f]: independent uniform fault sets

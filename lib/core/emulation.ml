@@ -5,13 +5,14 @@ type closure_result = {
 
 let heard n fault_sets i = Pset.add i (Pset.diff (Pset.full n) fault_sets.(i))
 
-let closure_from ~n ~detector history =
+let two_round_closure ~n ~detector =
+  let history = Fault_history.empty ~n in
   (* Copied: [d1] is read after the second query, which may reuse the
      detector's output array (see Detector.next). *)
   let d1 = Array.copy (Detector.next detector history) in
   let history = Fault_history.append history d1 in
   let d2 = Detector.next detector history in
-  let history = Fault_history.append history d2 in
+  let underlying = Fault_history.append history d2 in
   let simulated =
     Array.init n (fun i ->
         let relayed =
@@ -21,22 +22,7 @@ let closure_from ~n ~detector history =
         in
         Pset.diff (Pset.full n) relayed)
   in
-  (simulated, history)
-
-let two_round_closure ~n ~detector =
-  let simulated, underlying =
-    closure_from ~n ~detector (Fault_history.empty ~n)
-  in
   { simulated; underlying }
-
-let simulate_rounds ~n ~rounds ~detector =
-  let rec go r sim_h underlying =
-    if r > rounds then (sim_h, underlying)
-    else
-      let simulated, underlying = closure_from ~n ~detector underlying in
-      go (r + 1) (Fault_history.append sim_h simulated) underlying
-  in
-  go 1 (Fault_history.empty ~n) (Fault_history.empty ~n)
 
 let knowledge_rounds history =
   let n = Fault_history.n history in
@@ -70,6 +56,3 @@ let known_by_all_observed ~n ~detector ~max_rounds =
   in
   let history = materialise (Fault_history.empty ~n) 1 in
   (knowledge_rounds history, history)
-
-let known_by_all_within ~n ~detector ~max_rounds =
-  fst (known_by_all_observed ~n ~detector ~max_rounds)

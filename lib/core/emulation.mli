@@ -31,27 +31,18 @@ type closure_result = {
 val two_round_closure : n:int -> detector:Detector.t -> closure_result
 (** Run the construction for one simulated round on a fresh history. *)
 
-val simulate_rounds :
-  n:int -> rounds:int -> detector:Detector.t -> Fault_history.t * Fault_history.t
-(** [simulate_rounds ~n ~rounds ~detector] iterates the closure: returns
-    [(simulated, underlying)] histories of [rounds] and [2 * rounds] rounds
-    respectively. *)
-
 val knowledge_rounds : Fault_history.t -> int option
 (** Given a fault history, propagate knowledge of round-1 emissions —
     process [i] learns everything known by every process outside [D(i,r)] —
     and return the first round by which {e some} process's round-1 emission
     is known to all, if it happens within the history. *)
 
-val known_by_all_within : n:int -> detector:Detector.t -> max_rounds:int -> int option
-(** Drive a detector for up to [max_rounds] rounds and report the first
-    round at which someone is known by all. *)
-
 val known_by_all_observed :
   n:int ->
   detector:Detector.t ->
   max_rounds:int ->
   int option * Fault_history.t
-(** {!known_by_all_within} additionally returning the materialised history
-    (always [max_rounds] long, same detector consumption), so callers can
-    account the work via {!Counters.of_history}. *)
+(** Drive a detector for [max_rounds] rounds and report the first round
+    at which someone is known by all, with the materialised history
+    (always [max_rounds] long), so callers can account the work via
+    {!Counters.of_history}. *)

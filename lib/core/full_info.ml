@@ -4,38 +4,6 @@ type t =
 
 let owner = function Initial (p, _) -> p | Node { owner; _ } -> owner
 
-let depth = function Initial _ -> 0 | Node { round; _ } -> round
-
-let rec knows_input_of v p =
-  match v with
-  | Initial (q, _) -> Proc.equal p q
-  | Node { heard; _ } ->
-    Array.exists
-      (function Some sub -> knows_input_of sub p | None -> false)
-      heard
-
-let known_inputs v =
-  let module M = Map.Make (Int) in
-  let rec collect v acc =
-    match v with
-    | Initial (p, value) -> M.add p value acc
-    | Node { heard; _ } ->
-      Array.fold_left
-        (fun acc sub ->
-          match sub with Some s -> collect s acc | None -> acc)
-        acc heard
-  in
-  M.bindings (collect v M.empty)
-
-let heard_from_last_round = function
-  | Initial _ -> Pset.empty
-  | Node { heard; _ } ->
-    let set = ref Pset.empty in
-    Array.iteri
-      (fun j sub -> if Option.is_some sub then set := Pset.add j !set)
-      heard;
-    !set
-
 let rec equal a b =
   match (a, b) with
   | Initial (p, v), Initial (q, w) -> Proc.equal p q && v = w
@@ -52,19 +20,6 @@ let rec equal a b =
            | None, Some _ | Some _, None -> false)
          a'.heard b'.heard
   | Initial _, Node _ | Node _, Initial _ -> false
-
-let rec pp ppf = function
-  | Initial (p, v) -> Format.fprintf ppf "%a:%d" Proc.pp p v
-  | Node { owner; round; heard; _ } ->
-    Format.fprintf ppf "%a@@%d⟨" Proc.pp owner round;
-    Array.iteri
-      (fun j sub ->
-        if j > 0 then Format.pp_print_string ppf " ";
-        match sub with
-        | None -> Format.pp_print_string ppf "×"
-        | Some s -> pp ppf s)
-      heard;
-    Format.pp_print_string ppf "⟩"
 
 let algorithm ~inputs =
   {

@@ -13,28 +13,7 @@ type t =
       (** [owner]'s knowledge after completing [round]: [heard.(j)] is
           [p_j]'s round view if received, [None] if [p_j ∈ faulty]. *)
 
-val owner : t -> Proc.t
-(** The process whose view this is. *)
-
-val depth : t -> int
-(** Number of completed rounds recorded ([Initial] has depth 0). *)
-
-val knows_input_of : t -> Proc.t -> bool
-(** [knows_input_of v p] is true iff [p]'s initial value occurs in [v]. *)
-
-val known_inputs : t -> (Proc.t * int) list
-(** All initial values occurring in the view, sorted by process, without
-    duplicates. *)
-
-val heard_from_last_round : t -> Pset.t
-(** The processes whose round view was received in the final round
-    (the complement of the final [faulty] set within the system).  For an
-    [Initial] view this is the empty set. *)
-
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit
-(** Compact printing: [Initial] as [p0:v], nodes as [p0@r⟨...⟩]. *)
 
 val algorithm : inputs:int array -> (t, t, t) Algorithm.t
 (** The full-information algorithm with the given initial values (one per

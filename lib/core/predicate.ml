@@ -402,19 +402,6 @@ let eventual_honest_kernel ~k =
                (n - Pset.cardinal last)
                k))
 
-let honest_kernel_start ~k h =
-  let n = Fault_history.n h in
-  let rounds = Fault_history.rounds h in
-  let rec scan r0 union =
-    if r0 < 1 then Some 1
-    else
-      let union = Pset.union union (Fault_history.round_union h ~round:r0) in
-      if n - Pset.cardinal union >= k then
-        match scan (r0 - 1) union with Some r -> Some r | None -> Some r0
-      else None
-  in
-  if rounds = 0 then None else scan rounds Pset.empty
-
 let not_all_faulty =
   per_proc ~name:"not-all-faulty" ~doc:"∀i,r. D(i,r) ≠ S"
     (fun h r i ->

@@ -136,13 +136,7 @@ val eventual_honest_kernel : k:int -> t
     [∃ r₀. |⋃_{r≥r₀} ⋃_i D(i,r)| ≤ n − k] — from some round on, a kernel
     of at least [k] processes is never suspected or lied about.  On a
     finite prefix the suffix union is monotone in its start round, so
-    this holds iff the final round leaves [k] processes clean;
-    {!honest_kernel_start} reports the earliest such suffix. *)
-
-val honest_kernel_start : k:int -> Fault_history.t -> int option
-(** The earliest round [r₀] witnessing {!eventual_honest_kernel} — the
-    diagnostic behind the predicate — or [None] if no suffix (or an empty
-    history) qualifies. *)
+    this holds iff the final round leaves [k] processes clean. *)
 
 val not_all_faulty : t
 (** Sanity property noted in Sec. 1: [D(i,r) ≠ S] (not every process can be

@@ -1,13 +1,5 @@
 type t = int
 
-let compare = Int.compare
-
 let equal = Int.equal
 
 let pp ppf p = Format.fprintf ppf "p%d" p
-
-let to_string p = "p" ^ string_of_int p
-
-let all n =
-  if n < 0 then invalid_arg "Proc.all: negative n";
-  List.init n Fun.id

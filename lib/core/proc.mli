@@ -8,16 +8,7 @@
 type t = int
 (** A process identifier; always non-negative. *)
 
-val compare : t -> t -> int
-(** Standard total order on identifiers. *)
-
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
 (** Prints as [p3]. *)
-
-val to_string : t -> string
-
-val all : int -> t list
-(** [all n] is [[0; 1; ...; n-1]].
-    @raise Invalid_argument if [n < 0]. *)

@@ -21,8 +21,6 @@ let bits_per_word = 62
    0x3FFF_FFFF_FFFF_FFFF — exactly the 62 low bits. *)
 let word_mask = (1 lsl bits_per_word) - 1
 
-let small_universe = bits_per_word
-
 (* Sanity bound, not a representation limit: wide sets grow by whole
    words, so this only caps absurd ids (and keeps error messages
    finite).  2^30 processes is far past any campaign we can run. *)
@@ -157,17 +155,6 @@ let[@inline] popcount x =
    [x land -x] isolates the bit, minus one masks everything below it. *)
 let[@inline] ctz x = popcount ((x land -x) - 1)
 
-(* Index of the highest set bit of a nonzero word: smear the top bit
-   down, then count. *)
-let top_index x =
-  let x = x lor (x lsr 1) in
-  let x = x lor (x lsr 2) in
-  let x = x lor (x lsr 4) in
-  let x = x lor (x lsr 8) in
-  let x = x lor (x lsr 16) in
-  let x = x lor (x lsr 32) in
-  popcount x - 1
-
 let[@inline] cardinal s =
   if is_small s then popcount (to_small s)
   else Array.fold_left (fun acc w -> acc + popcount w) 0 (to_words s)
@@ -237,14 +224,6 @@ let compare a b =
       go (Array.length x - 1)
     end
 
-let disjoint a b =
-  if is_small a || is_small b then word a 0 land word b 0 = 0
-  else begin
-    let k = if nwords a < nwords b then nwords a else nwords b in
-    let rec go i = i >= k || (word a i land word b i = 0 && go (i + 1)) in
-    go 0
-  end
-
 (* Index of the lowest set bit; undefined on empty (guarded by callers). *)
 let lowest_index s =
   if is_small s then ctz (to_small s)
@@ -279,8 +258,6 @@ let to_list s = List.rev (fold (fun p acc -> p :: acc) s [])
 
 let for_all f s = fold (fun p acc -> acc && f p) s true
 
-let exists f s = fold (fun p acc -> acc || f p) s false
-
 (* [f] is consulted once per member in ascending order — seeded callers
    (random_subset) rely on that exact consumption pattern. *)
 let filter f s =
@@ -303,16 +280,6 @@ let filter f s =
 let min_elt s = if is_empty s then None else Some (lowest_index s)
 
 let[@inline] lowest s = if is_empty s then -1 else lowest_index s
-
-let max_elt s =
-  if is_empty s then None
-  else if is_small s then Some (top_index (to_small s))
-  else begin
-    let a = to_words s in
-    let i = Array.length a - 1 in
-    (* Last word nonzero by canonicity. *)
-    Some ((i * bits_per_word) + top_index a.(i))
-  end
 
 (* Index of the (i+1)-th set bit of [w]; requires [i < popcount w]. *)
 let nth_in_word w i =
@@ -414,18 +381,6 @@ let subsets s =
   List.fold_left
     (fun acc p -> List.concat_map (fun sub -> [ sub; add p sub ]) acc)
     [ empty ] elements
-
-let subsets_of_size s k =
-  let rec choose elements k =
-    if k = 0 then [ empty ]
-    else
-      match elements with
-      | [] -> []
-      | p :: rest ->
-        let with_p = List.map (add p) (choose rest (k - 1)) in
-        with_p @ choose rest k
-  in
-  choose (to_list s) k
 
 let pp ppf s =
   let elements = to_list s in

@@ -1,7 +1,7 @@
 (** Immutable sets of process identifiers.
 
     A set is a width-polymorphic bitset with two representations behind
-    this abstract type: ids below {!small_universe} live in a single
+    this abstract type: ids below 62 live in a single
     immediate-int word (allocation-free, the common case for the paper's
     experiments), larger universes in a canonical multi-word array with
     62 bits per word.  All set algebra is word-at-a-time — O(n/62), not
@@ -14,14 +14,9 @@ val max_universe : int
 (** Upper bound on process ids (2{^30}).  A sanity bound, not a
     representation limit: wide sets grow by whole 62-bit words. *)
 
-val small_universe : int
-(** Ids below this bound (62) are stored in the one-word immediate-int
-    fast path; at or above it the set is promoted to the multi-word
-    representation. *)
-
 val is_small : t -> bool
 (** True iff the set is in the one-word representation, i.e. all its
-    elements are below {!small_universe}.  Representation introspection
+    elements are below 62.  Representation introspection
     for tests and diagnostics; the two representations are otherwise
     indistinguishable. *)
 
@@ -67,8 +62,6 @@ val compare : t -> t -> int
 (** A total order (small sets before wide ones, wide by width then
     most-significant word); consistent with {!equal}. *)
 
-val disjoint : t -> t -> bool
-
 val iter : (Proc.t -> unit) -> t -> unit
 (** Ascending order. *)
 
@@ -76,8 +69,6 @@ val fold : (Proc.t -> 'a -> 'a) -> t -> 'a -> 'a
 (** Ascending order. *)
 
 val for_all : (Proc.t -> bool) -> t -> bool
-
-val exists : (Proc.t -> bool) -> t -> bool
 
 val filter : (Proc.t -> bool) -> t -> t
 (** Consults the predicate once per member in ascending order (seeded
@@ -91,8 +82,6 @@ val lowest : t -> int
 (** Allocation-free {!min_elt}: the least identifier, or [-1] when the
     set is empty.  For per-delivery hot paths that cannot afford the
     option box. *)
-
-val max_elt : t -> Proc.t option
 
 val choose_nth : t -> int -> Proc.t
 (** [choose_nth s i] is the [i]-th smallest element.  Skips whole words
@@ -110,9 +99,6 @@ val random_subset_of_size : Dsim.Rng.t -> t -> int -> t
 val subsets : t -> t list
 (** All subsets of [s] (2^|s| of them), in an unspecified but deterministic
     order.  Intended only for small sets in exhaustive enumerations. *)
-
-val subsets_of_size : t -> int -> t list
-(** All k-element subsets of [s]. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints as [{p0,p2,p5}]. *)

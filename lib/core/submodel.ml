@@ -41,11 +41,6 @@ let check_sampled rng ~samples ~rounds ~gen ~n a b =
     Implies
   with Found h -> Counterexample h
 
-let pp_verdict ppf = function
-  | Implies -> Format.pp_print_string ppf "implies"
-  | Counterexample h ->
-    Format.fprintf ppf "counterexample:@ %a" Fault_history.pp h
-
 (* ------------------------------------------------------------------ *)
 (* Named-predicate lattice over one shared enumeration.                *)
 (* ------------------------------------------------------------------ *)
@@ -115,8 +110,6 @@ let lattice ~n ~rounds named =
   explore (Fault_history.empty ~n) 0;
   { l_n = n; l_rounds = rounds; l_names = names; l_sat = sat; l_total = total }
 
-let lattice_names l = Array.to_list l.l_names
-
 let index l name =
   let rec find i =
     if i >= Array.length l.l_names then
@@ -129,8 +122,6 @@ let index l name =
   in
   find 0
 
-let mem l name = Array.exists (fun n -> n = name) l.l_names
-
 let implies l a b = bytes_subset l.l_sat.(index l a) l.l_sat.(index l b)
 
 let equivalent l a b =
@@ -139,28 +130,6 @@ let equivalent l a b =
 let strictly_stronger l a b =
   let sa = l.l_sat.(index l a) and sb = l.l_sat.(index l b) in
   bytes_subset sa sb && not (Bytes.equal sa sb)
-
-let immediate_stronger l name =
-  let covers cand =
-    strictly_stronger l cand name
-    && not
-         (Array.exists
-            (fun mid ->
-              strictly_stronger l cand mid && strictly_stronger l mid name)
-            l.l_names)
-  in
-  List.filter covers (lattice_names l)
-
-let immediate_weaker l name =
-  let covered cand =
-    strictly_stronger l name cand
-    && not
-         (Array.exists
-            (fun mid ->
-              strictly_stronger l name mid && strictly_stronger l mid cand)
-            l.l_names)
-  in
-  List.filter covered (lattice_names l)
 
 let bytes_inter a b =
   let out = Bytes.copy a in
@@ -189,9 +158,6 @@ let meet_sat l names =
       (fun acc name -> bytes_inter acc l.l_sat.(index l name))
       (Bytes.copy l.l_sat.(index l first))
       rest
-
-let meet_implies l names target =
-  bytes_subset (meet_sat l names) l.l_sat.(index l target)
 
 let minimal_conjuncts l names =
   List.iter (fun n -> ignore (index l n)) names;

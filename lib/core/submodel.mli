@@ -38,8 +38,6 @@ val check_sampled :
     that do not satisfy [a] (a generator bug), and reports any that violate
     [b]. *)
 
-val pp_verdict : Format.formatter -> verdict -> unit
-
 (** {1 The named-predicate lattice}
 
     Answering many order queries over the same predicate vocabulary with
@@ -47,7 +45,7 @@ val pp_verdict : Format.formatter -> verdict -> unit
     {!lattice} walks the space {e once} — every history of depth
     [0..rounds] over [n] processes — and records, per named predicate, the
     bitset of histories it accepts; every subsequent query (implication,
-    equivalence, immediate neighbours, redundant conjuncts) is bitset
+    equivalence, redundant conjuncts, the weakest members) is bitset
     algebra.  Sound and complete for the enumerated size, exactly like
     {!check_exhaustive}: intended for [n ≤ 3], [rounds ≤ 2]. *)
 
@@ -60,8 +58,6 @@ val lattice : n:int -> rounds:int -> (string * Predicate.t) list -> lattice
     included).  Names are the query keys and must be distinct.
     @raise Invalid_argument on an empty or duplicate-named vocabulary. *)
 
-val mem : lattice -> string -> bool
-
 val implies : lattice -> string -> string -> bool
 (** [implies l a b]: every enumerated history satisfying [a] satisfies
     [b] — the submodel order of Section 2 restricted to the vocabulary.
@@ -73,19 +69,6 @@ val equivalent : lattice -> string -> string -> bool
 val strictly_stronger : lattice -> string -> string -> bool
 (** [strictly_stronger l a b]: [a]'s history set is a proper subset of
     [b]'s. *)
-
-val immediate_stronger : lattice -> string -> string list
-(** Covers from below: names strictly stronger than the argument with no
-    third name strictly between — the downward neighbours a derived
-    predicate must refute to be tight. *)
-
-val immediate_weaker : lattice -> string -> string list
-(** Covers from above. *)
-
-val meet_implies : lattice -> string list -> string -> bool
-(** [meet_implies l names target]: the conjunction of [names] implies
-    [target] over the enumerated space ([names = []] is the empty
-    conjunction, i.e. [true]). *)
 
 val minimal_conjuncts : lattice -> string list -> string list
 (** Drop every name implied by the conjunction of the others, in one

@@ -21,8 +21,6 @@ let[@inline] get v j =
   if Pset.mem j v.heard then v.msgs.(j)
   else invalid_arg "View.get: process not heard from"
 
-let find v j = if mem v j then Some v.msgs.(j) else None
-
 let fold f v init = Pset.fold (fun j acc -> f j v.msgs.(j) acc) v.heard init
 
 let iter f v = Pset.iter (fun j -> f j v.msgs.(j)) v.heard

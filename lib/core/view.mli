@@ -39,10 +39,6 @@ val get : 'm t -> Proc.t -> 'm
 (** [get v j] is [j]'s round message.
     @raise Invalid_argument if [j ∉ heard v]. *)
 
-val find : 'm t -> Proc.t -> 'm option
-(** [find v j] is [Some (get v j)] when [j ∈ heard v], else [None] —
-    the literal translation of the old [received.(j)]. *)
-
 val fold : (Proc.t -> 'm -> 'a -> 'a) -> 'm t -> 'a -> 'a
 (** Fold over the heard messages in ascending sender order. *)
 

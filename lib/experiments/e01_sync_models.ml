@@ -1,7 +1,7 @@
 (* E1 — items 1 and 2: real synchronous executions induce exactly the
    omission / crash RRFD predicates. *)
 
-let run ?(seed = 1) ?(trials = 200) () =
+let run ~seed ?(trials = 200) () =
   let rng = Dsim.Rng.create seed in
   let rows = ref [] in
   let sizes = [ (4, 1); (4, 3); (8, 3); (8, 7); (16, 5); (16, 15) ] in

@@ -2,7 +2,7 @@
    asynchronous network implements predicate (3), and two rounds of the
    weaker system B implement one round of system A. *)
 
-let run ?(seed = 2) ?(trials = 100) () =
+let run ~seed ?(trials = 100) () =
   let rng = Dsim.Rng.create seed in
   let rows = ref [] in
   (* Part 1: the round layer. *)

@@ -1,7 +1,7 @@
 (* E3 — item 4: shared memory ↔ predicates (3)∧(4); 2 message-passing
    rounds implement one shared-memory round when 2f < n. *)
 
-let run ?(seed = 3) ?(trials = 200) () =
+let run ~seed ?(trials = 200) () =
   let rng = Dsim.Rng.create seed in
   let rows = ref [] in
   List.iter

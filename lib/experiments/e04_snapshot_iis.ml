@@ -1,7 +1,7 @@
 (* E4 — item 5: real immediate-snapshot executions generate exactly the
    atomic-snapshot RRFD predicate. *)
 
-let run ?(seed = 4) ?(trials = 200) () =
+let run ~seed ?(trials = 200) () =
   let rng = Dsim.Rng.create seed in
   let rows = ref [] in
   List.iter

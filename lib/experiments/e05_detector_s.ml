@@ -2,7 +2,7 @@
    omission with f = n − 1, reducing wait-free S-consensus to item-1
    consensus by predicate manipulation. *)
 
-let run ?(seed = 5) ?(trials = 300) () =
+let run ~seed ?(trials = 300) () =
   let rng = Dsim.Rng.create seed in
   let rows = ref [] in
   List.iter

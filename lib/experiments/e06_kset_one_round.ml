@@ -3,7 +3,7 @@
    The trial loop is a Runtime.Campaign: each trial draws its RNG from
    (seed, case, trial) so the table is identical for every -j. *)
 
-let run ?(seed = 6) ?(trials = 500) ?jobs () =
+let run ~seed ?(trials = 500) ?jobs () =
   let cases =
     [ (4, 1); (4, 2); (4, 3); (8, 1); (8, 3); (8, 7); (16, 2); (16, 5); (24, 4) ]
   in

@@ -2,7 +2,7 @@
    (snapshot) system with at most k − 1 failures, because the item-5 RRFD
    with f = k − 1 is a submodel of the k-set detector. *)
 
-let run ?(seed = 7) ?(trials = 400) () =
+let run ~seed ?(trials = 400) () =
   let rng = Dsim.Rng.create seed in
   let rows = ref [] in
   let work = ref [] in

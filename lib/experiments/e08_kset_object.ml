@@ -1,7 +1,7 @@
 (* E8 — Theorem 3.3: a k-set-consensus object plus SWMR memory implements
    the k-set RRFD. *)
 
-let run ?(seed = 8) ?(trials = 400) () =
+let run ~seed ?(trials = 400) () =
   let rng = Dsim.Rng.create seed in
   let rows = ref [] in
   let work = ref [] in

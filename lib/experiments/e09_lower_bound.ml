@@ -15,7 +15,7 @@ let distinct_live (ex : int Rrfd.Substrate.execution) =
            if Rrfd.Pset.mem i ex.Rrfd.Substrate.crashed then None else d)
          ex.Rrfd.Substrate.decisions)
 
-let run ?(seed = 9) ?(trials = 1) ?jobs () =
+let run ~seed ?(trials = 1) ?jobs () =
   ignore trials;
   let cases = [ (1, 3); (2, 2); (2, 3); (3, 2); (4, 2) ] in
   let units =

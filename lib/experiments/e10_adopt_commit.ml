@@ -1,7 +1,7 @@
 (* E10 — Section 4.2: the wait-free adopt-commit protocol, register and
    RRFD versions, under random interleavings / snapshot adversaries. *)
 
-let run ?(seed = 10) ?(trials = 500) () =
+let run ~seed ?(trials = 500) () =
   let rng = Dsim.Rng.create seed in
   let rows = ref [] in
   let work = ref [] in

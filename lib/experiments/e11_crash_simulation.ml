@@ -5,7 +5,7 @@
    Trials run as a Runtime.Campaign with per-(case, trial) RNG derivation;
    the avg-crashes cell is the campaign mean via Runtime.Stats. *)
 
-let run ?(seed = 11) ?(trials = 200) ?jobs () =
+let run ~seed ?(trials = 200) ?jobs () =
   let cases = [ (4, 1, 2); (4, 1, 3); (6, 2, 2); (8, 2, 3); (10, 3, 2) ] in
   let work = ref [] in
   let rows =

@@ -1,7 +1,7 @@
 (* E12 — Theorem 5.1: consensus in 2 steps in the semi-synchronous model,
    against a Θ(n)-step baseline — the answer to the DDS open problem. *)
 
-let run ?(seed = 12) ?(trials = 300) () =
+let run ~seed ?(trials = 300) () =
   let rng = Dsim.Rng.create seed in
   let rows = ref [] in
   List.iter

@@ -1,7 +1,7 @@
 (* E13 — the submodel lattice of Section 2, checked exhaustively over every
    two-round history of a three-process system. *)
 
-let run ?(seed = 13) ?(trials = 0) () =
+let run ~seed ?(trials = 0) () =
   ignore seed;
   ignore trials;
   let open Rrfd.Predicate in

@@ -6,7 +6,7 @@
    The sampled rows are Runtime.Campaigns: per-(n, trial) RNG derivation
    keeps the worst-round figure identical across -j. *)
 
-let run ?(seed = 14) ?(trials = 2000) ?jobs () =
+let run ~seed ?(trials = 2000) ?jobs () =
   let rows = ref [] in
   let work = ref [] in
   (* Exhaustive at n = 2 and 3. *)

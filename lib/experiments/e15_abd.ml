@@ -1,7 +1,7 @@
 (* E15 — item 4's substrate citation [22]: SWMR atomic registers from
    asynchronous message passing with a correct majority (ABD). *)
 
-let run ?(seed = 15) ?(trials = 150) () =
+let run ~seed ?(trials = 150) () =
   let rng = Dsim.Rng.create seed in
   let rows = ref [] in
   List.iter

@@ -2,7 +2,7 @@
    (heartbeats + rotating coordinator over the asynchronous network),
    the approach the RRFD framework reinterprets. *)
 
-let run ?(seed = 16) ?(trials = 60) () =
+let run ~seed ?(trials = 60) () =
   let rng = Dsim.Rng.create seed in
   let rows = ref [] in
   List.iter

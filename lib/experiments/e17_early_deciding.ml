@@ -8,7 +8,7 @@ let latest_decision_round (ex : int Rrfd.Substrate.execution) =
     (fun acc r -> match r with Some round -> max acc round | None -> acc)
     0 ex.Rrfd.Substrate.decision_rounds
 
-let run ?(seed = 17) ?(trials = 150) () =
+let run ~seed ?(trials = 150) () =
   let rng = Dsim.Rng.create seed in
   let rows = ref [] in
   let work = ref [] in

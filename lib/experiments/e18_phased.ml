@@ -3,7 +3,7 @@
    candidate rounds until a "GST" round, snapshot-style adopt-commit rounds
    throughout): safe always, live one phase after stabilisation. *)
 
-let run ?(seed = 18) ?(trials = 300) () =
+let run ~seed ?(trials = 300) () =
   let rng = Dsim.Rng.create seed in
   let rows = ref [] in
   let work = ref [] in

@@ -3,7 +3,7 @@
    k-resilient n-process execution; each simulator crash wedges at most
    one safe-agreement doorway, stalling at most one simulated process. *)
 
-let run ?(seed = 19) ?(trials = 200) () =
+let run ~seed ?(trials = 200) () =
   let rng = Dsim.Rng.create seed in
   let rows = ref [] in
   List.iter

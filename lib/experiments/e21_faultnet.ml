@@ -130,7 +130,7 @@ let run_trial ~adversary ~n ~f ~rounds ~rng =
 let artifact_field histories =
   Report.Codec.("histories", (assoc (list string)).enc histories)
 
-let run ?(seed = 21) ?(trials = 40) ?jobs () =
+let run ~seed ?(trials = 40) ?jobs () =
   let n = 5 and f = 2 and rounds = 4 in
   let work = ref [] in
   let histories = ref [] in

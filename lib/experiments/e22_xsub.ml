@@ -142,7 +142,7 @@ let artifact_field details =
              ])
          details) )
 
-let run ?(seed = 22) ?(trials = 30) ?jobs () =
+let run ~seed ?(trials = 30) ?jobs () =
   let work = ref [] in
   let details = ref [] in
   let cell_idx = ref 0 in

@@ -47,7 +47,7 @@ type recorded = {
 
 (* {2 The live phase} *)
 
-let collect ?(seed = 23) ?(trials = 12) ?jobs () =
+let collect ~seed ?(trials = 12) ?jobs () =
   let proto = Protocols.Catalog.find_exn protocol in
   let cell_idx = ref 0 in
   List.concat_map
@@ -208,7 +208,7 @@ let table_of records =
         (Array.concat (List.map (fun c -> c.counters) cells));
   }
 
-let run ?seed ?trials ?jobs () = table_of (collect ?seed ?trials ?jobs ())
+let run ~seed ?trials ?jobs () = table_of (collect ~seed ?trials ?jobs ())
 
 (* {2 Artifact codec}
 

@@ -188,7 +188,7 @@ let artifact_field digests =
   in
   ("digests", Report.Json.List (List.map digest_json digests))
 
-let run ?(seed = 24) ?(trials = 50) ?jobs () =
+let run ~seed ?(trials = 50) ?jobs () =
   let work = ref [] in
   let digests = ref [] in
   let rows =

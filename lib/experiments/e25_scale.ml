@@ -161,7 +161,7 @@ type cell = {
   digests : digest array;
 }
 
-let collect ?(seed = 25) ?(trials = 6) ?jobs ?(ns = default_ns) () =
+let collect ~seed ?(trials = 6) ?jobs ?(ns = default_ns) () =
   let cell_idx = ref 0 in
   List.concat_map
     (fun probe ->
@@ -228,11 +228,11 @@ let table_of cells =
         (Array.concat (List.map (fun c -> Array.map (fun d -> d.counters) c.digests) cells));
   }
 
-let run_detailed ?seed ?trials ?jobs ?ns () =
-  let cells = collect ?seed ?trials ?jobs ?ns () in
+let run_detailed ~seed ?trials ?jobs ?ns () =
+  let cells = collect ~seed ?trials ?jobs ?ns () in
   (table_of cells, cells)
 
-let run ?seed ?trials ?jobs () = fst (run_detailed ?seed ?trials ?jobs ())
+let run ~seed ?trials ?jobs () = fst (run_detailed ~seed ?trials ?jobs ())
 
 (* {2 Artifact codec}
 
@@ -293,7 +293,7 @@ type measurement = {
   m_ok : bool;
 }
 
-let measure ~now_ns ?(seed = 25) ?(ns = [ 100 ]) ?(repeats = 2) () =
+let measure ~now_ns ~seed ~ns ~repeats () =
   List.concat_map
     (fun probe ->
       List.map

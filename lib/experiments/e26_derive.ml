@@ -44,7 +44,7 @@ let artifact_field rows =
              ])
          rows) )
 
-let run ?(seed = 26) ?(trials = 250) ?jobs () =
+let run ~seed ?(trials = 250) ?jobs () =
   let fuzz_cfg =
     {
       Check.Derive.default_config with

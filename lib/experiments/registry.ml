@@ -14,13 +14,12 @@ let default_seed = 0
    out over that many domains (None = all cores) with the table guaranteed
    identical either way.  [with_field] experiments also return their
    artifact's extra field. *)
-let wrap f ~seed ~trials ~jobs:_ = (f ?seed:(Some seed) ?trials (), None)
+let wrap f ~seed ~trials ~jobs:_ = (f ~seed ?trials (), None)
 
-let wrap_campaign f ~seed ~trials ~jobs =
-  (f ?seed:(Some seed) ?trials ?jobs (), None)
+let wrap_campaign f ~seed ~trials ~jobs = (f ~seed ?trials ?jobs (), None)
 
 let with_field f ~seed ~trials ~jobs =
-  let table, field = f ?seed:(Some seed) ?trials ?jobs () in
+  let table, field = f ~seed ?trials ?jobs () in
   (table, Some field)
 
 let all =

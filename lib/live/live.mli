@@ -33,8 +33,9 @@ module Mailbox = Mailbox
 
 val max_processes : int
 (** Largest supported [n] (127): this substrate spawns one OCaml domain
-    per process and the runtime caps domains at ~128.  Simulated
-    substrates scale far wider — see {!Rrfd.Pset.max_universe}. *)
+    per process and the runtime allows 128 domains, the calling one
+    included.  The CLI's [-j] shares this cap.  Simulated substrates
+    scale far wider — see {!Rrfd.Pset.max_universe}. *)
 
 val run :
   ?patience:Patience.t ->

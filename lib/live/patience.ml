@@ -42,5 +42,3 @@ let to_string = function
   | Wait_all -> "all"
   | Wait_quorum -> "quorum"
   | Deadline ns -> Printf.sprintf "deadline:ns=%Ld" ns
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

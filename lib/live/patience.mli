@@ -35,5 +35,3 @@ val of_spec : string -> (t, string) result
 
 val to_string : t -> string
 (** Inverse of {!of_spec}, canonical form (deadlines in ns). *)
-
-val pp : Format.formatter -> t -> unit

@@ -120,8 +120,10 @@ type t = {
   mutable network : message Network.t option;
   mutable events : History0.event list; (* response order, newest first *)
   retry_every : float option;
-  retry_horizon : float;
 }
+
+(* Retries stop at this virtual time. *)
+let retry_horizon = 600.0
 
 let net t = Option.get t.network
 
@@ -158,7 +160,7 @@ let arm_retry t op =
         | Read_write_back { ts; value = Some v; _ } ->
           Network.broadcast (net t) ~from:owner (Update { ts; value = v; op })
         | Read_write_back { value = None; _ } -> ());
-        if Dsim.Sim.now sim +. every <= t.retry_horizon then
+        if Dsim.Sim.now sim +. every <= retry_horizon then
           Dsim.Sim.schedule sim ~delay:every retry
     in
     Dsim.Sim.schedule t.sim ~delay:every retry
@@ -238,15 +240,13 @@ let handle t ~to_ ~from msg =
       else Hashtbl.replace t.pending op (owner, Read_query { q with replies })
     | Some _ | None -> ())
 
-let create ~sim ~n ~f ~writer ?min_delay ?max_delay ?adversary ?retry_every
-    ?(retry_horizon = 600.0) () =
+let create ~sim ~n ~f ~writer ?min_delay ?max_delay ?adversary () =
   if f < 0 || 2 * f >= n then invalid_arg "Abd.create: need 0 ≤ 2f < n";
   if writer < 0 || writer >= n then invalid_arg "Abd.create: writer out of range";
   let retry_every =
-    match (retry_every, adversary) with
-    | Some e, _ -> Some e
-    | None, Some a when not (Adversary.is_noop a) -> Some 10.0
-    | None, _ -> None
+    match adversary with
+    | Some a when not (Adversary.is_noop a) -> Some 10.0
+    | Some _ | None -> None
   in
   let t =
     {
@@ -261,7 +261,6 @@ let create ~sim ~n ~f ~writer ?min_delay ?max_delay ?adversary ?retry_every
       network = None;
       events = [];
       retry_every;
-      retry_horizon;
     }
   in
   let deliver _sim ~to_ ~from msg = handle t ~to_ ~from msg in

@@ -28,17 +28,14 @@ val create :
   ?min_delay:float ->
   ?max_delay:float ->
   ?adversary:Adversary.t ->
-  ?retry_every:float ->
-  ?retry_horizon:float ->
   unit ->
   t
 (** [create ~sim ~n ~f ~writer ()] sets up the protocol among [n]
     processes.  Quorums are counted over distinct replicas, so a
-    duplicating [adversary] cannot fake one.  When an adversary is present
-    (or [retry_every] is given), pending operations rebroadcast their
-    message every [retry_every] (default 10.0) until [retry_horizon]
-    (default 600.0) virtual time, so drops and healed partitions delay
-    quorums instead of starving them.
+    duplicating [adversary] cannot fake one.  When an adversary is present,
+    pending operations rebroadcast their message every 10.0 until virtual
+    time 600.0, so drops and healed partitions delay quorums instead of
+    starving them.
     @raise Invalid_argument unless [0 ≤ 2f < n]. *)
 
 val write : t -> value:int -> on_done:(unit -> unit) -> unit

@@ -137,8 +137,6 @@ let accused_set accusations =
 (* Strategies.                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let honest ~n : strategy option array = Array.make n None
-
 let rec pow base e = if e = 0 then 1 else base * pow base (e - 1)
 
 let vote_strategy_count ~n ~values =
@@ -196,7 +194,6 @@ let run ?(seed = 0) ?min_delay ?max_delay ~n ~f ~inputs ~strategies () =
     if Pset.is_empty byzantine then Adversary.none
     else
       Adversary.make
-        ~spec:(Printf.sprintf "byz(programmed m=%d)" (Pset.cardinal byzantine))
         [
           Adversary.Byz
             {

@@ -90,12 +90,6 @@ val run :
     @raise Invalid_argument unless [0 ≤ f < n] and both arrays have
     length [n]. *)
 
-val audit : n:int -> f:int -> log:wire Network.signed list -> accusation list
-(** Pure replay of a signed log — no access to the execution, ground
-    truth, or strategies — producing one accusation per (signer, proof
-    class) conviction.  This is the function whose soundness and
-    completeness the E24 battery establishes. *)
-
 val pp_accusation : Format.formatter -> accusation -> unit
 (** ["p2: equivocation: #5 p2→p0@3.1 r1:vote 0 vs #9 p2→p3@4.2 r1:vote 1"]. *)
 
@@ -114,9 +108,6 @@ val conflicting_sends :
     repeat by design). *)
 
 (** {1 Strategy constructors} *)
-
-val honest : n:int -> strategy option array
-(** Everybody honest: [Array.make n None]. *)
 
 val random_strategy :
   Dsim.Rng.t ->

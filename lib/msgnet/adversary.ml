@@ -22,7 +22,6 @@ type atom =
    draws), drops, the delay modifiers (spikes and reorders) and
    duplications.  [plan_into] walks only these. *)
 type t = {
-  spec : string;
   atoms : atom list;
   noop : bool;
   cuts : atom array;
@@ -31,10 +30,9 @@ type t = {
   dups : atom array;
 }
 
-let make ~spec atoms =
+let make atoms =
   let only keep = Array.of_list (List.filter keep atoms) in
   {
-    spec;
     atoms;
     noop = atoms = [];
     cuts = only (function Partition _ -> true | _ -> false);
@@ -43,10 +41,8 @@ let make ~spec atoms =
     dups = only (function Duplicate _ -> true | _ -> false);
   }
 
-let none = make ~spec:"none" []
+let none = make []
 let is_noop t = t.noop
-let atoms t = t.atoms
-let spec t = t.spec
 
 let spec_names =
   "none, drop:p=<pct>, dup:p=<pct>,copies=<k>, spike:p=<pct>,factor=<x>, "
@@ -143,7 +139,7 @@ let of_spec s =
              match parsed with None -> Ok acc | Some a -> Ok (a :: acc))
            (Ok [])
     in
-    Ok (make ~spec:s (List.rev atoms))
+    Ok (make (List.rev atoms))
 
 let cuts blocks ~from ~to_ =
   match blocks with

@@ -62,15 +62,9 @@ val none : t
 
 val is_noop : t -> bool
 
-val make : spec:string -> atom list -> t
+val make : atom list -> t
 (** Programmatic construction, e.g. partitions over arbitrary
     {!Rrfd.Pset} blocks that the spec grammar cannot spell. *)
-
-val atoms : t -> atom list
-
-val spec : t -> string
-(** The policy's name — round-trips through {!of_spec} for every policy
-    built by it. *)
 
 val of_spec : string -> (t, string) result
 (** Parse a policy.  Atoms are joined with [+]; each is a bare name or
@@ -93,9 +87,6 @@ val of_spec : string -> (t, string) result
 
 val spec_names : string
 (** Comma-separated vocabulary for [--help] and error messages. *)
-
-val partitioned : t -> now:float -> from:Rrfd.Proc.t -> to_:Rrfd.Proc.t -> bool
-(** Whether some partition atom currently cuts the [from → to_] link. *)
 
 val byzantine : t -> n:int -> Rrfd.Pset.t
 (** Union of all [Byz] atoms' members, clipped to the [n]-process

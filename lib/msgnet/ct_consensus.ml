@@ -64,9 +64,11 @@ let equivocation_key (e : message Network.signed) =
   | New_estimate { phase; _ } -> Some (1, phase)
   | Heartbeat | Ack _ | Nack _ | Decide _ -> None
 
-let run ?(seed = 0) ?min_delay ?max_delay ?(crashes = []) ?adversary
-    ?(max_phases = 64) ?hb_interval ?hb_initial_timeout ?(horizon = 1000.0) ~n
-    ~f ~inputs () =
+(* Processes stop starting phases after this one. *)
+let max_phases = 64
+
+let run ?(seed = 0) ?(crashes = []) ?adversary ?hb_interval ?hb_initial_timeout
+    ?(horizon = 1000.0) ~n ~f ~inputs () =
   if 2 * f >= n then invalid_arg "Ct_consensus.run: need 2f < n";
   if List.length crashes > f then
     invalid_arg "Ct_consensus.run: more crashes than f";
@@ -222,7 +224,7 @@ let run ?(seed = 0) ?min_delay ?max_delay ?(crashes = []) ?adversary
   in
   network :=
     Some
-      (Network.create ~sim ~n ?min_delay ?max_delay ~adversary ?tamper
+      (Network.create ~sim ~n ~adversary ?tamper
          ~log_sends ~deliver:handle ());
   detector :=
     Some

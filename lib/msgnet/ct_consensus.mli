@@ -46,11 +46,8 @@ type result = {
 
 val run :
   ?seed:int ->
-  ?min_delay:float ->
-  ?max_delay:float ->
   ?crashes:(Rrfd.Proc.t * float) list ->
   ?adversary:Adversary.t ->
-  ?max_phases:int ->
   ?hb_interval:float ->
   ?hb_initial_timeout:float ->
   ?horizon:float ->
@@ -63,9 +60,8 @@ val run :
     lists processes with their crash times (at most [f], and [2f < n] must
     hold).  [adversary] damages the network (see {!Adversary}); safety
     must survive any policy, termination needs losses to eventually let a
-    phase through (e.g. a partition that heals).  [max_phases] (default
-    64) bounds the run; live processes are expected to decide well before
-    it.
+    phase through (e.g. a partition that heals).  At most 64 phases run;
+    live processes are expected to decide well before that.
 
     [hb_interval] and [hb_initial_timeout] tune the embedded {!Heartbeat}
     detector (defaults 5.0 / 12.0) and [horizon] (default 1000.0) bounds

@@ -27,8 +27,6 @@ let create ~n =
     lied_rows = Array.make (n * cap) Pset.empty;
   }
 
-let n t = t.n
-
 let completed t i =
   if i < 0 || i >= t.n then invalid_arg "Heard_of.completed: bad proc";
   t.count.(i)

@@ -19,8 +19,6 @@ val create : n:int -> t
     O(1).
     @raise Invalid_argument if [n] is out of {!Rrfd.Pset} range. *)
 
-val n : t -> int
-
 val note :
   t -> Rrfd.Proc.t -> round:int -> ?lied:Rrfd.Pset.t -> heard:Rrfd.Pset.t ->
   unit -> unit

@@ -69,5 +69,3 @@ let live_suspicions t ~among =
       done
   done;
   !pairs
-
-let converged t ~among = live_suspicions t ~among = []

@@ -48,6 +48,3 @@ val live_suspicions :
 (** Current [(observer, target)] suspicions restricted to [among] — the
     convergence probe for fault-injection runs: after a partition heals
     and timeouts adapt, suspicions among live processes must drain. *)
-
-val converged : t -> among:Rrfd.Pset.t -> bool
-(** [live_suspicions t ~among = []]. *)

@@ -164,7 +164,6 @@ let create ~sim ~n ?(min_delay = 1.0) ?(max_delay = 10.0)
   t
 
 let n t = t.n
-let adversary t = t.adversary
 
 (* A signature here is an unforgeable stamp of the true origin: the
    network records [signer = from] no matter what the payload claims, so

@@ -90,8 +90,6 @@ val create :
 
 val n : _ t -> int
 
-val adversary : _ t -> Adversary.t
-
 val send : 'msg t -> from:Rrfd.Proc.t -> to_:Rrfd.Proc.t -> ?delay:float -> 'msg -> unit
 (** Queue one message.  No-op if the sender has crashed.  An explicit
     [?delay] fixes the base delay but the adversary still applies. *)

@@ -64,8 +64,11 @@ let round_tags =
     decide = (fun _ -> None);
   }
 
-let run ?(seed = 0) ?min_delay ?max_delay ?(crashes = []) ?adversary
-    ?retransmit_every ?(horizon = 600.0) ~n ~f ~rounds ~algorithm () =
+(* Repair stops retransmitting at this virtual time. *)
+let repair_horizon = 600.0
+
+let run ?(seed = 0) ?(crashes = []) ?adversary ?retransmit_every ~n ~f ~rounds
+    ~algorithm () =
   if f < 0 || f >= n then invalid_arg "Round_layer.run: need 0 ≤ f < n";
   if rounds < 1 then invalid_arg "Round_layer.run: need rounds ≥ 1";
   if List.length crashes > f then
@@ -197,8 +200,7 @@ let run ?(seed = 0) ?min_delay ?max_delay ?(crashes = []) ?adversary
   in
   network :=
     Some
-      (Network.create ~sim ~n ?min_delay ?max_delay ~adversary ?tamper ~deliver
-         ());
+      (Network.create ~sim ~n ~adversary ?tamper ~deliver ());
   List.iter
     (fun (p, time) ->
       Dsim.Sim.schedule_at sim ~time (fun _ -> Network.crash (net ()) p))
@@ -217,7 +219,7 @@ let run ?(seed = 0) ?min_delay ?max_delay ?(crashes = []) ?adversary
           let r = proc.current_round in
           Network.broadcast (net ()) ~from:i ~self:false
             (r, proc.emitted.(r - 1), `Retry);
-          if Dsim.Sim.now sim +. every <= horizon then
+          if Dsim.Sim.now sim +. every <= repair_horizon then
             Dsim.Sim.schedule sim ~delay:every ticks.(i)
         end
       in

@@ -62,12 +62,9 @@ val round_tags : (int, int, unit) Rrfd.Algorithm.t
 
 val run :
   ?seed:int ->
-  ?min_delay:float ->
-  ?max_delay:float ->
   ?crashes:(Rrfd.Proc.t * float) list ->
   ?adversary:Adversary.t ->
   ?retransmit_every:float ->
-  ?horizon:float ->
   n:int ->
   f:int ->
   rounds:int ->
@@ -81,10 +78,10 @@ val run :
 
     [adversary] damages non-loopback messages (see {!Adversary}); when one
     is present the repair protocol is enabled with retransmission period
-    [retransmit_every] (default 10.0) until [horizon] (default 600.0)
-    virtual time.  Passing [retransmit_every] explicitly enables repair
-    even without an adversary.  Without repair the fault-free behaviour —
-    including its random delay stream — is unchanged.
+    [retransmit_every] (default 10.0) until virtual time 600.0.  Passing
+    [retransmit_every] explicitly enables repair even without an
+    adversary.  Without repair the fault-free behaviour — including its
+    random delay stream — is unchanged.
     @raise Invalid_argument if [rounds < 1], if [f] is outside
     [\[0, n)], if more than [f] crashes are requested or if
     [retransmit_every <= 0]. *)

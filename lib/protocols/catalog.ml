@@ -19,8 +19,6 @@ type t = {
 
 let name t = t.name
 
-let doc t = t.doc
-
 let horizon t = t.horizon
 
 let default_n t = t.default_n
@@ -30,13 +28,6 @@ let default_f t = t.default_f
 let pp_out t = t.pp_out
 
 let properties t = t.properties
-
-let faults t = t.faults
-
-(* Fault-model vocabulary every entry must draw from; the catalog
-   invariant test rejects anything else, so a new fault class has to be
-   added here deliberately rather than by typo. *)
-let known_faults = [ "crash"; "omission"; "byzantine" ]
 
 let default_inputs ~n = Tasks.Inputs.distinct n
 
@@ -250,18 +241,16 @@ let run_engine t ?inputs ?check ?stop_when_decided ?max_rounds ~n ~f
     ~algorithm:(p.algorithm ~inputs:(inputs_or ~n inputs) ~f)
     ~detector ()
 
-let run_sync t ?inputs ?check ?stop_when_decided ?rounds ~n ~f ~pattern () =
+let run_sync t ?inputs ?rounds ~n ~f ~pattern () =
   let (Packed p) = t.packed in
   Syncnet.Sync_net.run ~n ~rounds:(rounds_or t ~n ~f rounds) ~pattern
     ~algorithm:(p.algorithm ~inputs:(inputs_or ~n inputs) ~f)
-    ?check ?stop_when_decided ()
+    ()
 
-let run_msgnet t ?inputs ?crashes ?adversary ?min_delay ?max_delay
-    ?retransmit_every ?time_horizon ?rounds ~seed ~n ~f () =
+let run_msgnet t ?inputs ?crashes ?adversary ?rounds ~seed ~n ~f () =
   let (Packed p) = t.packed in
   Msgnet.Round_layer.execution
-    (Msgnet.Round_layer.run ~seed ?min_delay ?max_delay ?crashes ?adversary
-       ?retransmit_every ?horizon:time_horizon ~n ~f
+    (Msgnet.Round_layer.run ~seed ?crashes ?adversary ~n ~f
        ~rounds:(rounds_or t ~n ~f rounds)
        ~algorithm:(p.algorithm ~inputs:(inputs_or ~n inputs) ~f)
        ())

@@ -30,10 +30,12 @@ type t = {
       (** Default {!Check.Spec} property names the protocol answers to. *)
   faults : string list;
       (** Fault models the protocol's guarantees are stated against, drawn
-          from {!known_faults}.  Entries claiming ["byzantine"] must keep
-          their safety properties when adversary-marked processes lie
-          about content (E24's battery holds them to it); the others are
-          only ever exercised under crash/omission schedules. *)
+          from ["crash"], ["omission"] and ["byzantine"] (the catalog
+          invariant test rejects anything else).  Entries claiming
+          ["byzantine"] must keep their safety properties when
+          adversary-marked processes lie about content (E24's battery
+          holds them to it); the others are only ever exercised under
+          crash/omission schedules. *)
   packed : packed;
 }
 
@@ -49,8 +51,6 @@ val find_exn : string -> t
 
 val name : t -> string
 
-val doc : t -> string
-
 val horizon : t -> n:int -> f:int -> int
 
 val default_n : t -> int
@@ -60,13 +60,6 @@ val default_f : t -> n:int -> int
 val pp_out : t -> Format.formatter -> int -> unit
 
 val properties : t -> string list
-
-val faults : t -> string list
-
-val known_faults : string list
-(** The allowed fault-model vocabulary: ["crash"], ["omission"],
-    ["byzantine"].  The catalog invariant test rejects entries declaring
-    anything else. *)
 
 val default_inputs : n:int -> int array
 (** [Tasks.Inputs.distinct n] — every process proposes its own id, the
@@ -96,16 +89,15 @@ val run_engine :
 val run_sync :
   t ->
   ?inputs:int array ->
-  ?check:Rrfd.Predicate.t ->
-  ?stop_when_decided:bool ->
   ?rounds:int ->
   n:int ->
   f:int ->
   pattern:Syncnet.Faults.t ->
   unit ->
   int Rrfd.Substrate.execution
-(** The lock-step synchronous network ({!Syncnet.Sync_net.run}).
-    [rounds] defaults to the protocol's horizon at ([n], [f]). *)
+(** The lock-step synchronous network ({!Syncnet.Sync_net.run}, whose
+    defaults apply: no online check, stop once every live process has
+    decided).  [rounds] defaults to the protocol's horizon at ([n], [f]). *)
 
 val run_live :
   t ->
@@ -128,10 +120,6 @@ val run_msgnet :
   ?inputs:int array ->
   ?crashes:(Rrfd.Proc.t * float) list ->
   ?adversary:Msgnet.Adversary.t ->
-  ?min_delay:float ->
-  ?max_delay:float ->
-  ?retransmit_every:float ->
-  ?time_horizon:float ->
   ?rounds:int ->
   seed:int ->
   n:int ->
@@ -140,8 +128,7 @@ val run_msgnet :
   int Rrfd.Substrate.execution
 (** The event-driven asynchronous network ({!Msgnet.Round_layer.run},
     viewed through {!Msgnet.Round_layer.execution}).  [rounds] defaults
-    to the protocol's horizon; [time_horizon] is the simulated-time
-    repair cutoff ({!Msgnet.Round_layer.run}'s [horizon]). *)
+    to the protocol's horizon. *)
 
 val replay :
   t ->

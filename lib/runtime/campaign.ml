@@ -2,8 +2,6 @@ let run ?jobs ~seed ~trials f =
   Pool.map_range ?jobs ~n:trials (fun i ->
       f ~trial:i ~rng:(Dsim.Rng.derive ~seed ~stream:i))
 
-let run_stats ?jobs ~seed ~trials f = Stats.of_array (run ?jobs ~seed ~trials f)
-
 let search ?jobs ~seed ~trials f =
   Pool.search ?jobs ~n:trials (fun i ->
       f ~trial:i ~rng:(Dsim.Rng.derive ~seed ~stream:i))

@@ -21,15 +21,6 @@ val run :
     [f] must not touch shared mutable state: everything a trial needs is
     its index and its private RNG. *)
 
-val run_stats :
-  ?jobs:int ->
-  seed:int ->
-  trials:int ->
-  (trial:int -> rng:Dsim.Rng.t -> float) ->
-  Stats.t
-(** [run_stats] is {!run} followed by {!Stats.of_array}: the campaign's
-    observations summarised for a table cell. *)
-
 val search :
   ?jobs:int ->
   seed:int ->

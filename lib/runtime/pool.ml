@@ -3,8 +3,11 @@ let recommended_jobs () = Domain.recommended_domain_count ()
 (* Hand out [0, n) in chunks through a shared cursor.  The calling domain
    participates as a worker, so [jobs] counts it: jobs = 4 spawns 3.  Every
    worker runs [body start stop] on disjoint chunks; exceptions are collected
-   and the first one re-raised only after every domain has been joined, so a
-   failing trial can never leak a running domain. *)
+   and the first one re-raised only after every spawned domain has been
+   joined, so neither a failing trial nor a failed spawn (the runtime caps
+   the number of domains) can leak a running domain.  After a failed spawn
+   the calling domain does not work; the domains already spawned drain the
+   cursor. *)
 let run_chunked ~jobs ~n body =
   let workers = min jobs n in
   if workers <= 1 then (if n > 0 then body 0 n)
@@ -25,9 +28,16 @@ let run_chunked ~jobs ~n body =
     in
     let first_exn = ref None in
     let record e = if !first_exn = None then first_exn := Some e in
-    let domains = Array.init (workers - 1) (fun _ -> Domain.spawn worker) in
-    (try worker () with e -> record e);
-    Array.iter (fun d -> try Domain.join d with e -> record e) domains;
+    let spawned = ref [] in
+    (try
+       for _ = 2 to workers do
+         spawned := Domain.spawn worker :: !spawned
+       done;
+       worker ()
+     with e -> record e);
+    List.iter
+      (fun d -> try Domain.join d with e -> record e)
+      (List.rev !spawned);
     match !first_exn with Some e -> raise e | None -> ()
   end
 
@@ -83,16 +93,3 @@ let search ?jobs ~n f =
     in
     first 0
   end
-
-let iter_range ?jobs ~n f =
-  let jobs = match jobs with Some j -> j | None -> recommended_jobs () in
-  if n <= 0 then ()
-  else if jobs <= 1 then
-    for i = 0 to n - 1 do
-      f i
-    done
-  else
-    run_chunked ~jobs ~n (fun start stop ->
-        for i = start to stop - 1 do
-          f i
-        done)

@@ -16,11 +16,10 @@ val map_range : ?jobs:int -> n:int -> (int -> 'a) -> 'a array
     domains (default {!recommended_jobs}).  Chunks of the index range are
     handed out through a shared atomic cursor; each index is evaluated
     exactly once, by exactly one domain.  If any [f i] raises, the first
-    exception observed is re-raised after all domains have been joined.
+    exception observed is re-raised after all domains have been joined;
+    so is a failed [Domain.spawn] (the runtime allows 128 domains, the
+    calling one included), after joining the domains already spawned.
     [jobs <= 1] runs serially in the calling domain. *)
-
-val iter_range : ?jobs:int -> n:int -> (int -> unit) -> unit
-(** [iter_range ~jobs ~n f] is {!map_range} without materialising results. *)
 
 val search : ?jobs:int -> n:int -> (int -> 'a option) -> 'a option
 (** [search ~jobs ~n f] evaluates [f] over [\[0, n)] in parallel and returns

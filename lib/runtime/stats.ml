@@ -28,20 +28,12 @@ let of_array a =
     { count = n; mean = !mean; stddev; min = !mn; max = !mx }
   end
 
-let of_list l = of_array (Array.of_list l)
-
 let of_ints a = of_array (Array.map float_of_int a)
 
 let ci95_halfwidth t =
   if t.count = 0 then nan
   else if t.count = 1 then 0.0
   else 1.96 *. t.stddev /. sqrt (float_of_int t.count)
-
-let ci95 t =
-  if t.count = 0 then (nan, nan)
-  else
-    let h = ci95_halfwidth t in
-    (t.mean -. h, t.mean +. h)
 
 let pp ppf t =
   if t.count = 0 then Format.fprintf ppf "n=0"

@@ -3,7 +3,7 @@
     Experiment tables aggregate hundreds of per-trial measurements into one
     cell; this module is the shared vocabulary for doing so: count, mean,
     sample standard deviation, extrema, and a normal-approximation
-    confidence interval for the mean. *)
+    95% confidence interval for the mean, printed by {!pp}. *)
 
 type t = private {
   count : int;
@@ -15,23 +15,11 @@ type t = private {
   max : float;  (** [nan] when [count = 0]. *)
 }
 
-val empty : t
-(** The statistics of no observations: [count = 0], all moments [nan]. *)
-
 val of_array : float array -> t
-
-val of_list : float list -> t
 
 val of_ints : int array -> t
 
-val ci95 : t -> float * float
-(** [ci95 t] is the normal-approximation 95% confidence interval for the
-    mean, [(mean - h, mean + h)] with [h = 1.96 * stddev / sqrt count].
-    Degenerate cases: [(nan, nan)] when [count = 0] and [(mean, mean)] when
-    [count = 1]. *)
-
-val ci95_halfwidth : t -> float
-(** The [h] of {!ci95}; [nan] when [count = 0]. *)
-
 val pp : Format.formatter -> t -> unit
-(** ["mean ± h (n=…, sd=…, min=…, max=…)"]. *)
+(** ["mean ± h (n=…, sd=…, min=…, max=…)"], [h = 1.96 * stddev / sqrt
+    count] the half-width of the normal-approximation 95% interval for
+    the mean ([0] when [count = 1]); ["n=0"] when empty. *)

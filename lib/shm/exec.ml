@@ -25,12 +25,9 @@ struct
   type outcome = {
     steps : int;
     steps_per_process : int array;
-    killed_flags : bool array;
   }
 
-  let killed o = o.killed_flags
-
-  let run ?enforce_swmr ?kill_after ~n_procs ~n_locs ~schedule body =
+  let run ?enforce_swmr ~n_procs ~n_locs ~schedule body =
     if n_procs < 1 then invalid_arg "Exec.run: need at least one process";
     let memory : V.t option array = Array.make n_locs None in
     let pending : blocked option array = Array.make n_procs None in
@@ -45,12 +42,6 @@ struct
       pending.(p) <- Some op
     in
     let steps_per_process = Array.make n_procs 0 in
-    let killed_flags = Array.make n_procs false in
-    let limit p =
-      match kill_after with
-      | None -> None
-      | Some limits -> limits.(p)
-    in
     let total_steps = ref 0 in
     let start proc =
       match_with
@@ -105,12 +96,6 @@ struct
       | Some op ->
         pending.(proc) <- None;
         decr nready;
-        (match limit proc with
-        | Some k when steps_per_process.(proc) >= k ->
-          (* Crash: the operation never executes; the fiber is abandoned. *)
-          killed_flags.(proc) <- true;
-          raise Exit
-        | Some _ | None -> ());
         incr total_steps;
         steps_per_process.(proc) <- steps_per_process.(proc) + 1;
         (match op with
@@ -142,11 +127,11 @@ struct
           | Fixed _, _ :: rest -> (pick_round_robin (), rest)
           | Fixed _, [] -> (pick_round_robin (), [])
         in
-        (try execute proc with Exit -> ());
+        execute proc;
         drive ~rr_next:((proc + 1) mod n_procs) ~script
       end
     in
     let script = match schedule with Fixed s -> s | Round_robin | Random _ -> [] in
     drive ~rr_next:0 ~script;
-    { steps = !total_steps; steps_per_process; killed_flags }
+    { steps = !total_steps; steps_per_process }
 end

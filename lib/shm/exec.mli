@@ -35,12 +35,10 @@ end) : sig
   type outcome = {
     steps : int;  (** Total register operations executed. *)
     steps_per_process : int array;
-    killed_flags : bool array;  (** Processes crashed via [kill_after]. *)
   }
 
   val run :
     ?enforce_swmr:(int -> int) ->
-    ?kill_after:int option array ->
     n_procs:int ->
     n_locs:int ->
     schedule:strategy ->
@@ -51,14 +49,6 @@ end) : sig
       terminate.  [enforce_swmr loc] gives the owner of each location; a
       write by any other process raises [Invalid_argument].
 
-      [kill_after.(i) = Some k] crashes process [i] after its [k]-th
-      register operation: its pending operation is discarded and it never
-      runs again — the asynchronous-crash model at step granularity, used
-      by the safe-agreement experiments.
-
       Programs must not perform effects other than {!read}/{!write} and
       must terminate (the executor runs to quiescence). *)
-
-  val killed : outcome -> bool array
-  (** Which processes were crashed by [kill_after]. *)
 end

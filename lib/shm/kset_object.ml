@@ -8,8 +8,6 @@ let create ?rng ~k () =
   if k < 1 then invalid_arg "Kset_object.create: k must be ≥ 1";
   { k; rng; anchors = [] }
 
-let k t = t.k
-
 let propose t v =
   let adversary_says_adopt =
     match t.rng with None -> false | Some rng -> Dsim.Rng.bool rng

@@ -13,8 +13,6 @@ val create : ?rng:Dsim.Rng.t -> k:int -> unit -> t
 (** A fresh object.  Without [rng] the object is deterministic (always
     returns the first anchor). *)
 
-val k : t -> int
-
 val propose : t -> int -> int
 (** [propose obj v] registers [v] and returns one of the object's anchor
     values.  The first at most [k] distinct proposals become anchors;

@@ -28,7 +28,7 @@ let resolve_from ~n snapshot =
     in
     find 0
 
-let run ~inputs ~schedule ?stuck_in_doorway ?resolve_attempts () =
+let run ~inputs ~schedule ?stuck_in_doorway () =
   let n = Array.length inputs in
   if n < 1 then invalid_arg "Safe_agreement.run: no processes";
   let stuck =
@@ -39,7 +39,7 @@ let run ~inputs ~schedule ?stuck_in_doorway ?resolve_attempts () =
       Array.copy flags
     | None -> Array.make n false
   in
-  let attempts = Option.value resolve_attempts ~default:(8 * n) in
+  let attempts = 8 * n in
   let decisions = Array.make n None in
   let body ~proc =
     let v = inputs.(proc) in

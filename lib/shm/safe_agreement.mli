@@ -24,12 +24,11 @@ val run :
   inputs:int array ->
   schedule:Exec.strategy ->
   ?stuck_in_doorway:bool array ->
-  ?resolve_attempts:int ->
   unit ->
   result
 (** One execution among [Array.length inputs] processes.
     [stuck_in_doorway.(i)] makes process [i] crash right after its level-1
     write — the blocking fault.  Live processes retry resolution up to
-    [resolve_attempts] (default [8n]) scans.  Guarantees demonstrated by
+    [8n] scans.  Guarantees demonstrated by
     the tests: deciders always agree on a proposed value; with no doorway
     crash every live process decides; with one, resolution can block. *)

@@ -42,12 +42,3 @@ let one_round ?rng ~n ~k ~schedule () =
     values_readable = !readable;
     steps = outcome.E.steps;
   }
-
-let detector rng ~n ~k =
-  Rrfd.Detector.make ~name:(Printf.sprintf "thm33(n=%d,k=%d)" n k)
-    (fun _history ->
-      let r =
-        one_round ~rng:(Dsim.Rng.split rng) ~n ~k
-          ~schedule:(Exec.Random (Dsim.Rng.split rng)) ()
-      in
-      r.fault_sets)

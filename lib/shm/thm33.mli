@@ -25,7 +25,3 @@ val one_round :
   ?rng:Dsim.Rng.t -> n:int -> k:int -> schedule:Exec.strategy -> unit -> result
 (** Execute one round of the construction under the given interleaving,
     with a fresh adversarial k-set object. *)
-
-val detector : Dsim.Rng.t -> n:int -> k:int -> Rrfd.Detector.t
-(** An RRFD adversary whose rounds are produced by actually running the
-    construction — histories satisfy [Rrfd.Predicate.k_set ~k]. *)

@@ -4,8 +4,6 @@ type state = {
   decision : int option;
 }
 
-let known s = s.known
-
 let merge a b = List.sort_uniq Int.compare (List.rev_append a b)
 
 let min_flood ~inputs ~horizon =

@@ -22,6 +22,3 @@ val consensus : inputs:int array -> f:int -> (state, int list, int) Rrfd.Algorit
 val kset : inputs:int array -> f:int -> k:int -> (state, int list, int) Rrfd.Algorithm.t
 (** [min_flood] at horizon [⌊f/k⌋ + 1].
     @raise Invalid_argument unless [f ≥ k > 0]. *)
-
-val known : state -> int list
-(** The values currently known (sorted), exposed for tests. *)

@@ -2,6 +2,4 @@ let distinct n = Array.init n Fun.id
 
 let binary rng n = Array.init n (fun _ -> Dsim.Rng.int rng 2)
 
-let random rng ~n ~universe = Array.init n (fun _ -> Dsim.Rng.int rng universe)
-
 let constant n v = Array.make n v

@@ -7,9 +7,5 @@ val distinct : int -> int array
 val binary : Dsim.Rng.t -> int -> int array
 (** Uniform 0/1 inputs. *)
 
-val random : Dsim.Rng.t -> n:int -> universe:int -> int array
-(** [random rng ~n ~universe] draws [n] values uniformly from
-    [\[0, universe)]. *)
-
 val constant : int -> int -> int array
 (** [constant n v] is [n] copies of [v] — exercises convergence clauses. *)

@@ -2,7 +2,8 @@
    the plain implementation the lean one replaced, kept here so the
    differential properties can run both on the same input and demand the
    same answer: the same draws, the same votes, the same verdicts and
-   messages, the same views. *)
+   messages, the same views.  [Full_info] holds the readers the tests use
+   to inspect full-information views, which no library code needs. *)
 
 let rng_int t bound =
   if bound <= 1 lsl 30 then Dsim.Rng.bits30 t mod bound
@@ -38,6 +39,40 @@ module Adopt_commit = struct
       List.rev (Rrfd.View.fold (fun _ m acc -> extract m :: acc) view [])
     in
     if Rrfd.Pset.mem me (Rrfd.View.faulty view) then own :: items else items
+end
+
+module Full_info = struct
+  open Rrfd.Full_info
+
+  let rec knows_input_of v p =
+    match v with
+    | Initial (q, _) -> Rrfd.Proc.equal p q
+    | Node { heard; _ } ->
+      Array.exists
+        (function Some sub -> knows_input_of sub p | None -> false)
+        heard
+
+  let known_inputs v =
+    let module M = Map.Make (Int) in
+    let rec collect v acc =
+      match v with
+      | Initial (p, value) -> M.add p value acc
+      | Node { heard; _ } ->
+        Array.fold_left
+          (fun acc sub ->
+            match sub with Some s -> collect s acc | None -> acc)
+          acc heard
+    in
+    M.bindings (collect v M.empty)
+
+  let heard_from_last_round = function
+    | Initial _ -> Rrfd.Pset.empty
+    | Node { heard; _ } ->
+      let set = ref Rrfd.Pset.empty in
+      Array.iteri
+        (fun j sub -> if Option.is_some sub then set := Rrfd.Pset.add j !set)
+        heard;
+      !set
 end
 
 module Property = struct

@@ -11,11 +11,19 @@ let pset_t = Alcotest.testable Pset.pp Pset.equal
 
 let history_t = Alcotest.testable H.pp H.equal
 
+(* [QCheck.int_range] shrinks with [Shrink.int], toward 0 and so below
+   [lo]; shrinking the offset from [lo] keeps every candidate in range. *)
+let int_range lo hi =
+  QCheck.make ~print:QCheck.Print.int
+    ~shrink:(fun x yield ->
+      QCheck.Shrink.int (x - lo) (fun d -> yield (lo + d)))
+    (QCheck.Gen.int_range lo hi)
+
 let sized_seed ?(min_n = 2) ~max_n () =
-  QCheck.(pair (int_range min_n max_n) (int_bound 100000))
+  QCheck.pair (int_range min_n max_n) (QCheck.int_bound 100000)
 
 let sized_seed_plus ?(min_n = 2) ~max_n extra =
-  QCheck.(triple (int_range min_n max_n) (int_bound 100000) extra)
+  QCheck.triple (int_range min_n max_n) (QCheck.int_bound 100000) extra
 
 let pset_gen ~n =
   QCheck.Gen.(

@@ -28,6 +28,11 @@ val history_t : Rrfd.Fault_history.t Alcotest.testable
 
 (** {1 qcheck arbitraries} *)
 
+val int_range : int -> int -> int QCheck.arbitrary
+(** Uniform integers in [\[lo, hi\]], like [QCheck.int_range], but
+    shrinking toward [lo] rather than toward 0, so a reported
+    counterexample never leaves the drawn range. *)
+
 val sized_seed : ?min_n:int -> max_n:int -> unit -> (int * int) QCheck.arbitrary
 (** [(n, seed)] pairs: system size in [min_n..max_n] (default [min_n] 2)
     and an RNG seed — the shape every randomized model test samples. *)
@@ -104,7 +109,8 @@ end
 (** {1 Reference oracles}
 
     The plain implementations that lean library code replaced, kept for
-    the differential properties.  See [oracle.ml]. *)
+    the differential properties, and the full-information view readers
+    only the tests need.  See [oracle.ml]. *)
 
 module Oracle : sig
   val rng_int : Dsim.Rng.t -> int -> int
@@ -122,6 +128,19 @@ module Oracle : sig
     val seen : me:Rrfd.Proc.t -> own:'a -> 'm Rrfd.View.t -> ('m -> 'a) -> 'a list
     (** The list those rules read: [own] first when [me] is in the view's
         fault set, then every heard message, ascending. *)
+  end
+
+  module Full_info : sig
+    val knows_input_of : Rrfd.Full_info.t -> Rrfd.Proc.t -> bool
+    (** Whether [p]'s initial value occurs in the view. *)
+
+    val known_inputs : Rrfd.Full_info.t -> (Rrfd.Proc.t * int) list
+    (** All initial values occurring in the view, sorted by process,
+        without duplicates. *)
+
+    val heard_from_last_round : Rrfd.Full_info.t -> Rrfd.Pset.t
+    (** The processes whose round view was received in the final round
+        (empty for an [Initial] view). *)
   end
 
   module Property : sig

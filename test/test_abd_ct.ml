@@ -46,7 +46,7 @@ let abd_rejects_bad_parameters () =
 let abd_atomicity_property =
   QCheck.Test.make ~name:"ABD: histories are atomic under random delays/crashes"
     ~count:200
-    QCheck.(pair (int_range 3 9) (int_bound 100000))
+    QCheck.(pair (Test_support.int_range 3 9) (int_bound 100000))
     (fun (n, seed) ->
       let f = (n - 1) / 2 in
       let rng = Dsim.Rng.create seed in
@@ -110,7 +110,7 @@ let ct_property =
   QCheck.Test.make
     ~name:"CT consensus: agreement and termination with f < n/2 crashes"
     ~count:100
-    QCheck.(pair (int_range 3 9) (int_bound 100000))
+    QCheck.(pair (Test_support.int_range 3 9) (int_bound 100000))
     (fun (n, seed) ->
       let f = (n - 1) / 2 in
       let rng = Dsim.Rng.create seed in

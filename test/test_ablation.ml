@@ -7,8 +7,7 @@
      under the shared-memory predicate (someone seen by all), but breaks
      under bare async(f) once f ≥ n/2;
    - one-round k-set agreement breaks as soon as the detector may exceed
-     the uncertainty bound;
-   - the recording detector lets two algorithms face the same schedule. *)
+     the uncertainty bound. *)
 
 module Pset = Rrfd.Pset
 module Ac = Rrfd.Adopt_commit
@@ -77,27 +76,6 @@ let kset_breaks_beyond_uncertainty_bound () =
   Alcotest.(check bool) "satisfies k=3" true
     (Rrfd.Predicate.holds (Rrfd.Predicate.k_set ~k:3) outcome.Rrfd.Substrate.induced)
 
-let recording_detector_replays () =
-  let rng = Dsim.Rng.create 31 in
-  let base = Rrfd.Detector_gen.async rng ~n:4 ~f:1 in
-  let recorded, log = Rrfd.Detector.recording base in
-  let inputs = [| 0; 1; 2; 3 |] in
-  let first =
-    Rrfd.Engine.states_after ~n:4 ~rounds:3
-      ~algorithm:(Rrfd.Full_info.algorithm ~inputs)
-      ~detector:recorded ()
-  in
-  let replayed =
-    Rrfd.Engine.states_after ~n:4 ~rounds:3
-      ~algorithm:(Rrfd.Full_info.algorithm ~inputs)
-      ~detector:(Rrfd.Detector.of_schedule (log ()))
-      ()
-  in
-  Alcotest.(check bool) "identical histories" true
-    (Rrfd.Fault_history.equal (snd first) (snd replayed));
-  let v1 = (fst first).(2) and v2 = (fst replayed).(2) in
-  Alcotest.(check bool) "identical views" true (Rrfd.Full_info.equal v1 v2)
-
 let tests =
   [
     Alcotest.test_case "adopt-commit breaks under bare async" `Quick
@@ -106,6 +84,4 @@ let tests =
       adopt_commit_safe_under_shm_exhaustive;
     Alcotest.test_case "k-set breaks beyond the bound" `Quick
       kset_breaks_beyond_uncertainty_bound;
-    Alcotest.test_case "recording detector replays" `Quick
-      recording_detector_replays;
   ]

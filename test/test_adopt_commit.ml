@@ -58,7 +58,7 @@ let rules_match_list_oracle =
   let module O = Test_support.Oracle.Adopt_commit in
   QCheck.Test.make ~name:"single-pass adopt-commit rules equal the list-based rules"
     ~count:2000
-    QCheck.(pair (int_range 1 9) (int_bound 1_000_000))
+    QCheck.(pair (Test_support.int_range 1 9) (int_bound 1_000_000))
     (fun (n, seed) ->
       let rng = Dsim.Rng.create seed in
       let me = Dsim.Rng.int rng n in
@@ -116,7 +116,9 @@ let rrfd_property =
   QCheck.Test.make
     ~name:"RRFD adopt-commit meets its spec under snapshot adversaries"
     ~count:500
-    QCheck.(triple (int_range 2 12) (int_bound 100000) (int_range 1 3))
+    QCheck.(
+      triple (Test_support.int_range 2 12) (int_bound 100000)
+        (Test_support.int_range 1 3))
     (fun (n, seed, universe) ->
       let rng = Dsim.Rng.create (seed * 31) in
       let inputs = Array.init n (fun _ -> Dsim.Rng.int rng universe) in
@@ -161,7 +163,9 @@ let register_property =
   QCheck.Test.make
     ~name:"register adopt-commit meets its spec under random interleavings"
     ~count:500
-    QCheck.(triple (int_range 1 10) (int_bound 100000) (int_range 1 3))
+    QCheck.(
+      triple (Test_support.int_range 1 10) (int_bound 100000)
+        (Test_support.int_range 1 3))
     (fun (n, seed, universe) ->
       let rng = Dsim.Rng.create seed in
       let inputs = Array.init n (fun _ -> Dsim.Rng.int rng universe) in

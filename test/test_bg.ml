@@ -34,7 +34,9 @@ let simulation_property =
     ~name:
       "BG: ≤k simulator crashes stall ≤k simulated processes, fault sets ≤ k"
     ~count:300
-    QCheck.(triple (int_range 3 8) (int_bound 100000) (int_range 1 3))
+    QCheck.(
+      triple (Test_support.int_range 3 8) (int_bound 100000)
+        (Test_support.int_range 1 3))
     (fun (n, seed, k_raw) ->
       let k = 1 + (k_raw mod (n - 1)) in
       let rounds = 3 in

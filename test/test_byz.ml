@@ -112,7 +112,7 @@ let honest_baseline () =
   let o =
     Acc.run ~seed:11 ~n:4 ~f:1
       ~inputs:(Byz.binary_inputs 4)
-      ~strategies:(Acc.honest ~n:4) ()
+      ~strategies:(Array.make 4 None) ()
   in
   Alcotest.(check bool) "no fork" true (o.Acc.fork = None);
   Alcotest.(check pset) "no accusations" Pset.empty o.Acc.accused;
@@ -235,12 +235,6 @@ let predicates () =
   check "kernel recovers after a bad first round"
     (Rrfd.Predicate.eventual_honest_kernel ~k:3)
     healing true;
-  Alcotest.(check (option int))
-    "kernel start skips the bad prefix" (Some 2)
-    (Rrfd.Predicate.honest_kernel_start ~k:3 healing);
-  Alcotest.(check (option int))
-    "no kernel start on the noisy suffix" None
-    (Rrfd.Predicate.honest_kernel_start ~k:3 noisy);
   (* Pointwise union pads the shorter history with empty rounds. *)
   let u = Rrfd.Fault_history.union quiet noisy in
   Alcotest.(check int) "union keeps the longer round count" 2

@@ -66,6 +66,23 @@ let campaign_search_j_invariant =
 
 (* Shrinking --------------------------------------------------------- *)
 
+(* The suites draw sizes with [Test_support.int_range]: a shrunk
+   counterexample must stay inside the range the property was drawn
+   from, so no shrink candidate of an in-range value may leave it. *)
+let int_range_shrinks_in_range =
+  QCheck.Test.make ~name:"Test_support.int_range shrinks inside [lo, hi]"
+    ~count:500
+    QCheck.(triple (Test_support.int_range (-100) 100) small_nat small_nat)
+    (fun (lo, span, off) ->
+      let hi = lo + span in
+      let x = lo + (off mod (span + 1)) in
+      match (Test_support.int_range lo hi).QCheck.shrink with
+      | None -> false
+      | Some shrink ->
+        let inside = ref true in
+        shrink x (fun y -> if y < lo || y > hi then inside := false);
+        !inside)
+
 let shrink_candidates_well_formed =
   QCheck.Test.make ~name:"Shrink.candidates never propose D = S" ~count:300
     (Test_support.history_arb ~max_n:5 ())
@@ -101,12 +118,18 @@ let shrink_strictly_smaller =
 
 (* End-to-end: the acceptance-criteria scenario ---------------------- *)
 
+let sut name = Check.Sut.of_protocol (Protocols.Catalog.find_exn name)
+
+let kset_one_round = sut "kset-one-round"
+
+let adopt_commit = sut "adopt-commit"
+
 let fuzz_config : Check.Checker.fuzz_config =
   { n = 4; rounds = 1; trials = 500; seed = 7; jobs = Some 2; attempts = 64 }
 
 let seeded_violation () =
   match
-    Check.Checker.fuzz fuzz_config ~sut:Check.Sut.kset_one_round
+    Check.Checker.fuzz fuzz_config ~sut:kset_one_round
       ~predicate:kset3 ~properties:[ k_agreement2 ] ()
   with
   | None -> Alcotest.fail "seeded k-set violation not found"
@@ -119,7 +142,7 @@ let fuzz_finds_and_shrinks () =
   (* 1-minimality: no single shrink step keeps both predicate and failure. *)
   let still_fails h =
     snd
-      (Check.Checker.test_history ~sut:Check.Sut.kset_one_round
+      (Check.Checker.test_history ~sut:kset_one_round
          ~predicate:kset3 ~properties:[ k_agreement2 ] h)
     <> None
   in
@@ -133,7 +156,7 @@ let exhaustive_agrees_with_fuzz () =
   let ce = seeded_violation () in
   match
     Check.Checker.exhaustive ~jobs:2 ~n:3 ~rounds:1
-      ~sut:Check.Sut.kset_one_round ~predicate:kset3
+      ~sut:kset_one_round ~predicate:kset3
       ~properties:[ k_agreement2 ] ()
   with
   | None -> Alcotest.fail "exhaustive search missed the violation"
@@ -144,7 +167,7 @@ let exhaustive_agrees_with_fuzz () =
 
 let exhaustive_proves_safety () =
   match
-    Check.Checker.exhaustive ~n:3 ~rounds:1 ~sut:Check.Sut.kset_one_round
+    Check.Checker.exhaustive ~n:3 ~rounds:1 ~sut:kset_one_round
       ~predicate:kset2 ~properties:[ k_agreement2 ] ()
   with
   | None -> ()
@@ -156,7 +179,7 @@ let exhaustive_proves_safety () =
    failure-free rounds appended, so the protocol still terminates. *)
 let short_history_padded () =
   let obs =
-    Check.Sut.run_history Check.Sut.adopt_commit ~check:Rrfd.Predicate.always
+    Check.Sut.run_history adopt_commit ~check:Rrfd.Predicate.always
       (H.empty ~n:2)
   in
   Alcotest.(check int) "padded to the 2-round horizon" 2
@@ -320,61 +343,6 @@ let artifact_roundtrip_and_replay () =
     Alcotest.(check bool) "replay reproduces the decision vector" true
       (Check.Artifact.reproduced r)
 
-(* Regression for the Byzantine shrinker: greedy descent over lying
-   plans reaches a 1-minimal fixpoint and is idempotent — re-minimizing
-   a minimized witness accepts zero further steps and returns it
-   unchanged.  Starts from a fat witness (extra lying cells and a
-   fabricated cert on top of a forking split-brain core) so there is
-   something real to strip. *)
-let byz_shrink_minimal_and_idempotent () =
-  let module Byz = Check.Byz_check in
-  let module Acc = Msgnet.Accountability in
-  let n = 4 and f = 1 in
-  let inputs = Byz.binary_inputs n in
-  let fat_witness seed =
-    let strategies = Array.make n None in
-    (* Members echo receivers' inputs (the fork driver), plus a gratuitous
-       cert on member 0 the shrinker should be able to drop. *)
-    for i = 0 to 1 do
-      strategies.(i) <-
-        Some
-          {
-            Acc.votes = Array.copy inputs;
-            cert = (if i = 0 then Some (1, Rrfd.Pset.full (n - f)) else None);
-          }
-    done;
-    { Byz.n; f; seed; inputs; strategies }
-  in
-  let rec hunt k =
-    if k > 500 then Alcotest.fail "no forking schedule within 500 tries"
-    else
-      let w = fat_witness (Dsim.Rng.derive_seed 3 k) in
-      if Byz.forks w then w else hunt (k + 1)
-  in
-  let w = hunt 0 in
-  let minimal, steps = Byz.minimize ~still_fails:Byz.forks w in
-  Alcotest.(check bool) "shrinking made progress" true (steps > 0);
-  Alcotest.(check bool) "minimal witness still forks" true (Byz.forks minimal);
-  (* 1-minimal: no single further reduction still forks. *)
-  List.iter
-    (fun c ->
-      Alcotest.(check bool) "no candidate of the fixpoint forks" false
-        (Byz.forks c))
-    (Byz.candidates minimal);
-  (* Idempotent: minimizing the fixpoint is a zero-step no-op. *)
-  let again, steps' = Byz.minimize ~still_fails:Byz.forks minimal in
-  Alcotest.(check int) "re-minimization accepts no steps" 0 steps';
-  Alcotest.(check bool) "and returns the witness unchanged" true
-    (again = minimal);
-  (* The gratuitous cert cannot survive: forking is vote-driven here. *)
-  Array.iter
-    (fun st ->
-      match st with
-      | Some { Acc.cert = Some _; _ } ->
-        Alcotest.fail "fabricated cert survived shrinking"
-      | _ -> ())
-    minimal.Byz.strategies
-
 (* The stock properties decide with a scan and build their report only
    on failure; each must give exactly the report-based verdict and
    message, including the rejection of a length mismatch. *)
@@ -383,7 +351,7 @@ let properties_match_report_oracle =
   let verdict f o = try Ok (f o) with Invalid_argument m -> Error m in
   QCheck.Test.make ~name:"scan-first properties equal their report-based forms"
     ~count:2000
-    QCheck.(pair (int_range 1 9) (int_bound 1_000_000))
+    QCheck.(pair (Test_support.int_range 1 9) (int_bound 1_000_000))
     (fun (n, seed) ->
       let rng = Dsim.Rng.create seed in
       let inputs = Array.init n (fun _ -> Dsim.Rng.int rng 6) in
@@ -421,8 +389,6 @@ let tests =
   [
     Alcotest.test_case "Pool.search first hit is -j invariant" `Quick
       pool_search_first_hit;
-    Alcotest.test_case "byz shrinker is 1-minimal and idempotent" `Quick
-      byz_shrink_minimal_and_idempotent;
     Alcotest.test_case "fuzz finds and 1-minimally shrinks" `Quick
       fuzz_finds_and_shrinks;
     Alcotest.test_case "exhaustive agrees with fuzz" `Quick
@@ -443,6 +409,7 @@ let tests =
         gen_round_never_full;
         gen_respects_predicate;
         campaign_search_j_invariant;
+        int_range_shrinks_in_range;
         shrink_candidates_well_formed;
         shrink_strictly_smaller;
         live_trial_is_its_replay;

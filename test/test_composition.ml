@@ -13,7 +13,7 @@ let network_rounds_to_shm_closure =
   QCheck.Test.make
     ~name:"items 3+4 composed: network rounds drive the shm closure"
     ~count:100
-    QCheck.(pair (int_range 3 9) (int_bound 100000))
+    QCheck.(pair (Test_support.int_range 3 9) (int_bound 100000))
     (fun (n, seed) ->
       let f = (n - 1) / 2 in
       let inputs = Tasks.Inputs.distinct n in
@@ -46,7 +46,7 @@ let iis_simulation_flooding =
   QCheck.Test.make
     ~name:"Secs. 2+4 composed: IIS rounds simulate sync flooding that decides"
     ~count:100
-    QCheck.(pair (int_range 4 10) (int_bound 100000))
+    QCheck.(pair (Test_support.int_range 4 10) (int_bound 100000))
     (fun (n, seed) ->
       let k = 1 + (seed mod 2) in
       let f = 2 * k in
@@ -74,7 +74,9 @@ let iis_simulation_flooding =
 let thm33_feeds_thm31 =
   QCheck.Test.make ~name:"Sec. 3 composed: Thm 3.3 detector solves via Thm 3.1"
     ~count:200
-    QCheck.(triple (int_range 2 10) (int_bound 100000) (int_range 1 3))
+    QCheck.(
+      triple (Test_support.int_range 2 10) (int_bound 100000)
+        (Test_support.int_range 1 3))
     (fun (n, seed, k_raw) ->
       let k = 1 + (k_raw mod n) in
       let rng = Dsim.Rng.create seed in

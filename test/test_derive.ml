@@ -179,8 +179,8 @@ let round_tags_match_full_info =
   QCheck.Test.make ~count:150 ~name:"round-tag driver = full information"
     QCheck.(
       quad
-        (int_range 0 (List.length driver_policies - 1))
-        (int_range 3 5) small_nat int)
+        (Test_support.int_range 0 (List.length driver_policies - 1))
+        (Test_support.int_range 3 5) small_nat int)
     (fun (pi, n, fpick, seed) ->
       let f = fpick mod (((n - 1) / 2) + 1) in
       let adversary =
@@ -243,7 +243,8 @@ let scan_agrees_with_masks ~lattice ~cfg policy =
 let scan_matches_oracle =
   let cfg = { fuzz_cfg with D.observe_trials = 60; certify_trials = 1 } in
   QCheck.Test.make ~count:12 ~name:"first-violation scan = full-mask oracle"
-    QCheck.(pair (int_range 0 (List.length driver_policies - 1)) int)
+    QCheck.(
+      pair (Test_support.int_range 0 (List.length driver_policies - 1)) int)
     (fun (pi, seed) ->
       let policy = List.nth driver_policies pi in
       let cfg = { cfg with D.seed } in

@@ -19,7 +19,10 @@ let materialise detector ~n ~rounds =
 let gen_case name make_detector make_predicate =
   let open QCheck in
   Test.make ~name ~count:200
-    (triple (int_range 2 10) (int_bound 1000) (int_range 1 6))
+    (triple
+       (Test_support.int_range 2 10)
+       (int_bound 1000)
+       (Test_support.int_range 1 6))
     (fun (n, seed, rounds) ->
       let rng = Dsim.Rng.create seed in
       let f = if n > 1 then (seed mod (n - 1)) + 0 else 0 in
@@ -60,7 +63,9 @@ let props =
 
 let mixed_really_mixed =
   QCheck.Test.make ~name:"mixed generator satisfies its own predicate" ~count:200
-    QCheck.(triple (int_range 3 10) (int_bound 1000) (int_range 1 5))
+    QCheck.(
+      triple (Test_support.int_range 3 10) (int_bound 1000)
+        (Test_support.int_range 1 5))
     (fun (n, seed, rounds) ->
       let rng = Dsim.Rng.create seed in
       let f = seed mod (n - 1) in
@@ -71,7 +76,9 @@ let mixed_really_mixed =
 
 let kset_generator =
   QCheck.Test.make ~name:"k-set generator satisfies k-set predicate" ~count:200
-    QCheck.(triple (int_range 2 12) (int_bound 1000) (int_range 1 5))
+    QCheck.(
+      triple (Test_support.int_range 2 12) (int_bound 1000)
+        (Test_support.int_range 1 5))
     (fun (n, seed, rounds) ->
       let rng = Dsim.Rng.create seed in
       let k = 1 + (seed mod n) in

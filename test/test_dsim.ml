@@ -75,7 +75,7 @@ let rng_split_streams_independent =
 
 let rng_derived_streams_independent =
   QCheck.Test.make ~name:"derived streams pairwise diverge" ~count:200
-    QCheck.(pair int (int_range 0 1000))
+    QCheck.(pair int (Test_support.int_range 0 1000))
     (fun (seed, stream) ->
       let a = Rng.derive ~seed ~stream in
       let b = Rng.derive ~seed ~stream:(stream + 1) in
@@ -85,7 +85,8 @@ let rng_derived_streams_independent =
 
 let rng_sample_invariants =
   QCheck.Test.make ~name:"sample_without_replacement invariants" ~count:500
-    QCheck.(triple int (int_range 0 40) (int_range 0 40))
+    QCheck.(
+      triple int (Test_support.int_range 0 40) (Test_support.int_range 0 40))
     (fun (seed, n, k) ->
       let k = min k n in
       let rng = Rng.create seed in
@@ -551,7 +552,7 @@ let runs_match_list_model =
 let rng_int_matches_remainder =
   let edges = [ 255; 256; 257; (1 lsl 30) - 1; 1 lsl 30; (1 lsl 30) + 1; max_int ] in
   QCheck.Test.make ~name:"Rng.int is one draw's remainder" ~count:200
-    QCheck.(pair (int_bound 1_000_000) (int_range 1 (1 lsl 30)))
+    QCheck.(pair (int_bound 1_000_000) (Test_support.int_range 1 (1 lsl 30)))
     (fun (seed, random_bound) ->
       let a = Rng.create seed in
       let check bound =

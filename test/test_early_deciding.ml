@@ -53,7 +53,7 @@ let early_deciding_correct_under_random_crashes =
   QCheck.Test.make
     ~name:"early deciding: non-uniform consensus, decisions by min(f'+2, f+1)"
     ~count:500
-    QCheck.(pair (int_range 2 12) (int_bound 100000))
+    QCheck.(pair (Test_support.int_range 2 12) (int_bound 100000))
     (fun (n, seed) ->
       let rng = Dsim.Rng.create seed in
       let f = Dsim.Rng.int rng n in

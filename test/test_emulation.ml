@@ -8,7 +8,7 @@ let closure_gives_shm_predicate =
      round: |D_sim| ≤ f and someone is seen by all. *)
   QCheck.Test.make ~name:"E3: 2 rounds of async(f), 2f<n ⇒ one shm round"
     ~count:400
-    QCheck.(pair (int_range 3 12) (int_bound 100000))
+    QCheck.(pair (Test_support.int_range 3 12) (int_bound 100000))
     (fun (n, seed) ->
       let f = (n - 1) / 2 in
       let rng = Dsim.Rng.create seed in
@@ -24,7 +24,7 @@ let closure_b_implements_a =
      size at most f — a round of system A. *)
   QCheck.Test.make ~name:"E2: 2 rounds of mixed(f,t), 2t<n ⇒ one async(f) round"
     ~count:400
-    QCheck.(pair (int_range 5 14) (int_bound 100000))
+    QCheck.(pair (Test_support.int_range 5 14) (int_bound 100000))
     (fun (n, seed) ->
       let t = (n - 1) / 2 in
       if t < 2 then true
@@ -39,21 +39,6 @@ let closure_b_implements_a =
         | Some reason -> QCheck.Test.fail_reportf "n=%d f=%d t=%d: %s" n f t reason
       end)
 
-let iterated_closure_stays_legal =
-  QCheck.Test.make ~name:"iterated closure keeps both histories legal" ~count:100
-    QCheck.(pair (int_range 3 9) (int_bound 100000))
-    (fun (n, seed) ->
-      let f = (n - 1) / 2 in
-      let rng = Dsim.Rng.create seed in
-      let detector = Rrfd.Detector_gen.async rng ~n ~f in
-      let simulated, underlying =
-        Rrfd.Emulation.simulate_rounds ~n ~rounds:3 ~detector
-      in
-      Rrfd.Fault_history.rounds simulated = 3
-      && Rrfd.Fault_history.rounds underlying = 6
-      && Rrfd.Predicate.holds (P.shared_memory ~f) simulated
-      && Rrfd.Predicate.holds (P.async_resilient ~f) underlying)
-
 (* A detector's output is only valid until its next query, and the
    generators reuse one output array.  The closure must not depend on
    that: under a wrapper that hands out a fresh copy of every round it
@@ -61,7 +46,7 @@ let iterated_closure_stays_legal =
 let closure_survives_buffer_reuse =
   QCheck.Test.make ~name:"closure is unchanged when every round is copied"
     ~count:300
-    QCheck.(triple (int_range 2 9) (int_bound 100000) bool)
+    QCheck.(triple (Test_support.int_range 2 9) (int_bound 100000) bool)
     (fun (n, seed, kset) ->
       let make rng =
         if kset then Rrfd.Detector_gen.k_set rng ~n ~k:(1 + (seed mod n))
@@ -69,20 +54,17 @@ let closure_survives_buffer_reuse =
       in
       let closure detector =
         let r = Rrfd.Emulation.two_round_closure ~n ~detector in
-        let sim, under = Rrfd.Emulation.simulate_rounds ~n ~rounds:2 ~detector in
-        (r.Rrfd.Emulation.simulated, r.Rrfd.Emulation.underlying, sim, under)
+        (r.Rrfd.Emulation.simulated, r.Rrfd.Emulation.underlying)
       in
-      let s1, u1, sim1, under1 = closure (make (Dsim.Rng.create seed)) in
-      let s2, u2, sim2, under2 =
+      let s1, u1 = closure (make (Dsim.Rng.create seed)) in
+      let s2, u2 =
         closure
           (Rrfd.Detector.map ~name:"copied"
              (fun _ round -> Array.copy round)
              (make (Dsim.Rng.create seed)))
       in
       Array.for_all2 Pset.equal s1 s2
-      && Rrfd.Fault_history.equal u1 u2
-      && Rrfd.Fault_history.equal sim1 sim2
-      && Rrfd.Fault_history.equal under1 under2)
+      && Rrfd.Fault_history.equal u1 u2)
 
 (* Item 4's alternative predicate: under P3 ∧ antisymmetry, somebody's
    round-1 value is known to all within n rounds (the cycle-length
@@ -90,12 +72,14 @@ let closure_survives_buffer_reuse =
 let known_by_all_within_n =
   QCheck.Test.make ~name:"E14: known-by-all within n rounds under antisymmetry"
     ~count:300
-    QCheck.(pair (int_range 2 10) (int_bound 100000))
+    QCheck.(pair (Test_support.int_range 2 10) (int_bound 100000))
     (fun (n, seed) ->
       let f = max 1 ((n - 1) / 2) in
       let rng = Dsim.Rng.create seed in
       let detector = Rrfd.Detector_gen.antisymmetric rng ~n ~f in
-      match Rrfd.Emulation.known_by_all_within ~n ~detector ~max_rounds:n with
+      match
+        fst (Rrfd.Emulation.known_by_all_observed ~n ~detector ~max_rounds:n)
+      with
       | Some r -> r <= n
       | None -> QCheck.Test.fail_reportf "nobody known by all after n rounds")
 
@@ -141,7 +125,6 @@ let tests =
       [
         closure_gives_shm_predicate;
         closure_b_implements_a;
-        iterated_closure_stays_legal;
         closure_survives_buffer_reuse;
         known_by_all_within_n;
       ]

@@ -93,7 +93,7 @@ let kset_one_round_example () =
 let kset_property =
   QCheck.Test.make ~name:"Thm 3.1: ≤ k distinct decisions in one round"
     ~count:500
-    (Test_support.sized_seed_plus ~max_n:16 QCheck.(int_range 1 8))
+    (Test_support.sized_seed_plus ~max_n:16 (Test_support.int_range 1 8))
     (fun (n, seed, k_raw) ->
       let k = 1 + (k_raw mod n) in
       let rng = Test_support.rng_of seed in

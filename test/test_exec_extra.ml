@@ -4,38 +4,6 @@ module IntExec = Shm.Exec.Make (struct
   type t = int
 end)
 
-let kill_after_stops_a_process () =
-  let finished = Array.make 3 false in
-  let body ~proc =
-    for i = 0 to 9 do
-      IntExec.write proc i
-    done;
-    finished.(proc) <- true
-  in
-  let kill = [| None; Some 3; None |] in
-  let outcome =
-    IntExec.run ~kill_after:kill ~n_procs:3 ~n_locs:3
-      ~schedule:Shm.Exec.Round_robin body
-  in
-  Alcotest.(check bool) "p0 finished" true finished.(0);
-  Alcotest.(check bool) "p1 killed mid-run" false finished.(1);
-  Alcotest.(check bool) "p2 finished" true finished.(2);
-  Alcotest.(check (array bool)) "killed flags"
-    [| false; true; false |]
-    outcome.IntExec.killed_flags;
-  Alcotest.(check int) "p1 executed exactly 3 steps" 3
-    outcome.IntExec.steps_per_process.(1)
-
-let kill_at_zero_means_no_steps () =
-  let outcome =
-    IntExec.run
-      ~kill_after:[| Some 0; None |]
-      ~n_procs:2 ~n_locs:2 ~schedule:Shm.Exec.Round_robin
-      (fun ~proc -> IntExec.write proc 1)
-  in
-  Alcotest.(check int) "no steps" 0 outcome.IntExec.steps_per_process.(0);
-  Alcotest.(check int) "peer unaffected" 1 outcome.IntExec.steps_per_process.(1)
-
 let fixed_schedule_falls_back () =
   (* A Fixed schedule naming only p0 must still run p1 to completion. *)
   let outcome =
@@ -113,8 +81,6 @@ let detector_of_history_pads () =
 
 let tests =
   [
-    Alcotest.test_case "kill_after stops a process" `Quick kill_after_stops_a_process;
-    Alcotest.test_case "kill at zero" `Quick kill_at_zero_means_no_steps;
     Alcotest.test_case "fixed schedule fallback" `Quick fixed_schedule_falls_back;
     Alcotest.test_case "network explicit delays" `Quick network_explicit_delay_ordering;
     Alcotest.test_case "network range check" `Quick network_rejects_out_of_range;

@@ -1,6 +1,7 @@
 (* The asynchronous message-passing substrate and the item-3 round layer. *)
 
 module Pset = Rrfd.Pset
+module FI_read = Test_support.Oracle.Full_info
 
 let network_delivers_everything () =
   let sim = Dsim.Sim.create ~seed:1 () in
@@ -81,7 +82,9 @@ let round_layer_completes_and_satisfies_p3 =
   QCheck.Test.make
     ~name:"E2: round layer induces predicate-3 histories and all live finish"
     ~count:200
-    QCheck.(triple (int_range 2 10) (int_bound 100000) (int_range 1 5))
+    QCheck.(
+      triple (Test_support.int_range 2 10) (int_bound 100000)
+        (Test_support.int_range 1 5))
     (fun (n, seed, rounds) ->
       let rng = Dsim.Rng.create seed in
       let f = Dsim.Rng.int rng n in
@@ -120,7 +123,7 @@ let round_layer_full_information_recreates_missed_rounds =
      it missed: the view contains p_j's value for all earlier rounds. *)
   QCheck.Test.make ~name:"item 3: full information recreates missed messages"
     ~count:100
-    QCheck.(pair (int_range 3 8) (int_bound 100000))
+    QCheck.(pair (Test_support.int_range 3 8) (int_bound 100000))
     (fun (n, seed) ->
       let rng = Dsim.Rng.create seed in
       let f = 1 + Dsim.Rng.int rng (n - 1) in
@@ -140,10 +143,10 @@ let round_layer_full_information_recreates_missed_rounds =
             match view_opt with
             | None -> ok := false
             | Some view ->
-              let heard = Rrfd.Full_info.heard_from_last_round view in
+              let heard = FI_read.heard_from_last_round view in
               Pset.iter
                 (fun j ->
-                  if not (Rrfd.Full_info.knows_input_of view j) then ok := false)
+                  if not (FI_read.knows_input_of view j) then ok := false)
                 heard
           end)
         result.Msgnet.Round_layer.completed;
@@ -264,7 +267,7 @@ let plan_into_matches_reference =
            Gen.(list_size (int_bound 5) atom_gen))
         (int_bound 100000))
     (fun (atoms, seed) ->
-      let t = Msgnet.Adversary.make ~spec:"generated" atoms in
+      let t = Msgnet.Adversary.make atoms in
       let out = Float.Array.create (Msgnet.Adversary.max_copies t) in
       let model_rng = Dsim.Rng.create seed and rng = Dsim.Rng.create seed in
       (* Each side's redraws come from its own copy of one stream. *)
@@ -400,7 +403,7 @@ let broadcast_runs_match_per_copy_network =
   QCheck.Test.make ~name:"broadcast runs deliver exactly as per-copy sends"
     ~count:150
     QCheck.(
-      quad (int_range 1 70) (int_bound 100000)
+      quad (Test_support.int_range 1 70) (int_bound 100000)
         (int_bound (Array.length policies - 1))
         (pair bool (small_list (pair small_nat (int_bound 30)))))
     (fun (n, seed, which, (self, crashes)) ->

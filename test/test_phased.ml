@@ -22,7 +22,9 @@ let consensus_property =
   QCheck.Test.make
     ~name:"phased consensus: agreement/validity always, termination at GST"
     ~count:400
-    QCheck.(triple (int_range 2 12) (int_bound 100000) (int_range 1 12))
+    QCheck.(
+      triple (Test_support.int_range 2 12) (int_bound 100000)
+        (Test_support.int_range 1 12))
     (fun (n, seed, stabilize_at) ->
       let f = n - 1 in
       let inputs = Array.init n (fun i -> 100 + (i mod 3)) in
@@ -39,7 +41,7 @@ let early_commit_is_sticky =
   (* Safety alone (no termination): run only pre-stabilisation phases under
      a fully adversarial detector and check every decided value agrees. *)
   QCheck.Test.make ~name:"phased consensus: early commits are sticky" ~count:400
-    QCheck.(pair (int_range 2 10) (int_bound 100000))
+    QCheck.(pair (Test_support.int_range 2 10) (int_bound 100000))
     (fun (n, seed) ->
       let f = n - 1 in
       let stabilize_at = 100 (* never, within this horizon *) in

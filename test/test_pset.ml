@@ -1,7 +1,7 @@
 (* Unit and property tests for Rrfd.Pset.
 
    Pset has two representations behind one abstract type — a one-word
-   immediate int for ids below [small_universe] and a canonical
+   immediate int for ids below 62 and a canonical
    multi-word array above — so beyond the basic algebra the suite
    drives both widths through identical op sequences (a shift-by-64
    differential), checks them against a Stdlib Set model, and
@@ -32,14 +32,11 @@ let algebra () =
   set "inter" [ 2 ] (Pset.to_list (Pset.inter a b));
   set "diff" [ 0; 1 ] (Pset.to_list (Pset.diff a b));
   check "subset yes" true (Pset.subset (Pset.of_list [ 1 ]) a);
-  check "subset no" false (Pset.subset b a);
-  check "disjoint no" false (Pset.disjoint a b);
-  check "disjoint yes" true (Pset.disjoint (Pset.of_list [ 0 ]) (Pset.of_list [ 5 ]))
+  check "subset no" false (Pset.subset b a)
 
 let extrema () =
   let s = Pset.of_list [ 5; 2; 9 ] in
   Alcotest.(check (option int)) "min" (Some 2) (Pset.min_elt s);
-  Alcotest.(check (option int)) "max" (Some 9) (Pset.max_elt s);
   Alcotest.(check (option int)) "min empty" None (Pset.min_elt Pset.empty);
   check_int "nth 0" 2 (Pset.choose_nth s 0);
   check_int "nth 2" 9 (Pset.choose_nth s 2);
@@ -50,13 +47,9 @@ let extrema () =
 let enumeration () =
   let s = Pset.full 4 in
   check_int "subsets count" 16 (List.length (Pset.subsets s));
-  check_int "k-subsets count" 6 (List.length (Pset.subsets_of_size s 2));
   List.iter
     (fun sub -> check "subset of s" true (Pset.subset sub s))
-    (Pset.subsets s);
-  List.iter
-    (fun sub -> check_int "size 2" 2 (Pset.cardinal sub))
-    (Pset.subsets_of_size s 2)
+    (Pset.subsets s)
 
 let out_of_range () =
   let bad_id p = Printf.sprintf "Pset: process id %d out of [0,%d)" p Pset.max_universe in
@@ -134,10 +127,9 @@ let out_of_range_both_representations () =
   check "remove 61 works on the wide form" false
     (Pset.mem 61 (Pset.remove 61 (Pset.full 70)))
 
-(* The promotion boundary: small_universe = 62 splits the id space into
+(* The promotion boundary: id 62 splits the id space into
    the immediate-int and multi-word representations. *)
 let representation () =
-  check_int "small_universe" 62 Pset.small_universe;
   check "empty is small" true (Pset.is_small Pset.empty);
   check "61 is small" true (Pset.is_small (Pset.singleton 61));
   check "62 is wide" false (Pset.is_small (Pset.singleton 62));
@@ -162,7 +154,6 @@ let wide_basics () =
   let n = 200 in
   let s = Pset.full n in
   check_int "full 200 cardinal" n (Pset.cardinal s);
-  Alcotest.(check (option int)) "max" (Some (n - 1)) (Pset.max_elt s);
   Alcotest.(check (option int)) "min" (Some 0) (Pset.min_elt s);
   check_int "nth 150" 150 (Pset.choose_nth s 150);
   check "mem 199" true (Pset.mem 199 s);
@@ -170,7 +161,6 @@ let wide_basics () =
   check "full 62 subset full 200" true (Pset.subset (Pset.full 62) s);
   let t = Pset.diff s (Pset.full 62) in
   check_int "diff cardinal" (n - 62) (Pset.cardinal t);
-  check "disjoint halves" true (Pset.disjoint t (Pset.full 62));
   check "union restores" true (Pset.equal s (Pset.union t (Pset.full 62)));
   let sparse = Pset.of_list [ 0; 61; 62; 123; 124; 199 ] in
   set "sparse to_list" [ 0; 61; 62; 123; 124; 199 ] (Pset.to_list sparse);
@@ -227,10 +217,8 @@ let qcheck_props =
         && Pset.to_list (Pset.inter a b) = IntSet.elements (IntSet.inter ma mb)
         && Pset.to_list (Pset.diff a b) = IntSet.elements (IntSet.diff ma mb)
         && Pset.subset a b = IntSet.subset ma mb
-        && Pset.disjoint a b = IntSet.disjoint ma mb
         && Pset.equal a b = IntSet.equal ma mb
-        && Pset.min_elt a = IntSet.min_elt_opt ma
-        && Pset.max_elt a = IntSet.max_elt_opt ma);
+        && Pset.min_elt a = IntSet.min_elt_opt ma);
     Test.make ~name:"model: add/remove/mem" ~count:500
       (pair arb_ids (make ~print:Print.int gen_id))
       (fun (ids, p) ->
@@ -241,12 +229,10 @@ let qcheck_props =
     Test.make ~name:"model: choose_nth enumerates" ~count:300 arb_set (fun s ->
         List.mapi (fun i _ -> Pset.choose_nth s i) (Pset.to_list s) = Pset.to_list s);
     (* Representation invariants. *)
-    Test.make ~name:"is_small iff all ids below small_universe" ~count:500
+    Test.make ~name:"is_small iff all ids below small-word bound (62)"
+      ~count:500
       arb_set (fun s ->
-        Pset.is_small s
-        = (match Pset.max_elt s with
-          | None -> true
-          | Some m -> m < Pset.small_universe));
+        Pset.is_small s = Pset.for_all (fun p -> p < 62) s);
     Test.make ~name:"compare is zero iff equal" ~count:500 (pair arb_set arb_set)
       (fun (a, b) -> Pset.compare a b = 0 = Pset.equal a b);
     (* Width differential: the same op sequence shifted into the wide
@@ -258,13 +244,11 @@ let qcheck_props =
         && Pset.equal (shift64 (Pset.inter a b)) (Pset.inter a' b')
         && Pset.equal (shift64 (Pset.diff a b)) (Pset.diff a' b')
         && Pset.subset a b = Pset.subset a' b'
-        && Pset.disjoint a b = Pset.disjoint a' b'
         && Pset.cardinal a = Pset.cardinal a');
     Test.make ~name:"differential: extrema/nth shift-equivariant" ~count:300
       arb_small (fun s ->
         let s' = shift64 s in
         Pset.min_elt s' = Option.map (( + ) 64) (Pset.min_elt s)
-        && Pset.max_elt s' = Option.map (( + ) 64) (Pset.max_elt s)
         && List.for_all
              (fun i -> Pset.choose_nth s' i = Pset.choose_nth s i + 64)
              (List.mapi (fun i _ -> i) (Pset.to_list s)));

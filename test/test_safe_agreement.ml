@@ -44,7 +44,8 @@ let property_agreement_always =
   QCheck.Test.make
     ~name:"safe agreement: deciders agree and values are valid, always"
     ~count:400
-    QCheck.(triple (int_range 1 8) (int_bound 100000) (int_bound 255))
+    QCheck.(
+      triple (Test_support.int_range 1 8) (int_bound 100000) (int_bound 255))
     (fun (n, seed, stuck_bits) ->
       let rng = Dsim.Rng.create seed in
       let inputs = Array.init n (fun i -> 10 * (i + 1)) in
@@ -59,7 +60,7 @@ let property_agreement_always =
 let property_termination_without_doorway_crash =
   QCheck.Test.make
     ~name:"safe agreement: everyone decides when no doorway crash" ~count:400
-    QCheck.(pair (int_range 1 8) (int_bound 100000))
+    QCheck.(pair (Test_support.int_range 1 8) (int_bound 100000))
     (fun (n, seed) ->
       let rng = Dsim.Rng.create seed in
       let inputs = Array.init n (fun i -> 10 * (i + 1)) in

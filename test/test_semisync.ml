@@ -65,7 +65,8 @@ let two_step_property =
   QCheck.Test.make
     ~name:"E12/Thm 5.1: 2-step consensus under random speeds and crashes"
     ~count:500
-    QCheck.(triple (int_range 2 16) (int_bound 100000) (int_bound 100))
+    QCheck.(
+      triple (Test_support.int_range 2 16) (int_bound 100000) (int_bound 100))
     (fun (n, seed, crash_raw) ->
       let rng = Dsim.Rng.create seed in
       let inputs = Array.init n (fun i -> 50 + i) in

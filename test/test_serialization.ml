@@ -39,7 +39,9 @@ let equality_cases () =
 
 let round_trip_property =
   QCheck.Test.make ~name:"compact serialization round-trips" ~count:500
-    QCheck.(triple (int_range 1 10) (int_bound 100000) (int_range 0 5))
+    QCheck.(
+      triple (Test_support.int_range 1 10) (int_bound 100000)
+        (Test_support.int_range 0 5))
     (fun (n, seed, rounds) ->
       let rng = Dsim.Rng.create seed in
       let rec build h r =

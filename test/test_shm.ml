@@ -61,7 +61,7 @@ let snapshot_sees_own_updates () =
 let snapshot_scans_monotone =
   QCheck.Test.make ~name:"snapshot scans are monotone under random schedules"
     ~count:300
-    QCheck.(pair (int_range 2 8) (int_bound 100000))
+    QCheck.(pair (Test_support.int_range 2 8) (int_bound 100000))
     (fun (n, seed) ->
       let scans = ref [] in
       let body ~proc =
@@ -92,7 +92,7 @@ let immediate_snapshot_properties =
   QCheck.Test.make
     ~name:"E4: immediate snapshot satisfies self-inclusion/comparability/immediacy"
     ~count:500
-    QCheck.(pair (int_range 1 10) (int_bound 100000))
+    QCheck.(pair (Test_support.int_range 1 10) (int_bound 100000))
     (fun (n, seed) ->
       let run impl = impl ~n ~schedule:(Shm.Exec.Random (Dsim.Rng.create seed)) in
       let r = run Shm.Immediate_snapshot.run_once in
@@ -111,13 +111,34 @@ let immediate_snapshot_properties =
       | None -> true
       | Some reason -> QCheck.Test.fail_reportf "n=%d: %s" n reason)
 
+(* The iterated immediate snapshot model as an RRFD: each round is one
+   fresh one-shot immediate snapshot, and the fault set handed to process
+   [i] is the complement of its view. *)
+let iis_history rng ~n ~rounds =
+  let rec go h r =
+    if r > rounds then h
+    else
+      let result =
+        Shm.Immediate_snapshot.run_once ~n
+          ~schedule:(Shm.Exec.Random (Dsim.Rng.split rng))
+      in
+      go
+        (Rrfd.Fault_history.append h
+           (Shm.Immediate_snapshot.to_fault_sets
+              result.Shm.Immediate_snapshot.views))
+        (r + 1)
+  in
+  go (Rrfd.Fault_history.empty ~n) 1
+
 let immediate_snapshot_fault_sets_satisfy_p5 =
   QCheck.Test.make
     ~name:"E4: IIS rounds satisfy the snapshot predicate (item 5)" ~count:200
-    QCheck.(triple (int_range 1 8) (int_bound 100000) (int_range 1 4))
+    QCheck.(
+      triple (Test_support.int_range 1 8) (int_bound 100000)
+        (Test_support.int_range 1 4))
     (fun (n, seed, rounds) ->
       let rng = Dsim.Rng.create seed in
-      let h = Shm.Iis.history rng ~n ~rounds in
+      let h = iis_history rng ~n ~rounds in
       match
         Rrfd.Predicate.explain (Rrfd.Predicate.snapshot ~f:(n - 1)) h
       with
@@ -147,7 +168,9 @@ let thm33_construction =
   QCheck.Test.make
     ~name:"E8/Thm 3.3: construction yields k-set-predicate fault sets"
     ~count:400
-    QCheck.(triple (int_range 2 10) (int_bound 100000) (int_range 1 4))
+    QCheck.(
+      triple (Test_support.int_range 2 10) (int_bound 100000)
+        (Test_support.int_range 1 4))
     (fun (n, seed, k_raw) ->
       let k = 1 + (k_raw mod n) in
       let rng = Dsim.Rng.create seed in

@@ -14,7 +14,7 @@ let omission_simulation_property =
     ~name:"Thm 4.1: snapshot histories with k failures stay within omission-f"
     ~count:400
     (Test_support.sized_seed_plus ~min_n:3 ~max_n:12
-       QCheck.(pair (int_range 1 3) (int_range 1 3)))
+       QCheck.(pair (Test_support.int_range 1 3) (Test_support.int_range 1 3)))
     (fun (n, seed, (k_raw, mult)) ->
       let k = 1 + (k_raw mod (n - 1)) in
       let f = min (n - 1) (k * mult) in
@@ -63,7 +63,8 @@ let crash_simulation_property =
     ~name:
       "Thm 4.3: 3k async rounds simulate ⌊f/k⌋ synchronous crash rounds"
     ~count:300
-    (Test_support.sized_seed_plus ~min_n:3 ~max_n:10 QCheck.(int_range 1 2))
+    (Test_support.sized_seed_plus ~min_n:3 ~max_n:10
+       (Test_support.int_range 1 2))
     (fun (n, seed, k_raw) ->
       let k = 1 + (k_raw mod (n - 2)) in
       let sync_rounds = 2 in

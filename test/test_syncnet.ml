@@ -44,7 +44,9 @@ let floodset_example () =
 let induced_history_matches_crash_predicate =
   QCheck.Test.make
     ~name:"E1: random crash runs induce crash-predicate histories" ~count:400
-    QCheck.(triple (int_range 2 12) (int_bound 100000) (int_range 1 5))
+    QCheck.(
+      triple (Test_support.int_range 2 12) (int_bound 100000)
+        (Test_support.int_range 1 5))
     (fun (n, seed, rounds) ->
       let rng = Dsim.Rng.create seed in
       let f = Dsim.Rng.int rng n in
@@ -66,7 +68,9 @@ let induced_history_matches_omission_predicate =
   QCheck.Test.make
     ~name:"E1: random omission runs induce omission-predicate histories"
     ~count:400
-    QCheck.(triple (int_range 2 12) (int_bound 100000) (int_range 1 5))
+    QCheck.(
+      triple (Test_support.int_range 2 12) (int_bound 100000)
+        (Test_support.int_range 1 5))
     (fun (n, seed, rounds) ->
       let rng = Dsim.Rng.create seed in
       let f = Dsim.Rng.int rng n in
@@ -88,7 +92,7 @@ let floodset_solves_consensus =
   QCheck.Test.make
     ~name:"FloodSet: consensus in f+1 rounds under random crash patterns"
     ~count:400
-    QCheck.(pair (int_range 2 12) (int_bound 100000))
+    QCheck.(pair (Test_support.int_range 2 12) (int_bound 100000))
     (fun (n, seed) ->
       let rng = Dsim.Rng.create seed in
       let f = Dsim.Rng.int rng n in
@@ -111,7 +115,9 @@ let kset_flood_solves_kset =
   QCheck.Test.make
     ~name:"k-set flooding: ⌊f/k⌋+1 rounds suffice under crash patterns"
     ~count:400
-    QCheck.(triple (int_range 3 12) (int_bound 100000) (int_range 1 4))
+    QCheck.(
+      triple (Test_support.int_range 3 12) (int_bound 100000)
+        (Test_support.int_range 1 4))
     (fun (n, seed, k_raw) ->
       let rng = Dsim.Rng.create seed in
       let k = 1 + (k_raw mod (n - 1)) in
