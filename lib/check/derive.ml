@@ -151,9 +151,10 @@ let find_separation ~n ~rounds ~derived ~q =
 
 (* Lattice dimensions: big enough that the parameterised candidates do
    not collapse (|D| ≤ f must not be vacuous, so n' > f + 1 where the
-   space allows), small enough to enumerate.  At n' = 3 two rounds fit
-   (≈ 1.2·10^5 histories); at n' = 4 only one does (the two-round space
-   is ≈ 2.6·10^9). *)
+   space allows), small enough to enumerate.  The lattice evaluates one
+   history per renaming orbit: at n' = 3 two rounds fit (19,916 orbits of
+   117,993 histories); at n' = 4 only one does (2,341 orbits of 50,626;
+   the two-round space is ≈ 2.6·10^9 histories, still ≈ 10^8 orbits). *)
 let lattice_dims cfg =
   let n' = max 3 (min cfg.n (min 4 (cfg.f + 2))) in
   (n', if n' <= 3 then min cfg.rounds 2 else 1)

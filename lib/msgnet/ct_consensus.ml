@@ -22,6 +22,12 @@ type coordinator_state = {
   mutable proposal : int;
 }
 
+(* [List.mem_assoc] with a monomorphic test: polymorphic compare on the
+   message path costs more than the search itself. *)
+let rec has_estimate from = function
+  | [] -> false
+  | (p, _) :: rest -> Int.equal p from || has_estimate from rest
+
 type process = {
   mutable est : int;
   mutable ts : int;
@@ -147,7 +153,7 @@ let run ?(seed = 0) ?(crashes = []) ?adversary ?hb_interval ?hb_initial_timeout
   in
   let rec enter_phase i phase =
     let proc = procs.(i) in
-    if proc.decided = None && phase <= max_phases then begin
+    if Option.is_none proc.decided && phase <= max_phases then begin
       proc.phase <- phase;
       proc.waiting <- true;
       proc.phase_entered <- Dsim.Sim.now sim;
@@ -178,7 +184,7 @@ let run ?(seed = 0) ?(crashes = []) ?adversary ?hb_interval ?hb_initial_timeout
         send ~from:to_ ~to_:from (Decide { value })
       | None ->
         let s = coord_state to_ phase in
-        if not (List.mem_assoc from s.estimates) then
+        if not (has_estimate from s.estimates) then
           s.estimates <- (from, (est, ts)) :: s.estimates;
         if s.proposed then
           (* Late or retransmitted estimate after the proposal went out:
@@ -186,7 +192,7 @@ let run ?(seed = 0) ?(crashes = []) ?adversary ?hb_interval ?hb_initial_timeout
           send ~from:to_ ~to_:from (New_estimate { phase; est = s.proposal })
         else try_propose to_ phase)
     | New_estimate { phase; est } ->
-      if proc.decided = None && proc.phase = phase && proc.waiting then begin
+      if Option.is_none proc.decided && proc.phase = phase && proc.waiting then begin
         proc.est <- est;
         (* Timestamps must strictly dominate the initial ts 0 or the lock
            is invisible: phases count from 0, so [ts <- phase] would let a
@@ -198,7 +204,7 @@ let run ?(seed = 0) ?(crashes = []) ?adversary ?hb_interval ?hb_initial_timeout
         send ~from:to_ ~to_:from (Ack { phase });
         enter_phase to_ (phase + 1)
       end
-      else if proc.decided = None && proc.phase > phase then
+      else if Option.is_none proc.decided && proc.phase > phase then
         (* Already moved on: a late proposal must be nacked so the
            coordinator can account for this process. *)
         send ~from:to_ ~to_:from (Nack { phase })
@@ -214,7 +220,7 @@ let run ?(seed = 0) ?(crashes = []) ?adversary ?hb_interval ?hb_initial_timeout
       let s = coord_state to_ phase in
       s.nacks <- Pset.add from s.nacks
     | Decide { value } ->
-      if proc.decided = None then begin
+      if Option.is_none proc.decided then begin
         proc.decided <- Some value;
         proc.decided_at <- Some (Dsim.Sim.now sim);
         (* Reliable broadcast: relay once so every correct process decides
@@ -244,7 +250,7 @@ let run ?(seed = 0) ?(crashes = []) ?adversary ?hb_interval ?hb_initial_timeout
   let poll_interval = 3.0 in
   let rec poll i sim_ =
     let proc = procs.(i) in
-    if proc.decided = None && proc.phase <= max_phases then begin
+    if Option.is_none proc.decided && proc.phase <= max_phases then begin
       if proc.waiting then begin
         let c = coordinator_of proc.phase in
         let suspected =

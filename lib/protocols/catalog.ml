@@ -7,7 +7,6 @@ type packed =
 
 type t = {
   name : string;
-  doc : string;
   horizon : n:int -> f:int -> int;
   default_n : int;
   default_f : n:int -> int;
@@ -54,9 +53,6 @@ let all =
   [
     {
       name = "kset-one-round";
-      doc =
-        "Theorem 3.1: emit the input, decide the lowest-id unsuspected \
-         value — k-set agreement in one round under the k-set detector";
       horizon = (fun ~n:_ ~f:_ -> 1);
       default_n = 4;
       default_f = (fun ~n:_ -> 1);
@@ -72,9 +68,6 @@ let all =
     };
     {
       name = "consensus";
-      doc =
-        "the Theorem-3.1 algorithm run for consensus (k-set detector with \
-         k = 1, or identical views)";
       horizon = (fun ~n:_ ~f:_ -> 1);
       default_n = 4;
       default_f = (fun ~n:_ -> 1);
@@ -90,9 +83,6 @@ let all =
     };
     {
       name = "kset-snapshot";
-      doc =
-        "Corollary 3.2: the same one-round algorithm under the snapshot \
-         RRFD with f = k − 1 failures, which implies the k-set detector";
       horizon = (fun ~n:_ ~f:_ -> 1);
       default_n = 4;
       default_f = (fun ~n:_ -> 1);
@@ -108,9 +98,6 @@ let all =
     };
     {
       name = "adopt-commit";
-      doc =
-        "the Section-4.2 two-round adopt-commit protocol, decisions packed \
-         as ints (commit v = 2v, adopt v = 2v+1)";
       horizon = (fun ~n:_ ~f:_ -> 2);
       default_n = 4;
       default_f = (fun ~n:_ -> 1);
@@ -129,10 +116,6 @@ let all =
     };
     {
       name = "phased-consensus";
-      doc =
-        "the Section-7 program: phases of one candidate round plus two \
-         adopt-commit rounds; safe always, decides one phase after the \
-         candidate rounds stabilise";
       horizon =
         (fun ~n:_ ~f:_ -> Rrfd.Phased_consensus.rounds_needed ~stabilize_at:1);
       default_n = 4;
@@ -151,9 +134,6 @@ let all =
     };
     {
       name = "early-deciding";
-      doc =
-        "flooding consensus with the clean-round rule: decides by round \
-         min(f'+2, f+1) when only f' ≤ f crashes actually occur";
       horizon = (fun ~n:_ ~f -> f + 1);
       default_n = 4;
       default_f = (fun ~n:_ -> 1);
@@ -170,10 +150,6 @@ let all =
     };
     {
       name = "flood-consensus";
-      doc =
-        "FloodSet: broadcast known values for f+1 rounds, decide the \
-         minimum — the Corollary-4.2 baseline the chain adversary defeats \
-         at any smaller horizon";
       horizon = (fun ~n:_ ~f -> f + 1);
       default_n = 4;
       default_f = (fun ~n:_ -> 1);
@@ -189,11 +165,6 @@ let all =
     };
     {
       name = "byz-vote";
-      doc =
-        "one-shot two-threshold quorum vote: decide on n−f unanimous \
-         round-1 votes, publish the quorum as a round-2 certificate — \
-         the decision rule whose forks are ≥ f+1-accountable \
-         (Accountability/E24)";
       horizon = (fun ~n:_ ~f:_ -> 2);
       default_n = 4;
       default_f = (fun ~n:_ -> 1);

@@ -19,7 +19,6 @@ type packed =
 
 type t = {
   name : string;  (** CLI / checker name, kebab-case, unique. *)
-  doc : string;  (** One-line description for listings. *)
   horizon : n:int -> f:int -> int;
       (** Rounds by which every process has decided (under the protocol's
           intended predicate). *)

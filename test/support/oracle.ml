@@ -295,3 +295,109 @@ module Derive = struct
       specs;
     (List.rev !sound, List.rev !witnesses)
 end
+
+(* The submodel lattice before the orbit walk: every history of the
+   space evaluated, one bit per history. *)
+module Submodel = struct
+  open Rrfd
+
+  type lattice = {
+    l_names : string array;
+    l_sat : Bytes.t array;  (* l_sat.(p) bit h: predicate p holds on history h *)
+  }
+
+  let bit_set bytes i =
+    let byte = i lsr 3 and mask = 1 lsl (i land 7) in
+    Bytes.unsafe_set bytes byte
+      (Char.chr (Char.code (Bytes.unsafe_get bytes byte) lor mask))
+
+  let bytes_subset a b =
+    let len = Bytes.length a in
+    let rec go i =
+      i >= len
+      || (Char.code (Bytes.unsafe_get a i)
+            land lnot (Char.code (Bytes.unsafe_get b i))
+          = 0
+         && go (i + 1))
+    in
+    go 0
+
+  let lattice ~n ~rounds named =
+    let names = Array.of_list (List.map fst named) in
+    let preds = Array.of_list (List.map snd named) in
+    let assignments = Submodel.round_assignments ~n in
+    let per_round = List.length assignments in
+    let total =
+      let rec sum acc pow d =
+        if d > rounds then acc else sum (acc + pow) (pow * per_round) (d + 1)
+      in
+      sum 0 1 0
+    in
+    let sat = Array.map (fun _ -> Bytes.make ((total + 7) / 8) '\000') names in
+    let idx = ref 0 in
+    let rec explore history depth =
+      let h = !idx in
+      incr idx;
+      Array.iteri
+        (fun p pred -> if Predicate.holds pred history then bit_set sat.(p) h)
+        preds;
+      if depth < rounds then
+        List.iter
+          (fun d -> explore (Fault_history.append history d) (depth + 1))
+          assignments
+    in
+    explore (Fault_history.empty ~n) 0;
+    { l_names = names; l_sat = sat }
+
+  let index l name =
+    let rec find i =
+      if i >= Array.length l.l_names then
+        invalid_arg (Printf.sprintf "Oracle.Submodel: unknown predicate %S" name)
+      else if l.l_names.(i) = name then i
+      else find (i + 1)
+    in
+    find 0
+
+  let implies l a b = bytes_subset l.l_sat.(index l a) l.l_sat.(index l b)
+
+  let equivalent l a b = Bytes.equal l.l_sat.(index l a) l.l_sat.(index l b)
+
+  let strictly_stronger l a b =
+    let sa = l.l_sat.(index l a) and sb = l.l_sat.(index l b) in
+    bytes_subset sa sb && not (Bytes.equal sa sb)
+
+  let bytes_inter a b =
+    let out = Bytes.copy a in
+    for i = 0 to Bytes.length a - 1 do
+      Bytes.unsafe_set out i
+        (Char.chr
+           (Char.code (Bytes.unsafe_get a i)
+           land Char.code (Bytes.unsafe_get b i)))
+    done;
+    out
+
+  let meet_sat l first rest =
+    List.fold_left
+      (fun acc name -> bytes_inter acc l.l_sat.(index l name))
+      (Bytes.copy l.l_sat.(index l first))
+      rest
+
+  let minimal_conjuncts l names =
+    List.iter (fun n -> ignore (index l n)) names;
+    let rec prune kept = function
+      | [] -> List.rev kept
+      | name :: rest ->
+        match List.rev_append kept rest with
+        | first :: others
+          when bytes_subset (meet_sat l first others) l.l_sat.(index l name) ->
+          prune kept rest
+        | _ -> prune (name :: kept) rest
+    in
+    prune [] names
+
+  let weakest l names =
+    List.iter (fun n -> ignore (index l n)) names;
+    List.filter
+      (fun m -> not (List.exists (fun u -> strictly_stronger l m u) names))
+      names
+end

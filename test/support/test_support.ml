@@ -60,6 +60,22 @@ let history_arb ?(min_n = 2) ?(max_n = 5) ?max_rounds () =
     ~print:H.to_string_compact
     ~shrink:(fun h yield -> List.iter yield (Check.Shrink.candidates h))
 
+(* Process [i] becomes [perm.(i)] everywhere: D'(perm i, r) = perm(D(i, r)). *)
+let rename perm h =
+  let n = H.n h in
+  H.fold_rounds
+    (fun _ sets acc ->
+      let out = Array.make n Pset.empty in
+      Array.iteri
+        (fun i s ->
+          out.(perm.(i)) <- Pset.fold (fun p acc -> Pset.add perm.(p) acc) s Pset.empty)
+        sets;
+      out :: acc)
+    h []
+  |> List.rev |> H.of_rounds ~n
+
+let perm_gen ~n = QCheck.Gen.(shuffle_l (List.init n Fun.id) >|= Array.of_list)
+
 (* dune runtest runs the test executable in test/; dune exec runs it
    from the workspace root — accept both. *)
 let check_fixture ~what ~file actual =

@@ -60,6 +60,16 @@ val history_arb :
     {!Check.Shrink.candidates}, so qcheck reports the same minimal
     histories the model checker does. *)
 
+(** {1 Process renaming} *)
+
+val rename : int array -> Rrfd.Fault_history.t -> Rrfd.Fault_history.t
+(** [rename perm h] renames process [i] to [perm.(i)], in the fault-set
+    owners and in every set: [D'(perm i, r) = perm(D(i, r))].  [perm]
+    must be a permutation of [0..n-1]. *)
+
+val perm_gen : n:int -> int array QCheck.Gen.t
+(** Uniform permutations of [0..n-1]. *)
+
 (** {1 Pinned fixtures} *)
 
 val check_fixture : what:string -> file:string -> string -> unit
@@ -193,6 +203,24 @@ module Oracle : sig
         trial, both in candidate order, from one violation bitmask per
         observed history: the computation {!Check.Derive.derive}'s
         first-violation scan replaced. *)
+  end
+
+  module Submodel : sig
+    type lattice
+
+    val lattice :
+      n:int -> rounds:int -> (string * Rrfd.Predicate.t) list -> lattice
+    (** Every history of the space evaluated, one bit per history: the
+        walk {!Rrfd.Submodel.lattice}'s orbit walk replaced. *)
+
+    val implies : lattice -> string -> string -> bool
+
+    val equivalent : lattice -> string -> string -> bool
+
+    val minimal_conjuncts : lattice -> string list -> string list
+
+    val weakest : lattice -> string list -> string list
+    (** The {!Rrfd.Submodel} queries over per-history bitsets. *)
   end
 
   module Immediate_snapshot : sig

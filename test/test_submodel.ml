@@ -236,6 +236,187 @@ let lattice_meet_and_frontier () =
     "incomparables are all weakest" [ "async"; "someone-seen" ]
     (S.weakest lat [ "async"; "someone-seen"; "crash" ])
 
+(* ------------------------------------------------------------------ *)
+(* The orbit walk: its precondition, its size and the old walk.        *)
+(* ------------------------------------------------------------------ *)
+
+module H = Rrfd.Fault_history
+module O = Test_support.Oracle.Submodel
+
+(* Every entry of [Check.Spec.predicate_names], each [_] bound to the
+   value drawn for the parameter letter before its [=]. *)
+let vocabulary ~f ~k ~t =
+  List.map
+    (fun entry ->
+      let entry =
+        if String.ends_with ~suffix:"," entry then
+          String.sub entry 0 (String.length entry - 1)
+        else entry
+      in
+      let b = Buffer.create 24 in
+      String.iteri
+        (fun i c ->
+          if c <> '_' then Buffer.add_char b c
+          else
+            Buffer.add_string b
+              (string_of_int
+                 (match entry.[i - 2] with
+                 | 'f' -> f
+                 | 'k' -> k
+                 | 't' -> t
+                 | c -> Alcotest.failf "parameter %c of %S" c entry)))
+        entry;
+      let spec = Buffer.contents b in
+      (spec, Test_support.ok_exn (Check.Spec.predicate spec)))
+    (String.split_on_char ' ' Check.Spec.predicate_names)
+
+let renaming_arb =
+  let gen =
+    QCheck.Gen.(
+      QCheck.gen (Test_support.int_range 2 5) >>= fun n ->
+      let below = int_bound (n - 1) in
+      triple (Test_support.perm_gen ~n)
+        (Test_support.history_gen ~max_rounds:3 ~n)
+        (triple below below below))
+  in
+  QCheck.make gen ~print:(fun (perm, h, (f, k, t)) ->
+      Printf.sprintf "perm=[%s] f=%d k=%d t=%d %s"
+        (String.concat ";" (Array.to_list (Array.map string_of_int perm)))
+        f k t (H.to_string_compact h))
+
+(* The lattice's precondition: renaming processes never changes a
+   verdict, so every accept set is a union of S_n orbits. *)
+let renaming_invariant ~name predicates =
+  QCheck.Test.make ~name ~count:300 renaming_arb (fun (perm, h, (f, k, t)) ->
+      List.for_all
+        (fun (spec, p) ->
+          P.holds p (Test_support.rename perm h) = P.holds p h
+          || QCheck.Test.fail_reportf "%s changes its verdict" spec)
+        (predicates ~f ~k ~t))
+
+let vocabulary_is_renaming_invariant =
+  renaming_invariant ~name:"every spec predicate is invariant under renaming"
+    vocabulary
+
+(* The same property refutes a predicate that singles out a process. *)
+let asymmetric_predicate_is_caught () =
+  let p0_never_suspected =
+    P.make ~name:"p0-never-suspected" ~doc:"∀i,r. p0 ∉ D(i,r)" (fun h ->
+        if Rrfd.Pset.mem 0 (H.cumulative_union h) then Some "p0 suspected"
+        else None)
+  in
+  let test =
+    renaming_invariant ~name:"asymmetric" (fun ~f:_ ~k:_ ~t:_ ->
+        [ ("p0-never-suspected", p0_never_suspected) ])
+  in
+  match QCheck.Test.check_exn ~rand:(Random.State.make [| 29 |]) test with
+  | () -> Alcotest.fail "renaming never changed an asymmetric verdict"
+  | exception QCheck.Test.Test_fail _ -> ()
+
+(* A predicate counting its calls sees the histories the lattice walks. *)
+let evaluations ~n ~rounds =
+  let calls = ref 0 in
+  let counting =
+    P.make ~name:"count" ~doc:"counts evaluations"
+      ~holds:(fun _ ->
+        incr calls;
+        true)
+      (fun _ -> None)
+  in
+  ignore (S.lattice ~n ~rounds [ ("count", counting) ]);
+  !calls
+
+(* S_n orbits of the space, by brute force: distinct least renamings. *)
+let orbits ~n ~rounds =
+  let perms =
+    let rec go = function
+      | [] -> [ [] ]
+      | pool ->
+        List.concat_map
+          (fun x -> List.map (List.cons x) (go (List.filter (( <> ) x) pool)))
+          pool
+    in
+    List.map Array.of_list (go (List.init n Fun.id))
+  in
+  let seen = Hashtbl.create 1024 in
+  let assignments = S.round_assignments ~n in
+  let rec explore h depth =
+    let canonical =
+      List.fold_left
+        (fun acc perm -> min acc (H.to_string_compact (Test_support.rename perm h)))
+        (H.to_string_compact h) perms
+    in
+    Hashtbl.replace seen canonical ();
+    if depth < rounds then
+      List.iter (fun d -> explore (H.append h d) (depth + 1)) assignments
+  in
+  explore (H.empty ~n) 0;
+  Hashtbl.length seen
+
+let lattice_walks_one_history_per_orbit () =
+  List.iter
+    (fun (n, rounds) ->
+      Alcotest.(check int)
+        (Printf.sprintf "n=%d, %d round(s)" n rounds)
+        (orbits ~n ~rounds) (evaluations ~n ~rounds))
+    [ (2, 3); (3, 1) ];
+  (* Derive's two lattice shapes, of 50,626 and 117,993 histories; the
+     orbit counts are brute-force counts by [orbits]. *)
+  Alcotest.(check int) "n=4, 1 round" 2341 (evaluations ~n:4 ~rounds:1);
+  Alcotest.(check int) "n=3, 2 rounds" 19916 (evaluations ~n:3 ~rounds:2)
+
+(* Derive's vocabularies at both lattice shapes: the orbit lattice answers
+   every pair, and random name lists, exactly as the per-history walk. *)
+let lattice_matches_per_history_walk () =
+  let mismatches = ref [] in
+  let agree what old_answer answer =
+    if old_answer <> answer then mismatches := what :: !mismatches
+  in
+  List.iter
+    (fun (n, f) ->
+      let named =
+        List.map
+          (fun s -> (s, Test_support.ok_exn (Check.Spec.predicate s)))
+          (Check.Derive.candidates ~n ~f)
+      in
+      let names = List.map fst named in
+      List.iter
+        (fun (n', rounds) ->
+          let lat = S.lattice ~n:n' ~rounds named
+          and old = O.lattice ~n:n' ~rounds named in
+          let where =
+            Printf.sprintf "(n, f) = (%d, %d), n'=%d, rounds=%d" n f n' rounds
+          in
+          List.iter
+            (fun a ->
+              List.iter
+                (fun b ->
+                  let pair = Printf.sprintf "%s: %s, %s" where a b in
+                  agree (pair ^ " implies") (O.implies old a b)
+                    (S.implies lat a b);
+                  agree (pair ^ " equivalent") (O.equivalent old a b)
+                    (S.equivalent lat a b))
+                names)
+            names;
+          let rs = Random.State.make [| n; f; n'; rounds |] in
+          for _ = 1 to 100 do
+            let subset =
+              List.filter (fun _ -> Random.State.bool rs) names
+              |> List.map (fun s -> (Random.State.bits rs, s))
+              |> List.sort compare |> List.map snd
+            in
+            let what = where ^ ": " ^ String.concat " " subset in
+            agree (what ^ " minimal_conjuncts")
+              (O.minimal_conjuncts old subset)
+              (S.minimal_conjuncts lat subset);
+            agree (what ^ " weakest") (O.weakest old subset)
+              (S.weakest lat subset)
+          done)
+        [ (4, 1); (3, 2) ])
+    [ (5, 2); (3, 1) ];
+  Alcotest.(check (list string)) "queries answered differently" []
+    (List.rev !mismatches)
+
 let tests =
   [
     Alcotest.test_case "lattice positive edges" `Slow lattice_positive;
@@ -249,6 +430,16 @@ let tests =
     Alcotest.test_case "lattice neighbours" `Slow lattice_neighbours;
     Alcotest.test_case "lattice meet and frontier" `Slow
       lattice_meet_and_frontier;
+    Alcotest.test_case "renaming refutes an asymmetric predicate" `Quick
+      asymmetric_predicate_is_caught;
+    Alcotest.test_case "lattice walks one history per orbit" `Slow
+      lattice_walks_one_history_per_orbit;
+    Alcotest.test_case "lattice = per-history walk" `Slow
+      lattice_matches_per_history_walk;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ reflexivity_property; transitivity_property ]
+      [
+        reflexivity_property;
+        transitivity_property;
+        vocabulary_is_renaming_invariant;
+      ]
